@@ -4,9 +4,17 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .errors import InputError, InvariantError, PreconditionError
-from .graphs import Graph, VertexSet, is_connected, vset
+from .graphs import (
+    Graph,
+    VertexSet,
+    connected_components,
+    induced_subgraph,
+    is_connected,
+    vset,
+)
 
 
 @dataclass(frozen=True)
@@ -31,41 +39,67 @@ class CliqueTree:
     edges: frozenset[tuple[int, int]]
 
 
+@dataclass(frozen=True)
+class CliqueIndex:
+    """The chordal structure of a graph, computed once from one elimination order.
+
+    cliques are the maximal cliques in canonical order; occurrences[v] lists,
+    increasing, the indices of the cliques that contain v.
+    """
+
+    order: tuple[int, ...]
+    cliques: tuple[VertexSet, ...]
+    occurrences: tuple[tuple[int, ...], ...]
+
+
 def _mcs_order(g: Graph) -> list[int]:
     """Maximum cardinality search; ties broken toward the smallest vertex id.
 
-    Returns the selection order (first selected first).
+    A heap keyed (-weight, id), packed into the int id - weight * n, with stale
+    entries skipped on pop: O((n + m) log n). Returns the selection order
+    (first selected first).
     """
-    weight = [0] * g.n
-    selected = [False] * g.n
+    n = g.n
+    weight = [0] * n
+    selected = [False] * n
+    heap = list(range(n))  # every key id - 0 * n, sorted, hence a heap
     order: list[int] = []
-    for _ in range(g.n):
-        best = -1
-        for v in range(g.n):
-            if not selected[v] and (best == -1 or weight[v] > weight[best]):
-                best = v
+    while heap:
+        key = heappop(heap)
+        best = key % n
+        if selected[best] or key != best - weight[best] * n:
+            continue
         selected[best] = True
         order.append(best)
         for u in g.adj[best]:
             if not selected[u]:
                 weight[u] += 1
+                heappush(heap, u - weight[u] * n)
     return order
+
+
+def _later_neighbors(g: Graph, order: list[int]) -> tuple[list[int], list[list[int]]]:
+    """Each vertex's position in the order, and its neighbors placed after it."""
+    pos = [0] * g.n
+    for i, v in enumerate(order):
+        pos[v] = i
+    return pos, [[u for u in g.adj[v] if pos[u] > pos[v]] for v in range(g.n)]
 
 
 def _check_peo(g: Graph, order: list[int]) -> tuple[int, int, int] | None:
     """First violation (v, p, x) of the elimination order, or None when perfect.
 
-    p is v's earliest-eliminated later neighbor; x a later neighbor not adjacent to p.
+    p is v's earliest-eliminated later neighbor; x the earliest-eliminated
+    later neighbor not adjacent to p.
     """
-    pos = {v: i for i, v in enumerate(order)}
+    pos, later = _later_neighbors(g, order)
     for v in order:
-        later = sorted((u for u in g.adj[v] if pos[u] > pos[v]), key=lambda u: pos[u])
-        if len(later) <= 1:
+        if len(later[v]) <= 1:
             continue
-        p = later[0]
-        for x in later[1:]:
-            if not g.has_edge(p, x):
-                return (v, p, x)
+        p = min(later[v], key=pos.__getitem__)
+        bad = set(later[v]) - g.adj[p] - {p}
+        if bad:
+            return (v, p, min(bad, key=pos.__getitem__))
     return None
 
 
@@ -133,26 +167,66 @@ def is_chordal(g: Graph) -> bool:
     return isinstance(peo_or_hole(g), EliminationOrder)
 
 
+def clique_index(g: Graph, order: tuple[int, ...] | list[int]) -> CliqueIndex:
+    """Maximal cliques and vertex occurrences read off a perfect elimination order.
+
+    Each maximal clique is C_v = {v} plus v's later neighbors for exactly one v,
+    its earliest vertex. C_v is absorbed when some u whose first later neighbor
+    is v has one more later neighbor than v (then C_u = {u} plus C_v), which is
+    the only way C_v can fail to be maximal. Linear in n + m up to sorting.
+    """
+    pos, later = _later_neighbors(g, order)
+    absorbed = [False] * g.n
+    for u in range(g.n):
+        if later[u]:
+            p = min(later[u], key=pos.__getitem__)
+            if len(later[u]) == len(later[p]) + 1:
+                absorbed[p] = True
+    cliques = sorted(vset([v, *later[v]]) for v in range(g.n) if not absorbed[v])
+    occurrences: list[list[int]] = [[] for _ in range(g.n)]
+    for i, c in enumerate(cliques):
+        for v in c:
+            occurrences[v].append(i)
+    return CliqueIndex(
+        tuple(order), tuple(cliques), tuple(tuple(occ) for occ in occurrences)
+    )
+
+
+def restrict_index(index: CliqueIndex, sub: Graph, idmap: VertexSet) -> CliqueIndex:
+    """Index of the induced subgraph sub = G[idmap], in sub's ids.
+
+    A perfect elimination order restricted to an induced subgraph is still one,
+    so no new search runs; O(n + m) for the parent's order and sub's cliques.
+    """
+    local = {v: i for i, v in enumerate(idmap)}
+    return clique_index(sub, [local[v] for v in index.order if v in local])
+
+
+def component_indices(
+    g: Graph, index: CliqueIndex
+) -> list[tuple[Graph, VertexSet | None, CliqueIndex]]:
+    """(graph, id map, index) per connected component of a chordal graph.
+
+    A connected graph is its own single piece with id map None; otherwise each
+    component is induced and indexed through restrict_index.
+    """
+    comps = connected_components(g)
+    if len(comps) <= 1:
+        return [(g, None, index)]
+    subs = [induced_subgraph(g, comp) for comp in comps]
+    return [(sub, idmap, restrict_index(index, sub, idmap)) for sub, idmap in subs]
+
+
 def maximal_cliques(g: Graph) -> list[VertexSet]:
     """Maximal cliques of a chordal graph, canonically sorted.
 
     A chordal graph on n vertices has at most n maximal cliques; they are read
-    off an elimination order (each vertex together with its later neighbors).
+    off an elimination order by clique_index.
     """
     res = peo_or_hole(g)
     if isinstance(res, HoleCertificate):
         raise PreconditionError("maximal_cliques requires a chordal graph")
-    order = res.order
-    pos = {v: i for i, v in enumerate(order)}
-    cands: set[VertexSet] = set()
-    for v in order:
-        cands.add(vset([v] + [u for u in g.adj[v] if pos[u] > pos[v]]))
-    cliques = [
-        c
-        for c in cands
-        if not any(c != d and set(c) <= set(d) for d in cands)
-    ]
-    return sorted(cliques)
+    return list(clique_index(g, res.order).cliques)
 
 
 def clique_tree(g: Graph) -> CliqueTree:
@@ -209,55 +283,37 @@ def _tree_adj(c: int, edges: frozenset[tuple[int, int]]) -> list[list[int]]:
 def _is_tree(c: int, edges: frozenset[tuple[int, int]]) -> bool:
     if len(edges) != max(c - 1, 0):
         return False
-    if c == 0:
-        return True
-    adj = _tree_adj(c, edges)
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == c
+    return is_connected(Graph(c, tuple(frozenset(a) for a in _tree_adj(c, edges))))
 
 
-def _vertex_node_sets(g: Graph, tree: CliqueTree) -> list[list[int]]:
+def _clique_degrees(g: Graph, tree: CliqueTree) -> list[list[int]]:
+    """Per vertex, the degree of each of its cliques within the part of the tree
+    its cliques induce. In a tree, that part is connected exactly when the
+    degrees sum to 2 * (count - 1), and a path when none also exceeds 2."""
+    adj = _tree_adj(len(tree.cliques), tree.edges)
     occ: list[list[int]] = [[] for _ in range(g.n)]
     for idx, q in enumerate(tree.cliques):
         for v in q:
             occ[v].append(idx)
-    return occ
+    degrees = []
+    for nodes in occ:
+        inside = set(nodes)
+        degrees.append([sum(1 for w in adj[u] if w in inside) for u in nodes])
+    return degrees
 
 
 def _has_subtree_property(g: Graph, tree: CliqueTree) -> bool:
     """Every vertex's cliques induce a connected subtree."""
-    adj = _tree_adj(len(tree.cliques), tree.edges)
-    for nodes in _vertex_node_sets(g, tree):
-        if len(nodes) <= 1:
-            continue
-        inside = set(nodes)
-        seen = {nodes[0]}
-        queue = deque([nodes[0]])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if w in inside and w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        if len(seen) != len(inside):
-            return False
-    return True
+    return all(sum(d) == 2 * len(d) - 2 for d in _clique_degrees(g, tree))
 
 
 def is_valid_clique_tree(g: Graph, tree: CliqueTree) -> bool:
     """Tree on the maximal cliques satisfying the induced-subtree property."""
-    if list(tree.cliques) != maximal_cliques(g):
-        return False
-    if not _is_tree(len(tree.cliques), tree.edges):
-        return False
-    return _has_subtree_property(g, tree)
+    return (
+        list(tree.cliques) == maximal_cliques(g)
+        and _is_tree(len(tree.cliques), tree.edges)
+        and _has_subtree_property(g, tree)
+    )
 
 
 def is_clique_path_tree(g: Graph, tree: CliqueTree) -> bool:
@@ -269,18 +325,6 @@ def is_clique_path_tree(g: Graph, tree: CliqueTree) -> bool:
         raise InputError("tree is not over the canonical maximal clique list")
     if not _is_tree(len(tree.cliques), tree.edges):
         return False
-    adj = _tree_adj(len(tree.cliques), tree.edges)
-    for nodes in _vertex_node_sets(g, tree):
-        if len(nodes) <= 1:
-            continue
-        inside = set(nodes)
-        within = 0
-        for u in nodes:
-            d = sum(1 for w in adj[u] if w in inside)
-            if d > 2:
-                return False
-            within += d
-        if within != 2 * (len(nodes) - 1):
-            # not connected inside the tree (or has a cycle, impossible in a tree)
-            return False
-    return True
+    return all(
+        max(d) <= 2 and sum(d) == 2 * len(d) - 2 for d in _clique_degrees(g, tree)
+    )

@@ -4,17 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chordal import is_chordal, maximal_cliques
+from .chordal import CliqueIndex, HoleCertificate, clique_index, peo_or_hole
 from .errors import PreconditionError
-from .graphs import (
-    Graph,
-    VertexSet,
-    connected_components,
-    induced_subgraph,
-    is_clique,
-    is_connected,
-    vset,
-)
+from .graphs import Graph, VertexSet, components_without, is_clique, is_connected, vset
 
 
 @dataclass(frozen=True)
@@ -46,77 +38,73 @@ class Decomposition:
         return len(self.gammas)
 
 
+def _checked_index(g: Graph, caller: str) -> CliqueIndex:
+    """The clique index of a connected chordal graph; the boundary checks."""
+    res = peo_or_hole(g)
+    if isinstance(res, HoleCertificate):
+        raise PreconditionError(f"{caller} requires a chordal graph")
+    if not is_connected(g):
+        raise PreconditionError(f"{caller} requires a connected graph")
+    return clique_index(g, res.order)
+
+
 def clique_separators(g: Graph) -> list[VertexSet]:
     """Maximal cliques whose removal disconnects the graph, canonically ordered.
 
     Requires a connected chordal graph.
     """
-    if not is_chordal(g):
-        raise PreconditionError("clique_separators requires a chordal graph")
-    if not is_connected(g):
-        raise PreconditionError("clique_separators requires a connected graph")
-    out = []
-    for q in maximal_cliques(g):
-        rest = [v for v in range(g.n) if v not in set(q)]
-        sub, _ = induced_subgraph(g, rest)
-        if len(connected_components(sub)) >= 2:
-            out.append(q)
-    return out
+    index = _checked_index(g, "clique_separators")
+    return [q for q in index.cliques if len(components_without(g, q)) >= 2]
 
 
-def _check_separator(g: Graph, q: VertexSet) -> None:
+def decomposition(
+    g: Graph, index: CliqueIndex, q: VertexSet, parts: list[VertexSet]
+) -> Decomposition:
+    """Decomposition at the separator q with the given parts, read off the index.
+
+    The maximal cliques of G[C + Q] other than Q are exactly G's maximal
+    cliques holding a vertex of C, so the relevant cliques of part C are the
+    indexed cliques that meet Q and hold a vertex of C. Such a clique lies in
+    C + Q, so any one of its vertices outside Q names its part. O(n + m) per
+    separator.
+    """
     qs = set(q)
-    if not is_clique(g, q):
-        raise PreconditionError(f"{q} is not a clique")
-    for v in range(g.n):
-        if v not in qs and qs <= g.adj[v]:
-            raise PreconditionError(f"{q} is not a maximal clique")
+    part_of: dict[int, int] = {}
+    for idx, part in enumerate(parts):
+        part_of.update(dict.fromkeys(part, idx))
+    rel: list[list[VertexSet]] = [[] for _ in parts]
+    for ci in sorted({ci for v in q for ci in index.occurrences[v]}):
+        k = index.cliques[ci]
+        if k != q:
+            rel[part_of[next(v for v in k if v not in qs)]].append(k)
+    gammas = tuple(
+        GammaComponent(
+            index=idx,
+            vertices=vset(qs.union(part)),
+            component=part,
+            relevant_cliques=tuple(rel[idx]),
+            traces=tuple(sorted({vset(qs.intersection(k)) for k in rel[idx]})),
+        )
+        for idx, part in enumerate(parts)
+    )
 
-
-def relevant_cliques(g: Graph, q: VertexSet, part: VertexSet) -> tuple[VertexSet, ...]:
-    """Maximal cliques of G[part ∪ Q] that meet Q but differ from Q, canonical order."""
-    sub, idmap = induced_subgraph(g, set(part) | set(q))
-    qs = set(q)
-    out = []
-    for c in maximal_cliques(sub):
-        orig = vset(idmap[v] for v in c)
-        if set(orig) & qs and set(orig) != qs:
-            out.append(orig)
-    return tuple(sorted(out))
+    nmap: dict[int, list[int]] = {v: [] for v in q}
+    for gm in gammas:
+        for v in {v for t in gm.traces for v in t}:
+            nmap[v].append(gm.index)
+    return Decomposition(
+        q=q, gammas=gammas, neighbor_map={v: tuple(ix) for v, ix in nmap.items()}
+    )
 
 
 def gamma_components(g: Graph, q: VertexSet) -> Decomposition:
     """Decompose a connected chordal graph along the maximal clique separator q."""
-    if not is_chordal(g):
-        raise PreconditionError("gamma_components requires a chordal graph")
-    if not is_connected(g):
-        raise PreconditionError("gamma_components requires a connected graph")
+    index = _checked_index(g, "gamma_components")
     q = vset(q)
-    _check_separator(g, q)
-    qs = set(q)
-    rest, _ = induced_subgraph(g, [v for v in range(g.n) if v not in qs])
-    restmap = [v for v in range(g.n) if v not in qs]
-    parts = [vset(restmap[v] for v in comp) for comp in connected_components(rest)]
+    if q not in index.cliques:
+        kind = "maximal clique" if is_clique(g, q) else "clique"
+        raise PreconditionError(f"{q} is not a {kind}")
+    parts = components_without(g, q)
     if len(parts) < 2:
         raise PreconditionError(f"{q} does not separate the graph")
-
-    gammas = []
-    for idx, part in enumerate(parts):
-        rel = relevant_cliques(g, q, part)
-        traces = tuple(sorted({vset(set(k) & qs) for k in rel}))
-        gammas.append(
-            GammaComponent(
-                index=idx,
-                vertices=vset(set(part) | qs),
-                component=part,
-                relevant_cliques=rel,
-                traces=traces,
-            )
-        )
-
-    nmap: dict[int, tuple[int, ...]] = {}
-    for v in q:
-        nmap[v] = tuple(
-            gm.index for gm in gammas if any(v in t for t in gm.traces)
-        )
-    return Decomposition(q=q, gammas=tuple(gammas), neighbor_map=nmap)
+    return decomposition(g, index, q, parts)

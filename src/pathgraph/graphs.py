@@ -5,7 +5,6 @@ Vertex sets are canonically represented as strictly increasing tuples of ints.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -96,25 +95,28 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, VertexSe
     return Graph(len(idmap), adj, labels), idmap
 
 
-def connected_components(g: Graph) -> list[VertexSet]:
-    """Connected components, each a canonical vertex set, sorted by smallest member."""
-    seen = [False] * g.n
+def components_without(g: Graph, removed: Iterable[int]) -> list[VertexSet]:
+    """Connected components of g minus the removed vertices, each a canonical
+    vertex set, sorted by smallest member; one traversal."""
+    adj = g.adj
+    unseen = set(range(g.n)).difference(removed)
     comps: list[VertexSet] = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        seen[s] = True
+    while unseen:
+        s = min(unseen)
+        unseen.discard(s)
         part = [s]
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for w in g.adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    part.append(w)
-                    queue.append(w)
+        for u in part:  # breadth-first: the list grows while it is read
+            new = adj[u] & unseen
+            if new:
+                unseen -= new
+                part.extend(new)
         comps.append(vset(part))
     return comps
+
+
+def connected_components(g: Graph) -> list[VertexSet]:
+    """Connected components, each a canonical vertex set, sorted by smallest member."""
+    return components_without(g, ())
 
 
 def is_connected(g: Graph) -> bool:

@@ -6,18 +6,27 @@ from collections import deque
 from dataclasses import dataclass
 
 from .attach import quotient
-from .chordal import CliqueTree, clique_tree, is_clique_path_tree, maximal_cliques
+from .chordal import (
+    CliqueIndex,
+    CliqueTree,
+    _tree_adj,
+    clique_index,
+    clique_tree,
+    component_indices,
+    is_clique_path_tree,
+    peo_or_hole,
+    restrict_index,
+)
 from .coloring import WeakColoring, weak_coloring
-from .decompose import clique_separators, gamma_components
 from .errors import (
     GuardRefusal,
     InvariantError,
     PreconditionError,
     RealizationError,
 )
-from .graphs import Graph, VertexSet, connected_components, induced_subgraph, vset
+from .graphs import Graph, VertexSet, induced_subgraph, vset
 from .oracle import oracle_clique_path_tree
-from .recognize import recognize_path_graph
+from .recognize import _decompositions, recognize_path_graph
 
 
 @dataclass(frozen=True)
@@ -44,17 +53,16 @@ def realize(g: Graph) -> CliqueTree:
     verdict = recognize_path_graph(g)
     if not verdict.is_path_graph:
         raise PreconditionError("realize requires a path graph")
-    comps = connected_components(g)
-    if len(comps) <= 1:
-        return _realize_connected(g)
+    index = clique_index(g, peo_or_hole(g).order)
+    pieces = component_indices(g, index)
+    if len(pieces) == 1:
+        return _realize_connected(g, index)
 
-    cliques = maximal_cliques(g)
-    index_of = {c: i for i, c in enumerate(cliques)}
+    index_of = {c: i for i, c in enumerate(index.cliques)}
     edges: set[tuple[int, int]] = set()
     anchors: list[int] = []
-    for comp in comps:
-        sub, idmap = induced_subgraph(g, comp)
-        t = _realize_connected(sub)
+    for sub, idmap, sub_index in pieces:
+        t = _realize_connected(sub, sub_index)
         local_to_global = [index_of[vset(idmap[v] for v in c)] for c in t.cliques]
         for a, b in t.edges:
             edges.add(_norm(local_to_global[a], local_to_global[b]))
@@ -62,21 +70,19 @@ def realize(g: Graph) -> CliqueTree:
     # bridge the component trees; vertex paths are unaffected
     for a, b in zip(anchors, anchors[1:]):
         edges.add(_norm(a, b))
-    tree = CliqueTree(tuple(cliques), frozenset(edges))
+    tree = CliqueTree(index.cliques, frozenset(edges))
     if not is_clique_path_tree(g, tree):
         raise InvariantError("bridged component trees lost the path property")
     return tree
 
 
-def _realize_connected(g: Graph) -> CliqueTree:
-    seps = clique_separators(g)
-    if not seps:
+def _realize_connected(g: Graph, index: CliqueIndex) -> CliqueTree:
+    dec = next(_decompositions(g, index), None)
+    if dec is None:
         t = clique_tree(g)
         if is_clique_path_tree(g, t):
             return t
         return _oracle_fallback(g, None)
-    q = seps[0]
-    dec = gamma_components(g, q)
     m = quotient(dec)
     wc = weak_coloring(m)
     if not isinstance(wc, WeakColoring):
@@ -86,14 +92,14 @@ def _realize_connected(g: Graph) -> CliqueTree:
     sub_edges: list[frozenset[tuple[int, int]]] = []
     for gamma in dec.gammas:
         sub, idmap = induced_subgraph(g, gamma.vertices)
-        t = _realize_connected(sub)
+        t = _realize_connected(sub, restrict_index(index, sub, idmap))
         sub_cliques.append([vset(idmap[v] for v in c) for c in t.cliques])
         sub_edges.append(t.edges)
 
-    tree = _merge_at_q(g, q, dec, m, wc, sub_cliques, sub_edges)
+    tree = _merge_at_q(index.cliques, dec.q, dec, m, wc, sub_cliques, sub_edges)
     if tree is not None and is_clique_path_tree(g, tree):
         return tree
-    return _oracle_fallback(g, q)
+    return _oracle_fallback(g, dec.q)
 
 
 def _oracle_fallback(g: Graph, q: VertexSet | None) -> CliqueTree:
@@ -118,10 +124,7 @@ def _branches_at(
     separator node, all in the part's local clique indices.
     """
     qnode = cliques.index(q)
-    adj: dict[int, list[int]] = {i: [] for i in range(len(cliques))}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
+    adj = _tree_adj(len(cliques), edges)
     branches = []
     for r in sorted(adj[qnode]):
         nodes = {r}
@@ -143,7 +146,7 @@ def _branches_at(
 
 
 def _merge_at_q(
-    g: Graph,
+    cliques: tuple[VertexSet, ...],
     q: VertexSet,
     dec,
     m,
@@ -151,7 +154,6 @@ def _merge_at_q(
     sub_cliques: list[list[VertexSet]],
     sub_edges: list[frozenset[tuple[int, int]]],
 ) -> CliqueTree | None:
-    cliques = maximal_cliques(g)
     index_of = {c: i for i, c in enumerate(cliques)}
     qi = index_of[q]
     qs = set(q)
@@ -220,7 +222,7 @@ def _merge_at_q(
 
     if len(edges) != len(cliques) - 1:
         return None
-    return CliqueTree(tuple(cliques), frozenset(edges))
+    return CliqueTree(cliques, frozenset(edges))
 
 
 def clique_path_tree_to_host(g: Graph, t: CliqueTree) -> HostRealization:
@@ -229,10 +231,7 @@ def clique_path_tree_to_host(g: Graph, t: CliqueTree) -> HostRealization:
     if not is_clique_path_tree(g, t):
         raise PreconditionError("clique_path_tree_to_host requires a clique path tree")
     c = len(t.cliques)
-    adj: dict[int, list[int]] = {i: [] for i in range(c)}
-    for a, b in t.edges:
-        adj[a].append(b)
-        adj[b].append(a)
+    adj = _tree_adj(c, t.edges)
     paths = []
     for v in range(g.n):
         nodes = [i for i, clique in enumerate(t.cliques) if v in clique]

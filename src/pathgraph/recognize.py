@@ -2,14 +2,27 @@
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from typing import Iterator
 
 from .attach import AttachednessGraph, quotient
-from .chordal import HoleCertificate, peo_or_hole
-from .coloring import Refutation, Skeleton, WeakColoring, skeleton, weak_coloring
-from .decompose import Decomposition, clique_separators, gamma_components
-from .graphs import Graph, VertexSet, connected_components, induced_subgraph, vset
+from .chordal import (
+    CliqueIndex,
+    HoleCertificate,
+    clique_index,
+    component_indices,
+    peo_or_hole,
+)
+from .coloring import (
+    Refutation,
+    Skeleton,
+    WeakColoring,
+    _two_color_member,
+    skeleton,
+    weak_coloring,
+)
+from .decompose import Decomposition, decomposition
+from .graphs import Graph, VertexSet, components_without, vset
 from .obstructions import Obstruction, refutation_to_obstruction
 
 NOT_CHORDAL = "NOT_CHORDAL"
@@ -65,43 +78,42 @@ def _global_q(q: VertexSet, idmap: VertexSet | None) -> VertexSet:
     return q if idmap is None else vset(idmap[v] for v in q)
 
 
+def _decompositions(g: Graph, index: CliqueIndex) -> Iterator[Decomposition]:
+    """Decompositions of a connected chordal graph at its clique separators,
+    in canonical order, each computed only when the caller gets to it."""
+    for q in index.cliques:
+        parts = components_without(g, q)
+        if len(parts) >= 2:
+            yield decomposition(g, index, q, parts)
+
+
 def _component_reports(
-    g: Graph, idmap: VertexSet | None
+    g: Graph, index: CliqueIndex, idmap: VertexSet | None
 ) -> tuple[list[SeparatorReport], bool]:
     """Per-separator reports for one connected chordal graph.
 
     Stops at the first refuted separator; the boolean says whether all passed.
     """
     reports: list[SeparatorReport] = []
-    for q in clique_separators(g):
-        dec = gamma_components(g, q)
+    for dec in _decompositions(g, index):
         m = quotient(dec)
         s = skeleton(m)
         res = weak_coloring(m)
-        if isinstance(res, Refutation):
-            obs = refutation_to_obstruction(m, s, res)
-            reports.append(
-                SeparatorReport(
-                    q=_global_q(q, idmap),
-                    decomposition=dec,
-                    attachedness=m,
-                    skeleton=s,
-                    refutation=res,
-                    obstruction=obs,
-                    vertex_map=idmap,
-                )
-            )
-            return reports, False
+        refuted = isinstance(res, Refutation)
         reports.append(
             SeparatorReport(
-                q=_global_q(q, idmap),
+                q=_global_q(dec.q, idmap),
                 decomposition=dec,
                 attachedness=m,
                 skeleton=s,
-                coloring=res,
+                coloring=None if refuted else res,
+                refutation=res if refuted else None,
+                obstruction=refutation_to_obstruction(m, s, res) if refuted else None,
                 vertex_map=idmap,
             )
         )
+        if refuted:
+            return reports, False
     return reports, True
 
 
@@ -115,58 +127,19 @@ def recognize_path_graph(g: Graph) -> Verdict:
     res = peo_or_hole(g)
     if isinstance(res, HoleCertificate):
         return Verdict(status=NOT_CHORDAL, hole=res, reports=())
-    comps = connected_components(g)
     all_reports: list[SeparatorReport] = []
-    if len(comps) <= 1:
-        reports, ok = _component_reports(g, None)
+    for sub, idmap, index in component_indices(g, clique_index(g, res.order)):
+        reports, ok = _component_reports(sub, index, idmap)
         all_reports.extend(reports)
         if not ok:
             return Verdict(NOT_PATH_GRAPH, None, tuple(all_reports))
-    else:
-        for comp in comps:
-            sub, idmap = induced_subgraph(g, comp)
-            reports, ok = _component_reports(sub, idmap)
-            all_reports.extend(reports)
-            if not ok:
-                return Verdict(NOT_PATH_GRAPH, None, tuple(all_reports))
     return Verdict(PATH_GRAPH, None, tuple(all_reports))
 
 
 def _odd_antipodal_cycle(m: AttachednessGraph) -> tuple[int, ...] | None:
     """Odd cycle in the antipodal graph over classes, or None when bipartite."""
-    adj: dict[int, list[int]] = {c: [] for c in range(m.size)}
-    for a, b in sorted(m.edges.antipodal):
-        adj[a].append(b)
-        adj[b].append(a)
-    bit: dict[int, int] = {}
-    parent: dict[int, int | None] = {}
-
-    def chain(c: int) -> list[int]:
-        out = [c]
-        while parent[out[-1]] is not None:
-            out.append(parent[out[-1]])
-        return out
-
-    for start in range(m.size):
-        if start in bit:
-            continue
-        bit[start] = 0
-        parent[start] = None
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in sorted(adj[u]):
-                if w not in bit:
-                    bit[w] = bit[u] ^ 1
-                    parent[w] = u
-                    queue.append(w)
-                elif bit[w] == bit[u]:
-                    up, wp = chain(u)[::-1], chain(w)[::-1]
-                    l = 0
-                    while l < len(up) and l < len(wp) and up[l] == wp[l]:
-                        l += 1
-                    return tuple(up[l - 1 :] + wp[l:][::-1])
-    return None
+    res = _two_color_member(m, tuple(range(m.size)), {}, 0, 1)
+    return res[1] if isinstance(res, tuple) else None
 
 
 def recognize_directed_path_graph(g: Graph) -> DirectedVerdict:
@@ -175,21 +148,14 @@ def recognize_directed_path_graph(g: Graph) -> DirectedVerdict:
     res = peo_or_hole(g)
     if isinstance(res, HoleCertificate):
         return DirectedVerdict(status=NOT_CHORDAL, hole=res)
-    comps = connected_components(g)
-    pieces = (
-        [(g, None)]
-        if len(comps) <= 1
-        else [induced_subgraph(g, comp) for comp in comps]
-    )
-    for sub, idmap in pieces:
-        for q in clique_separators(sub):
-            m = quotient(gamma_components(sub, q))
-            cycle = _odd_antipodal_cycle(m)
+    for sub, idmap, index in component_indices(g, clique_index(g, res.order)):
+        for dec in _decompositions(sub, index):
+            cycle = _odd_antipodal_cycle(quotient(dec))
             if cycle is not None:
                 return DirectedVerdict(
                     status=NOT_DIRECTED_PATH_GRAPH,
                     hole=None,
-                    q=_global_q(q, idmap),
+                    q=_global_q(dec.q, idmap),
                     odd_cycle=cycle,
                 )
     return DirectedVerdict(status=DIRECTED_PATH_GRAPH, hole=None)

@@ -34,6 +34,49 @@ def maximal_cliques_by_enumeration(g):
     )
 
 
+def mcs_order_by_scan(g):
+    """Maximum cardinality search by a full scan per step: O(n^2), smallest-id
+    tie-break. Returns the selection order (first selected first)."""
+    weight = [0] * g.n
+    selected = [False] * g.n
+    order = []
+    for _ in range(g.n):
+        best = -1
+        for v in range(g.n):
+            if not selected[v] and (best == -1 or weight[v] > weight[best]):
+                best = v
+        selected[best] = True
+        order.append(best)
+        for u in g.adj[best]:
+            if not selected[u]:
+                weight[u] += 1
+    return order
+
+
+def first_peo_violation(g, order):
+    """First (v, p, x) along the order where v's earliest later neighbor p misses
+    a later neighbor x (the earliest such x), or None for a perfect order."""
+    pos = {v: i for i, v in enumerate(order)}
+    for v in order:
+        later = sorted((u for u in g.adj[v] if pos[u] > pos[v]), key=lambda u: pos[u])
+        for x in later[1:]:
+            if not g.has_edge(later[0], x):
+                return (v, later[0], x)
+    return None
+
+
+def maximal_cliques_by_containment(g, order):
+    """Each vertex with its later neighbors along a perfect elimination order,
+    keeping the candidates no other candidate contains; canonically sorted."""
+    pos = {v: i for i, v in enumerate(order)}
+    cands = {
+        tuple(sorted([v] + [u for u in g.adj[v] if pos[u] > pos[v]])) for v in order
+    }
+    return sorted(
+        c for c in cands if not any(c != d and set(c) <= set(d) for d in cands)
+    )
+
+
 def pruefer_decode_reference(seq, c):
     """Textbook decoding: repeatedly join the smallest remaining leaf."""
     degree = [1] * c

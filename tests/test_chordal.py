@@ -1,14 +1,18 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import _brute
+from pathgraph import chordal
 from pathgraph.chordal import (
     CliqueTree,
     EliminationOrder,
     HoleCertificate,
+    clique_index,
     clique_tree,
+    component_indices,
     is_chordal,
     is_clique_path_tree,
     is_valid_clique_tree,
@@ -17,7 +21,7 @@ from pathgraph.chordal import (
 )
 from pathgraph.errors import InputError, PreconditionError
 from pathgraph.generate import gen_chordal
-from pathgraph.graphs import Graph
+from pathgraph.graphs import Graph, induced_subgraph
 
 
 @st.composite
@@ -142,3 +146,62 @@ def test_gen_chordal_outputs_are_chordal():
     for seed in range(60):
         g = gen_chordal(4 + seed % 9, seed)
         assert isinstance(peo_or_hole(g), EliminationOrder)
+
+
+def _reference_graphs():
+    """Seeded random graphs up to n=30 (mostly holes) and gen_chordal up to 80."""
+    rng = random.Random(20240917)
+    graphs = []
+    for _ in range(200):
+        n = rng.randint(2, 30)
+        p = rng.choice((0.05, 0.1, 0.2, 0.4, 0.7))
+        pairs = itertools.combinations(range(n), 2)
+        graphs.append(Graph.from_edges(n, [e for e in pairs if rng.random() < p]))
+    for n in range(4, 81, 4):
+        graphs += [gen_chordal(n, seed) for seed in range(3)]
+    return graphs
+
+
+def test_search_and_order_check_match_scan_references(monkeypatch):
+    graphs = _reference_graphs()
+    for g in graphs:
+        order = chordal._mcs_order(g)
+        assert order == _brute.mcs_order_by_scan(g)
+        peo = order[::-1]
+        assert chordal._check_peo(g, peo) == _brute.first_peo_violation(g, peo)
+    results = [peo_or_hole(g) for g in graphs]
+    assert any(isinstance(r, HoleCertificate) for r in results)
+    assert any(isinstance(r, EliminationOrder) for r in results)
+    monkeypatch.setattr(chordal, "_mcs_order", _brute.mcs_order_by_scan)
+    monkeypatch.setattr(chordal, "_check_peo", _brute.first_peo_violation)
+    assert [peo_or_hole(g) for g in graphs] == results
+
+
+def test_maximal_cliques_match_containment_filter():
+    for g in _reference_graphs():
+        res = peo_or_hole(g)
+        if isinstance(res, HoleCertificate):
+            continue
+        want = _brute.maximal_cliques_by_containment(g, res.order)
+        index = clique_index(g, res.order)
+        assert list(index.cliques) == want == maximal_cliques(g)
+        for v in range(g.n):
+            assert index.occurrences[v] == tuple(
+                i for i, c in enumerate(want) if v in c
+            )
+
+
+def test_component_indices_restrict_one_order():
+    a, b = gen_chordal(12, 3), gen_chordal(9, 4)
+    g = Graph.from_edges(
+        a.n + b.n, a.edges() + [(u + a.n, v + a.n) for u, v in b.edges()]
+    )
+    index = clique_index(g, peo_or_hole(g).order)
+    pieces = component_indices(g, index)
+    assert [idmap for _, idmap, _ in pieces] == [
+        tuple(range(a.n)), tuple(range(a.n, g.n))
+    ]
+    for sub, idmap, sub_index in pieces:
+        assert sub == induced_subgraph(g, idmap)[0]
+        assert list(sub_index.cliques) == maximal_cliques(sub)
+    assert component_indices(a, clique_index(a, peo_or_hole(a).order))[0][1] is None

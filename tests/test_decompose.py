@@ -1,9 +1,10 @@
 import pytest
 
-from pathgraph.decompose import clique_separators, gamma_components, relevant_cliques
+import _brute
+from pathgraph.decompose import clique_separators, gamma_components
 from pathgraph.errors import PreconditionError
 from pathgraph.generate import gen_chordal
-from pathgraph.graphs import Graph
+from pathgraph.graphs import Graph, induced_subgraph
 
 
 def test_worked8_separators(worked8):
@@ -42,7 +43,8 @@ def test_relevant_cliques_meet_both_sides(chordal_corpus):
                     assert set(k) & set(q)
                     assert set(k) != set(q)
                 for t in gm.traces:
-                    assert t and set(t) < set(q) or set(t) <= set(q)
+                    # a clique holding all of Q equals Q, so traces are proper
+                    assert t and set(t) < set(q)
 
 
 def test_k4hub_single_separator(k4hub):
@@ -92,3 +94,21 @@ def test_components_partition_the_rest(chordal_corpus):
             dec = gamma_components(g, q)
             seen = sorted(v for gm in dec.gammas for v in gm.component)
             assert seen == [v for v in range(g.n) if v not in set(q)]
+
+
+def test_relevant_cliques_match_induced_parts(chordal_corpus):
+    # the index-derived relevant cliques equal those of the rebuilt part G[C + Q]
+    checked = 0
+    for _, g in chordal_corpus:
+        for q in clique_separators(g):
+            for gm in gamma_components(g, q).gammas:
+                sub, idmap = induced_subgraph(g, gm.vertices)
+                order = _brute.mcs_order_by_scan(sub)[::-1]
+                want = []
+                for c in _brute.maximal_cliques_by_containment(sub, order):
+                    k = tuple(idmap[v] for v in c)
+                    if set(k) & set(q) and k != q:
+                        want.append(k)
+                assert gm.relevant_cliques == tuple(sorted(want))
+                checked += 1
+    assert checked > 400

@@ -1,9 +1,10 @@
 import pytest
 
+from pathgraph import chordal
 from pathgraph.chordal import maximal_cliques
 from pathgraph.coloring import FULL_ANTIPODAL_TRIPLE
 from pathgraph.errors import GuardRefusal
-from pathgraph.generate import gen_chordal
+from pathgraph.generate import gen_chordal, gen_path_graph
 from pathgraph.graphs import Graph
 from pathgraph.obstructions import FULL_TRIANGLE
 from pathgraph.oracle import oracle_clique_path_tree
@@ -145,3 +146,28 @@ def test_disconnected_directed(worked8):
     v = recognize_directed_path_graph(g)
     assert v.status == NOT_DIRECTED_PATH_GRAPH
     assert v.q == (1, 2, 4)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        Graph.from_edges(200, [(i, i + 1) for i in range(199)]),
+        gen_path_graph(100, 100, 1)[0],
+    ],
+    ids=["P_200", "gen_path_graph_100_100_1"],
+)
+@pytest.mark.parametrize(
+    "recognize", [recognize_path_graph, recognize_directed_path_graph]
+)
+def test_one_search_per_public_call(monkeypatch, g, recognize):
+    # the chordal structure comes from the entry check's order, not per separator
+    calls = []
+    search = chordal._mcs_order
+
+    def counted(graph):
+        calls.append(graph.n)
+        return search(graph)
+
+    monkeypatch.setattr(chordal, "_mcs_order", counted)
+    recognize(g)
+    assert calls == [g.n]
