@@ -57,9 +57,7 @@ def clique_separators(g: Graph) -> list[VertexSet]:
     return [q for q in index.cliques if len(components_without(g, q)) >= 2]
 
 
-def decomposition(
-    g: Graph, index: CliqueIndex, q: VertexSet, parts: list[VertexSet]
-) -> Decomposition:
+def decomposition(index: CliqueIndex, q: VertexSet, parts: list[VertexSet]) -> Decomposition:
     """Decomposition at the separator q with the given parts, read off the index.
 
     The maximal cliques of G[C + Q] other than Q are exactly G's maximal
@@ -107,4 +105,4 @@ def gamma_components(g: Graph, q: VertexSet) -> Decomposition:
     parts = components_without(g, q)
     if len(parts) < 2:
         raise PreconditionError(f"{q} does not separate the graph")
-    return decomposition(g, index, q, parts)
+    return decomposition(index, q, parts)

@@ -84,7 +84,7 @@ def _decompositions(g: Graph, index: CliqueIndex) -> Iterator[Decomposition]:
     for q in index.cliques:
         parts = components_without(g, q)
         if len(parts) >= 2:
-            yield decomposition(g, index, q, parts)
+            yield decomposition(index, q, parts)
 
 
 def _component_reports(
