@@ -1,9 +1,7 @@
-"""Build script: compiles the tree-sweep kernel when Cython and a C compiler
-are available, otherwise the package falls back to the pure-Python kernel at
-import time."""
+"""Build script: the package is pure Python; metadata lives in pyproject.toml."""
 
 import setuptools
-from setuptools import Extension, setup
+from setuptools import setup
 
 # setuptools older than 61 ignores [project] metadata and silently installs a
 # broken UNKNOWN-0.0.0 distribution; refuse instead. This matters only with
@@ -16,19 +14,4 @@ if _major < 61:
         "upgrade to setuptools>=61 (pyproject.toml asks for >=68)"
     )
 
-ext_modules = []
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        [Extension("pathgraph._sweep", ["src/pathgraph/_sweep.pyx"])],
-        compiler_directives={"language_level": "3"},
-    )
-except ImportError:
-    pass
-
-try:
-    setup(ext_modules=ext_modules)
-except SystemExit:
-    # No working C toolchain: install pure-Python only.
-    setup(ext_modules=[])
+setup()

@@ -3,9 +3,9 @@ the hub family of non-path chordal graphs."""
 
 from __future__ import annotations
 
-from ._sweep_py import decode_pruefer
 from .errors import GenerationError, InputError
 from .graphs import Graph, is_connected
+from .oracle import _decode_pruefer
 from .realize import HostRealization, _norm
 
 _MASK64 = (1 << 64) - 1
@@ -38,7 +38,7 @@ def _random_tree(rng: SplitMix64, m: int) -> list[tuple[int, int]]:
     if m == 2:
         return [(0, 1)]
     seq = [rng.randrange(m) for _ in range(m - 2)]
-    return decode_pruefer(seq, m)
+    return _decode_pruefer(seq, m)
 
 
 def _tree_adj(m: int, edges: list[tuple[int, int]]) -> dict[int, list[int]]:

@@ -3,9 +3,16 @@ labeled trees, and exhaustive strong-coloring search. Both are guarded."""
 
 from __future__ import annotations
 
-from . import kernels
+from heapq import heapify, heappop, heappush
+
 from .attach import AttachednessGraph
-from .chordal import CliqueTree, is_chordal, is_clique_path_tree, maximal_cliques
+from .chordal import (
+    CliqueTree,
+    HoleCertificate,
+    clique_index,
+    is_clique_path_tree,
+    peo_or_hole,
+)
 from .coloring import is_strong_coloring
 from .decompose import Decomposition
 from .errors import GuardRefusal, InvariantError, PreconditionError
@@ -15,35 +22,103 @@ TREE_SWEEP_MAX_CLIQUES = 9
 STRONG_COLORING_MAX_CLASSES = 8
 
 
+def _decode_pruefer(seq: list[int], c: int) -> list[tuple[int, int]]:
+    """Edges of the labeled tree on 0..c-1 encoded by a Pruefer sequence (c >= 2).
+
+    Private although generate uses it too: the sweep calls it once per tree,
+    and the traced benchmark (perfbench) wraps every public function.
+    """
+    degree = [1] * c
+    for x in seq:
+        degree[x] += 1
+    leaves = [v for v in range(c) if degree[v] == 1]
+    heapify(leaves)
+    edges = []
+    for x in seq:
+        leaf = heappop(leaves)
+        edges.append((leaf, x) if leaf < x else (x, leaf))
+        degree[x] -= 1
+        if degree[x] == 1:
+            heappush(leaves, x)
+    u = heappop(leaves)
+    v = heappop(leaves)
+    edges.append((u, v) if u < v else (v, u))
+    return edges
+
+
+def _all_paths(edges: list[tuple[int, int]], masks: list[int]) -> bool:
+    """Does every mask induce a path (connected, max degree 2) in the tree?"""
+    for mask in masks:
+        k = mask.bit_count()
+        if k <= 1:
+            continue
+        cnt = 0
+        deg = {}
+        ok = True
+        for a, b in edges:
+            if (mask >> a) & 1 and (mask >> b) & 1:
+                cnt += 1
+                da = deg.get(a, 0) + 1
+                db = deg.get(b, 0) + 1
+                if da > 2 or db > 2:
+                    ok = False
+                    break
+                deg[a] = da
+                deg[b] = db
+        if not ok or cnt != k - 1:
+            return False
+    return True
+
+
+def _first_path_tree(c: int, masks: list[int]) -> list[tuple[int, int]] | None:
+    """First labeled tree on c nodes (Pruefer lexicographic order) where every
+    mask induces a path, or None when no labeled tree works."""
+    if c <= 1:
+        return []
+    if c == 2:
+        return [(0, 1)]
+    seq = [0] * (c - 2)
+    while True:
+        edges = _decode_pruefer(seq, c)
+        if _all_paths(edges, masks):
+            return edges
+        i = c - 3
+        while i >= 0 and seq[i] == c - 1:
+            seq[i] = 0
+            i -= 1
+        if i < 0:
+            return None
+        seq[i] += 1
+        for j in range(i + 1, c - 2):
+            seq[j] = 0
+
+
 def oracle_clique_path_tree(g: Graph) -> CliqueTree | None:
     """Sweep every labeled tree on the maximal cliques (Pruefer order) and
     return the first where each vertex's cliques induce a path, else None.
 
     Guarded to at most 9 cliques (9^7 labeled trees).
     """
-    if not is_chordal(g):
+    res = peo_or_hole(g)
+    if isinstance(res, HoleCertificate):
         raise PreconditionError("oracle_clique_path_tree requires a chordal graph")
     if not is_connected(g):
         raise PreconditionError("oracle_clique_path_tree requires a connected graph")
-    cliques = maximal_cliques(g)
-    c = len(cliques)
+    index = clique_index(g, res.order)
+    c = len(index.cliques)
     if c > TREE_SWEEP_MAX_CLIQUES:
         raise GuardRefusal(
             f"{c} maximal cliques exceed the exhaustive sweep guard of "
             f"{TREE_SWEEP_MAX_CLIQUES}"
         )
-    occurrence: dict[int, int] = {}
-    for idx, clique in enumerate(cliques):
-        for v in clique:
-            occurrence[v] = occurrence.get(v, 0) | (1 << idx)
     masks = sorted(
-        {mk for mk in occurrence.values() if mk.bit_count() >= 2},
+        {sum(1 << i for i in occ) for occ in index.occurrences if len(occ) >= 2},
         key=lambda mk: (-mk.bit_count(), mk),
     )
-    edges = kernels.first_path_tree(c, masks)
+    edges = _first_path_tree(c, masks)
     if edges is None:
         return None
-    tree = CliqueTree(tuple(cliques), frozenset(edges))
+    tree = CliqueTree(index.cliques, frozenset(edges))
     if not is_clique_path_tree(g, tree):
         raise InvariantError("swept tree fails the clique path tree check")
     return tree

@@ -1,9 +1,13 @@
+import itertools
+
 import pytest
 
+import _brute
 from pathgraph.chordal import is_chordal
 from pathgraph.errors import InputError
 from pathgraph.generate import SplitMix64, gen_chordal, gen_path_graph, k4_hub
 from pathgraph.graphs import is_connected
+from pathgraph.oracle import _decode_pruefer
 from pathgraph.realize import verify_realization
 from pathgraph.recognize import recognize_path_graph
 
@@ -78,3 +82,17 @@ def test_k4_hub_grows():
         g = k4_hub(t)
         assert g.n == 2 * t - 1
         assert not recognize_path_graph(g).is_path_graph
+
+
+def test_decode_pruefer_exhaustive_small():
+    c = 5
+    for seq in itertools.product(range(c), repeat=c - 2):
+        assert sorted(_decode_pruefer(list(seq), c)) == _brute.pruefer_decode_reference(seq, c)
+
+
+def test_decode_pruefer_random_larger():
+    rng = SplitMix64(7)
+    for _ in range(200):
+        c = 8
+        seq = [rng.next_u64() % c for _ in range(c - 2)]
+        assert sorted(_decode_pruefer(seq, c)) == _brute.pruefer_decode_reference(seq, c)
