@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import combinations
+from typing import Iterable
 
 from .errors import InputError, InvariantError, PreconditionError
 from .graphs import (
@@ -217,16 +219,24 @@ def component_indices(
     return [(sub, idmap, restrict_index(index, sub, idmap)) for sub, idmap in subs]
 
 
+def _checked_index(g: Graph, caller: str) -> CliqueIndex:
+    """The clique index of a chordal graph, built at a public boundary.
+
+    Raises PreconditionError naming the caller when g has a hole.
+    """
+    res = peo_or_hole(g)
+    if isinstance(res, HoleCertificate):
+        raise PreconditionError(f"{caller} requires a chordal graph")
+    return clique_index(g, res.order)
+
+
 def maximal_cliques(g: Graph) -> list[VertexSet]:
     """Maximal cliques of a chordal graph, canonically sorted.
 
     A chordal graph on n vertices has at most n maximal cliques; they are read
     off an elimination order by clique_index.
     """
-    res = peo_or_hole(g)
-    if isinstance(res, HoleCertificate):
-        raise PreconditionError("maximal_cliques requires a chordal graph")
-    return list(clique_index(g, res.order).cliques)
+    return list(_checked_index(g, "maximal_cliques").cliques)
 
 
 def clique_tree(g: Graph) -> CliqueTree:
@@ -238,18 +248,17 @@ def clique_tree(g: Graph) -> CliqueTree:
     """
     if not is_connected(g):
         raise PreconditionError("clique_tree requires a connected graph")
-    cliques = maximal_cliques(g)
-    c = len(cliques)
+    return _clique_tree(_checked_index(g, "clique_tree"))
+
+
+def _clique_tree(index: CliqueIndex) -> CliqueTree:
+    """clique_tree on the index of a connected chordal graph."""
+    c = len(index.cliques)
     if c == 0:
         return CliqueTree((), frozenset())
-    sets = [set(q) for q in cliques]
-    cands = []
-    for i in range(c):
-        for j in range(i + 1, c):
-            w = len(sets[i] & sets[j])
-            if w > 0:
-                cands.append((-w, i, j))
-    cands.sort()
+    # pairs of cliques sharing a vertex, weighted by how many they share
+    shared = Counter(pair for occ in index.occurrences for pair in combinations(occ, 2))
+    cands = sorted((-w, i, j) for (i, j), w in shared.items())
     parent = list(range(c))
 
     def find(a: int) -> int:
@@ -266,53 +275,78 @@ def clique_tree(g: Graph) -> CliqueTree:
             edges.add((i, j))
     if len(edges) != c - 1:
         raise InvariantError("clique graph of a connected chordal graph must be connected")
-    tree = CliqueTree(tuple(cliques), frozenset(edges))
-    if not _has_subtree_property(g, tree):
+    tree = CliqueTree(index.cliques, frozenset(edges))
+    if not _has_subtree_property(index, tree.edges):
         raise InvariantError("maximum-weight spanning tree is not a clique tree")
     return tree
 
 
-def _tree_adj(c: int, edges: frozenset[tuple[int, int]]) -> list[list[int]]:
+def _tree_adj(c: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Sorted neighbor lists of a graph on nodes 0..c-1."""
     adj: list[list[int]] = [[] for _ in range(c)]
     for i, j in edges:
         adj[i].append(j)
         adj[j].append(i)
+    for nbrs in adj:
+        nbrs.sort()
     return adj
 
 
 def _is_tree(c: int, edges: frozenset[tuple[int, int]]) -> bool:
+    """Whether edges form a tree on nodes 0..c-1.
+
+    Raises InputError on an endpoint outside 0..c-1.
+    """
+    if any(not 0 <= x < c for e in edges for x in e):
+        raise InputError(f"tree edge endpoint out of range for {c} cliques")
     if len(edges) != max(c - 1, 0):
         return False
     return is_connected(Graph(c, tuple(frozenset(a) for a in _tree_adj(c, edges))))
 
 
-def _clique_degrees(g: Graph, tree: CliqueTree) -> list[list[int]]:
+def _clique_degrees(
+    index: CliqueIndex, edges: frozenset[tuple[int, int]]
+) -> list[list[int]]:
     """Per vertex, the degree of each of its cliques within the part of the tree
     its cliques induce. In a tree, that part is connected exactly when the
     degrees sum to 2 * (count - 1), and a path when none also exceeds 2."""
-    adj = _tree_adj(len(tree.cliques), tree.edges)
-    occ: list[list[int]] = [[] for _ in range(g.n)]
-    for idx, q in enumerate(tree.cliques):
-        for v in q:
-            occ[v].append(idx)
+    adj = _tree_adj(len(index.cliques), edges)
     degrees = []
-    for nodes in occ:
+    for nodes in index.occurrences:
         inside = set(nodes)
         degrees.append([sum(1 for w in adj[u] if w in inside) for u in nodes])
     return degrees
 
 
-def _has_subtree_property(g: Graph, tree: CliqueTree) -> bool:
+def _has_subtree_property(index: CliqueIndex, edges: frozenset[tuple[int, int]]) -> bool:
     """Every vertex's cliques induce a connected subtree."""
-    return all(sum(d) == 2 * len(d) - 2 for d in _clique_degrees(g, tree))
+    return all(sum(d) == 2 * len(d) - 2 for d in _clique_degrees(index, edges))
+
+
+def _is_path_tree(index: CliqueIndex, edges: frozenset[tuple[int, int]]) -> bool:
+    """Whether edges form a tree on the indexed cliques in which every vertex's
+    cliques induce a path."""
+    return _is_tree(len(index.cliques), edges) and all(
+        max(d) <= 2 and sum(d) == 2 * len(d) - 2 for d in _clique_degrees(index, edges)
+    )
+
+
+def _path_tree_index(g: Graph, tree: CliqueTree, caller: str) -> CliqueIndex:
+    """The boundary of the path-tree checks: g's clique index, once the tree is
+    known to be over exactly its canonical maximal cliques."""
+    index = _checked_index(g, caller)
+    if tuple(tree.cliques) != index.cliques:
+        raise InputError("tree is not over the canonical maximal clique list")
+    return index
 
 
 def is_valid_clique_tree(g: Graph, tree: CliqueTree) -> bool:
     """Tree on the maximal cliques satisfying the induced-subtree property."""
+    index = _checked_index(g, "is_valid_clique_tree")
     return (
-        list(tree.cliques) == maximal_cliques(g)
-        and _is_tree(len(tree.cliques), tree.edges)
-        and _has_subtree_property(g, tree)
+        tuple(tree.cliques) == index.cliques
+        and _is_tree(len(index.cliques), tree.edges)
+        and _has_subtree_property(index, tree.edges)
     )
 
 
@@ -321,10 +355,4 @@ def is_clique_path_tree(g: Graph, tree: CliqueTree) -> bool:
 
     The tree must be over exactly maximal_cliques(g) in canonical order.
     """
-    if list(tree.cliques) != maximal_cliques(g):
-        raise InputError("tree is not over the canonical maximal clique list")
-    if not _is_tree(len(tree.cliques), tree.edges):
-        return False
-    return all(
-        max(d) <= 2 and sum(d) == 2 * len(d) - 2 for d in _clique_degrees(g, tree)
-    )
+    return _is_path_tree(_path_tree_index(g, tree, "is_clique_path_tree"), tree.edges)

@@ -12,8 +12,7 @@ import sys
 
 from . import io as gio
 from .attach import quotient
-from .chordal import is_chordal
-from .decompose import clique_separators, gamma_components
+from .chordal import HoleCertificate, clique_index, is_chordal, peo_or_hole
 from .errors import (
     GenerationError,
     GuardRefusal,
@@ -29,7 +28,8 @@ from .realize import clique_path_tree_to_host, realize
 from .recognize import (
     DIRECTED_PATH_GRAPH,
     NOT_CHORDAL,
-    recognize_directed_path_graph,
+    _decompositions,
+    _directed_verdict,
     recognize_path_graph,
 )
 
@@ -59,7 +59,7 @@ def _say(args, text: str) -> None:
 def _cmd_recognize(args) -> int:
     g = _read_graph(args)
     verdict = recognize_path_graph(g)
-    directed = recognize_directed_path_graph(g)
+    directed = _directed_verdict(verdict)
     if args.json:
         doc = {
             "chordal": verdict.status != NOT_CHORDAL,
@@ -81,7 +81,7 @@ def _cmd_recognize(args) -> int:
 def _cmd_certify(args) -> int:
     g = _read_graph(args)
     verdict = recognize_path_graph(g)
-    directed = recognize_directed_path_graph(g)
+    directed = _directed_verdict(verdict)
     realization = None
     if args.realize and verdict.is_path_graph:
         t = realize(g)
@@ -176,17 +176,18 @@ def _cmd_attachedness(args) -> int:
     comps = connected_components(g)
     if len(comps) > 1:
         raise InputError("attachedness needs a connected graph")
-    if not is_chordal(g):
+    res = peo_or_hole(g)
+    if isinstance(res, HoleCertificate):
         raise InputError("attachedness needs a chordal graph")
-    seps = clique_separators(g)
-    if not seps:
+    decs = list(_decompositions(g, clique_index(g, res.order)))
+    if not decs:
         raise InputError("graph has no clique separator (it is an atom)")
-    if not 0 <= args.separator < len(seps):
+    if not 0 <= args.separator < len(decs):
         raise InputError(
-            f"separator index {args.separator} out of range (have {len(seps)})"
+            f"separator index {args.separator} out of range (have {len(decs)})"
         )
-    q = seps[args.separator]
-    dec = gamma_components(g, q)
+    dec = decs[args.separator]
+    q = dec.q
     m = quotient(dec)
     if args.dot:
         _say(args, gio.emit_dot(m, g))

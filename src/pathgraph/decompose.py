@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chordal import CliqueIndex, HoleCertificate, clique_index, peo_or_hole
+from .chordal import CliqueIndex, _checked_index
 from .errors import PreconditionError
 from .graphs import Graph, VertexSet, components_without, is_clique, is_connected, vset
 
@@ -38,14 +38,12 @@ class Decomposition:
         return len(self.gammas)
 
 
-def _checked_index(g: Graph, caller: str) -> CliqueIndex:
+def _connected_index(g: Graph, caller: str) -> CliqueIndex:
     """The clique index of a connected chordal graph; the boundary checks."""
-    res = peo_or_hole(g)
-    if isinstance(res, HoleCertificate):
-        raise PreconditionError(f"{caller} requires a chordal graph")
+    index = _checked_index(g, caller)
     if not is_connected(g):
         raise PreconditionError(f"{caller} requires a connected graph")
-    return clique_index(g, res.order)
+    return index
 
 
 def clique_separators(g: Graph) -> list[VertexSet]:
@@ -53,7 +51,7 @@ def clique_separators(g: Graph) -> list[VertexSet]:
 
     Requires a connected chordal graph.
     """
-    index = _checked_index(g, "clique_separators")
+    index = _connected_index(g, "clique_separators")
     return [q for q in index.cliques if len(components_without(g, q)) >= 2]
 
 
@@ -97,7 +95,7 @@ def decomposition(index: CliqueIndex, q: VertexSet, parts: list[VertexSet]) -> D
 
 def gamma_components(g: Graph, q: VertexSet) -> Decomposition:
     """Decompose a connected chordal graph along the maximal clique separator q."""
-    index = _checked_index(g, "gamma_components")
+    index = _connected_index(g, "gamma_components")
     q = vset(q)
     if q not in index.cliques:
         kind = "maximal clique" if is_clique(g, q) else "clique"

@@ -3,10 +3,11 @@ the hub family of non-path chordal graphs."""
 
 from __future__ import annotations
 
+from .chordal import _tree_adj
 from .errors import GenerationError, InputError
-from .graphs import Graph, is_connected
+from .graphs import Graph, _norm_edge, is_connected
 from .oracle import _decode_pruefer
-from .realize import HostRealization, _norm
+from .realize import HostRealization
 
 _MASK64 = (1 << 64) - 1
 _MAX_RESAMPLES = 64
@@ -41,17 +42,7 @@ def _random_tree(rng: SplitMix64, m: int) -> list[tuple[int, int]]:
     return _decode_pruefer(seq, m)
 
 
-def _tree_adj(m: int, edges: list[tuple[int, int]]) -> dict[int, list[int]]:
-    adj: dict[int, list[int]] = {i: [] for i in range(m)}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    for v in adj:
-        adj[v].sort()
-    return adj
-
-
-def _tree_path(adj: dict[int, list[int]], a: int, b: int) -> list[int]:
+def _tree_path(adj: list[list[int]], a: int, b: int) -> list[int]:
     parent = {a: -1}
     queue = [a]
     while queue:
@@ -102,7 +93,7 @@ def gen_path_graph(
         if is_connected(g):
             host = HostRealization(
                 host_n=n_tree_nodes,
-                host_edges=frozenset(_norm(a, b) for a, b in edges),
+                host_edges=frozenset(_norm_edge(a, b) for a, b in edges),
                 paths=tuple(tuple(p) for p in paths),
             )
             return g, host

@@ -6,17 +6,11 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 
 from .attach import AttachednessGraph
-from .chordal import (
-    CliqueTree,
-    HoleCertificate,
-    clique_index,
-    is_clique_path_tree,
-    peo_or_hole,
-)
+from .chordal import CliqueTree, _is_path_tree
 from .coloring import is_strong_coloring
-from .decompose import Decomposition
-from .errors import GuardRefusal, InvariantError, PreconditionError
-from .graphs import Graph, is_connected
+from .decompose import Decomposition, _connected_index
+from .errors import GuardRefusal, InvariantError
+from .graphs import Graph
 
 TREE_SWEEP_MAX_CLIQUES = 9
 STRONG_COLORING_MAX_CLASSES = 8
@@ -99,12 +93,7 @@ def oracle_clique_path_tree(g: Graph) -> CliqueTree | None:
 
     Guarded to at most 9 cliques (9^7 labeled trees).
     """
-    res = peo_or_hole(g)
-    if isinstance(res, HoleCertificate):
-        raise PreconditionError("oracle_clique_path_tree requires a chordal graph")
-    if not is_connected(g):
-        raise PreconditionError("oracle_clique_path_tree requires a connected graph")
-    index = clique_index(g, res.order)
+    index = _connected_index(g, "oracle_clique_path_tree")
     c = len(index.cliques)
     if c > TREE_SWEEP_MAX_CLIQUES:
         raise GuardRefusal(
@@ -119,7 +108,7 @@ def oracle_clique_path_tree(g: Graph) -> CliqueTree | None:
     if edges is None:
         return None
     tree = CliqueTree(index.cliques, frozenset(edges))
-    if not is_clique_path_tree(g, tree):
+    if not _is_path_tree(index, tree.edges):
         raise InvariantError("swept tree fails the clique path tree check")
     return tree
 

@@ -2,19 +2,18 @@
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .attach import quotient
 from .chordal import (
     CliqueIndex,
     CliqueTree,
+    _clique_tree,
+    _is_path_tree,
+    _is_tree,
+    _path_tree_index,
     _tree_adj,
-    clique_index,
-    clique_tree,
     component_indices,
-    is_clique_path_tree,
-    peo_or_hole,
     restrict_index,
 )
 from .coloring import WeakColoring, weak_coloring
@@ -24,9 +23,9 @@ from .errors import (
     PreconditionError,
     RealizationError,
 )
-from .graphs import Graph, VertexSet, induced_subgraph, vset
+from .graphs import Graph, VertexSet, _norm_edge, induced_subgraph, vset
 from .oracle import oracle_clique_path_tree
-from .recognize import _decompositions, recognize_path_graph
+from .recognize import _decompositions, _recognize
 
 
 @dataclass(frozen=True)
@@ -38,10 +37,6 @@ class HostRealization:
     paths: tuple[tuple[int, ...], ...]
 
 
-def _norm(a: int, b: int) -> tuple[int, int]:
-    return (a, b) if a < b else (b, a)
-
-
 def realize(g: Graph) -> CliqueTree:
     """A validated clique path tree of a path graph.
 
@@ -50,10 +45,9 @@ def realize(g: Graph) -> CliqueTree:
     their own side, and branches within a class nest along the dominance order.
     Every merge is validated; failures fall back to the exhaustive oracle.
     """
-    verdict = recognize_path_graph(g)
+    verdict, index = _recognize(g)
     if not verdict.is_path_graph:
         raise PreconditionError("realize requires a path graph")
-    index = clique_index(g, peo_or_hole(g).order)
     pieces = component_indices(g, index)
     if len(pieces) == 1:
         return _realize_connected(g, index)
@@ -65,13 +59,13 @@ def realize(g: Graph) -> CliqueTree:
         t = _realize_connected(sub, sub_index)
         local_to_global = [index_of[vset(idmap[v] for v in c)] for c in t.cliques]
         for a, b in t.edges:
-            edges.add(_norm(local_to_global[a], local_to_global[b]))
+            edges.add(_norm_edge(local_to_global[a], local_to_global[b]))
         anchors.append(min(local_to_global))
     # bridge the component trees; vertex paths are unaffected
     for a, b in zip(anchors, anchors[1:]):
-        edges.add(_norm(a, b))
+        edges.add(_norm_edge(a, b))
     tree = CliqueTree(index.cliques, frozenset(edges))
-    if not is_clique_path_tree(g, tree):
+    if not _is_path_tree(index, tree.edges):
         raise InvariantError("bridged component trees lost the path property")
     return tree
 
@@ -79,8 +73,8 @@ def realize(g: Graph) -> CliqueTree:
 def _realize_connected(g: Graph, index: CliqueIndex) -> CliqueTree:
     dec = next(_decompositions(g, index), None)
     if dec is None:
-        t = clique_tree(g)
-        if is_clique_path_tree(g, t):
+        t = _clique_tree(index)
+        if _is_path_tree(index, t.edges):
             return t
         return _oracle_fallback(g, None)
     m = quotient(dec)
@@ -97,7 +91,7 @@ def _realize_connected(g: Graph, index: CliqueIndex) -> CliqueTree:
         sub_edges.append(t.edges)
 
     tree = _merge_at_q(index.cliques, dec.q, dec, m, wc, sub_cliques, sub_edges)
-    if tree is not None and is_clique_path_tree(g, tree):
+    if tree is not None and _is_path_tree(index, tree.edges):
         return tree
     return _oracle_fallback(g, dec.q)
 
@@ -113,36 +107,6 @@ def _oracle_fallback(g: Graph, q: VertexSet | None) -> CliqueTree:
     if t is None:
         raise InvariantError(f"accepted graph has no clique path tree (at {where})")
     return t
-
-
-def _branches_at(
-    cliques: list[VertexSet], edges: frozenset[tuple[int, int]], q: VertexSet
-) -> list[tuple[int, list[tuple[int, int]], dict[int, list[int]]]]:
-    """Split a part's tree at its separator node.
-
-    Returns one (root, edge list, adjacency) triple per branch hanging off the
-    separator node, all in the part's local clique indices.
-    """
-    qnode = cliques.index(q)
-    adj = _tree_adj(len(cliques), edges)
-    branches = []
-    for r in sorted(adj[qnode]):
-        nodes = {r}
-        queue = deque([r])
-        bedges: list[tuple[int, int]] = []
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if w != qnode and w not in nodes:
-                    nodes.add(w)
-                    bedges.append(_norm(u, w))
-                    queue.append(w)
-        badj: dict[int, list[int]] = {x: [] for x in nodes}
-        for a, b in bedges:
-            badj[a].append(b)
-            badj[b].append(a)
-        branches.append((r, bedges, badj))
-    return branches
 
 
 def _merge_at_q(
@@ -181,13 +145,18 @@ def _merge_at_q(
         idxs.sort(key=rank)
         spine: list[int] = [qi]
         for gi in idxs:
-            glob = [index_of[c] for c in sub_cliques[gi]]
-            branches = _branches_at(sub_cliques[gi], sub_edges[gi], q)
-            branches.sort(key=lambda br: (-len(set(sub_cliques[gi][br[0]]) & qs), glob[br[0]]))
-            for root, bedges, badj in branches:
-                for a, b in bedges:
-                    edges.add(_norm(glob[a], glob[b]))
-                need = set(sub_cliques[gi][root]) & qs
+            part = sub_cliques[gi]
+            glob = [index_of[c] for c in part]
+            qnode = part.index(q)
+            adj = _tree_adj(len(part), sub_edges[gi])
+            # the part's tree minus its separator node falls into branches, one
+            # per neighbor of that node; their edges carry over unchanged
+            for a, b in sub_edges[gi]:
+                if qnode not in (a, b):
+                    edges.add(_norm_edge(glob[a], glob[b]))
+            roots = sorted(adj[qnode], key=lambda r: (-len(set(part[r]) & qs), glob[r]))
+            for root in roots:
+                need = set(part[root]) & qs
                 attach = qi
                 covered = set(qs)
                 hang = 0
@@ -198,25 +167,18 @@ def _merge_at_q(
                         hang = pos
                     else:
                         break
-                edges.add(_norm(attach, glob[root]))
+                edges.add(_norm_edge(attach, glob[root]))
                 # new spine: prefix up to the attachment, then the branch's
                 # own chain of separator-meeting cliques
                 spine = spine[: hang + 1]
                 cur = root
-                seen = {root}
+                seen = {qnode, root}
                 spine.append(glob[root])
                 while True:
-                    nxt = [
-                        w
-                        for w in badj[cur]
-                        if w not in seen and set(sub_cliques[gi][w]) & qs
-                    ]
+                    nxt = [w for w in adj[cur] if w not in seen and set(part[w]) & qs]
                     if not nxt:
                         break
-                    cur = max(
-                        nxt,
-                        key=lambda w: (len(set(sub_cliques[gi][w]) & qs), -glob[w]),
-                    )
+                    cur = max(nxt, key=lambda w: (len(set(part[w]) & qs), -glob[w]))
                     seen.add(cur)
                     spine.append(glob[cur])
 
@@ -228,22 +190,16 @@ def _merge_at_q(
 def clique_path_tree_to_host(g: Graph, t: CliqueTree) -> HostRealization:
     """Read the host tree off a clique path tree: one node per clique, and the
     path of a vertex is the path of cliques containing it."""
-    if not is_clique_path_tree(g, t):
+    index = _path_tree_index(g, t, "clique_path_tree_to_host")
+    if not _is_path_tree(index, t.edges):
         raise PreconditionError("clique_path_tree_to_host requires a clique path tree")
     c = len(t.cliques)
     adj = _tree_adj(c, t.edges)
     paths = []
-    for v in range(g.n):
-        nodes = [i for i, clique in enumerate(t.cliques) if v in clique]
-        if len(nodes) <= 1:
-            paths.append(tuple(nodes))
-            continue
+    for nodes in index.occurrences:
         inside = set(nodes)
-        ends = [
-            u for u in nodes if sum(1 for w in adj[u] if w in inside) == 1
-        ]
-        start = min(ends)
-        seq = [start]
+        # start from the smaller end: at most one neighbor on the vertex's path
+        seq = [min(u for u in nodes if sum(1 for w in adj[u] if w in inside) <= 1)]
         prev = -1
         while len(seq) < len(nodes):
             nxt = [w for w in adj[seq[-1]] if w in inside and w != prev]
@@ -259,16 +215,18 @@ def clique_path_tree_to_host(g: Graph, t: CliqueTree) -> HostRealization:
 
 
 def verify_realization(g: Graph, host: HostRealization) -> bool:
-    """Paths pairwise intersect exactly where the graph has edges, and each
-    path really is a path of the host tree."""
-    adj: dict[int, set[int]] = {i: set() for i in range(host.host_n)}
-    for a, b in host.host_edges:
-        adj[a].add(b)
-        adj[b].add(a)
+    """The host is a tree, each path is a nonempty path of it, and the paths
+    pairwise intersect exactly where the graph has edges."""
+    nodes = range(host.host_n)
     if len(host.paths) != g.n:
         return False
+    if any(x not in nodes for e in host.host_edges for x in e):
+        return False
+    if not _is_tree(host.host_n, host.host_edges):
+        return False
+    adj = _tree_adj(host.host_n, host.host_edges)
     for p in host.paths:
-        if len(set(p)) != len(p):
+        if not p or len(set(p)) != len(p) or any(x not in nodes for x in p):
             return False
         for a, b in zip(p, p[1:]):
             if b not in adj[a]:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .attach import AttachednessGraph, quotient
 from .chordal import (
@@ -22,6 +22,7 @@ from .coloring import (
     weak_coloring,
 )
 from .decompose import Decomposition, decomposition
+from .errors import InvariantError
 from .graphs import Graph, VertexSet, components_without, vset
 from .obstructions import Obstruction, refutation_to_obstruction
 
@@ -117,6 +118,21 @@ def _component_reports(
     return reports, True
 
 
+def _recognize(g: Graph) -> tuple[Verdict, CliqueIndex | None]:
+    """recognize_path_graph, plus the clique index it built (None for a hole)."""
+    res = peo_or_hole(g)
+    if isinstance(res, HoleCertificate):
+        return Verdict(status=NOT_CHORDAL, hole=res, reports=()), None
+    index = clique_index(g, res.order)
+    all_reports: list[SeparatorReport] = []
+    for sub, idmap, sub_index in component_indices(g, index):
+        reports, ok = _component_reports(sub, sub_index, idmap)
+        all_reports.extend(reports)
+        if not ok:
+            return Verdict(NOT_PATH_GRAPH, None, tuple(all_reports)), index
+    return Verdict(PATH_GRAPH, None, tuple(all_reports)), index
+
+
 def recognize_path_graph(g: Graph) -> Verdict:
     """Certified recognition: hole, per-separator weak colorings, or a refuted
     separator with its colored obstruction.
@@ -124,22 +140,22 @@ def recognize_path_graph(g: Graph) -> Verdict:
     Disconnected inputs are analyzed component by component (a graph is a path
     graph exactly when all its components are).
     """
-    res = peo_or_hole(g)
-    if isinstance(res, HoleCertificate):
-        return Verdict(status=NOT_CHORDAL, hole=res, reports=())
-    all_reports: list[SeparatorReport] = []
-    for sub, idmap, index in component_indices(g, clique_index(g, res.order)):
-        reports, ok = _component_reports(sub, index, idmap)
-        all_reports.extend(reports)
-        if not ok:
-            return Verdict(NOT_PATH_GRAPH, None, tuple(all_reports))
-    return Verdict(PATH_GRAPH, None, tuple(all_reports))
+    return _recognize(g)[0]
 
 
-def _odd_antipodal_cycle(m: AttachednessGraph) -> tuple[int, ...] | None:
-    """Odd cycle in the antipodal graph over classes, or None when bipartite."""
-    res = _two_color_member(m, tuple(range(m.size)), {}, 0, 1)
-    return res[1] if isinstance(res, tuple) else None
+def _first_odd_cycle(
+    quotients: Iterable[tuple[VertexSet, AttachednessGraph]]
+) -> DirectedVerdict:
+    """The directed verdict of a chordal graph from its (global q, quotient)
+    pairs in separator order: refuted at the first odd cycle in an antipodal
+    graph over classes."""
+    for q, m in quotients:
+        res = _two_color_member(m, tuple(range(m.size)), {}, 0, 1)
+        if isinstance(res, tuple):
+            return DirectedVerdict(
+                status=NOT_DIRECTED_PATH_GRAPH, hole=None, q=q, odd_cycle=res[1]
+            )
+    return DirectedVerdict(status=DIRECTED_PATH_GRAPH, hole=None)
 
 
 def recognize_directed_path_graph(g: Graph) -> DirectedVerdict:
@@ -148,14 +164,24 @@ def recognize_directed_path_graph(g: Graph) -> DirectedVerdict:
     res = peo_or_hole(g)
     if isinstance(res, HoleCertificate):
         return DirectedVerdict(status=NOT_CHORDAL, hole=res)
-    for sub, idmap, index in component_indices(g, clique_index(g, res.order)):
-        for dec in _decompositions(sub, index):
-            cycle = _odd_antipodal_cycle(quotient(dec))
-            if cycle is not None:
-                return DirectedVerdict(
-                    status=NOT_DIRECTED_PATH_GRAPH,
-                    hole=None,
-                    q=_global_q(dec.q, idmap),
-                    odd_cycle=cycle,
-                )
-    return DirectedVerdict(status=DIRECTED_PATH_GRAPH, hole=None)
+    return _first_odd_cycle(
+        (_global_q(dec.q, idmap), quotient(dec))
+        for sub, idmap, index in component_indices(g, clique_index(g, res.order))
+        for dec in _decompositions(sub, index)
+    )
+
+
+def _directed_verdict(verdict: Verdict) -> DirectedVerdict:
+    """recognize_directed_path_graph read off a path verdict's reports.
+
+    A 2-coloring of the antipodal graph is a weak coloring, so a refuted
+    separator is never bipartite: the first separator with an odd antipodal
+    cycle is at or before the last report, and the scan matches the
+    standalone one.
+    """
+    if verdict.status == NOT_CHORDAL:
+        return DirectedVerdict(status=NOT_CHORDAL, hole=verdict.hole)
+    directed = _first_odd_cycle((r.q, r.attachedness) for r in verdict.reports)
+    if verdict.status == NOT_PATH_GRAPH and directed.q is None:
+        raise InvariantError("refuted separator has a bipartite antipodal graph")
+    return directed

@@ -134,6 +134,18 @@ def test_is_clique_path_tree_wants_canonical_cliques(worked8):
         is_clique_path_tree(worked8, CliqueTree(t.cliques[::-1], t.edges))
 
 
+def test_tree_checks_reject_out_of_range_edges():
+    from pathgraph.realize import clique_path_tree_to_host
+
+    p3 = Graph.from_edges(3, [(0, 1), (1, 2)])
+    cliques = tuple(maximal_cliques(p3))
+    for edges in ({(0, 5)}, {(0, -1)}):
+        t = CliqueTree(cliques, frozenset(edges))
+        for check in (is_clique_path_tree, is_valid_clique_tree, clique_path_tree_to_host):
+            with pytest.raises(InputError):
+                check(p3, t)
+
+
 def test_single_clique_graph():
     g = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
     assert maximal_cliques(g) == [(0, 1, 2)]

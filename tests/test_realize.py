@@ -105,3 +105,13 @@ def test_verify_realization_rejects_bad_hosts():
     assert not verify_realization(k2, loop)
     # wrong path count
     assert not verify_realization(k2, HostRealization(1, frozenset(), ((0,),)))
+    # host with a cycle
+    triangle = HostRealization(3, frozenset({(0, 1), (1, 2), (0, 2)}), ((0, 1, 2), (2,)))
+    assert not verify_realization(k2, triangle)
+    # path nodes outside the host
+    assert not verify_realization(k2, HostRealization(1, frozenset(), ((5,), (5,))))
+    # host edge out of range
+    assert not verify_realization(k2, HostRealization(2, frozenset({(0, 7)}), ((0,), (0,))))
+    # empty path
+    e1 = Graph.from_edges(1, [])
+    assert not verify_realization(e1, HostRealization(1, frozenset(), ((),)))

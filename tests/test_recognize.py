@@ -1,19 +1,23 @@
 import pytest
 
-from pathgraph import chordal
+from pathgraph import chordal, cli
 from pathgraph.chordal import maximal_cliques
 from pathgraph.coloring import FULL_ANTIPODAL_TRIPLE
-from pathgraph.errors import GuardRefusal
+from pathgraph.errors import GuardRefusal, InvariantError
 from pathgraph.generate import gen_chordal, gen_path_graph
 from pathgraph.graphs import Graph
+from pathgraph.io import emit_edgelist
 from pathgraph.obstructions import FULL_TRIANGLE
 from pathgraph.oracle import oracle_clique_path_tree
+from pathgraph.realize import clique_path_tree_to_host, realize
 from pathgraph.recognize import (
     DIRECTED_PATH_GRAPH,
     NOT_CHORDAL,
     NOT_DIRECTED_PATH_GRAPH,
     NOT_PATH_GRAPH,
     PATH_GRAPH,
+    Verdict,
+    _directed_verdict,
     recognize_directed_path_graph,
     recognize_path_graph,
 )
@@ -140,6 +144,15 @@ def test_directed_implies_path(chordal_corpus):
     assert directed > 200
 
 
+def test_directed_verdict_from_path_reports(chordal_corpus, k4hub):
+    c5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+    graphs = [g for _, g in chordal_corpus] + [k4hub, c5, make_worked8()]
+    for g in graphs:
+        assert _directed_verdict(recognize_path_graph(g)) == recognize_directed_path_graph(g)
+    with pytest.raises(InvariantError):
+        _directed_verdict(Verdict(NOT_PATH_GRAPH, None, ()))
+
+
 def test_disconnected_directed(worked8):
     tri = [(8, 9), (9, 10), (8, 10)]
     g = Graph.from_edges(11, WORKED8_EDGES + tri)
@@ -148,19 +161,52 @@ def test_disconnected_directed(worked8):
     assert v.q == (1, 2, 4)
 
 
+def _direct(call):
+    return lambda g, tmp_path: lambda: call(g)
+
+
+def _host_of_realized(g, tmp_path):
+    t = realize(g)
+    return lambda: clique_path_tree_to_host(g, t)
+
+
+def _cli(command, *flags):
+    def prepare(g, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text(emit_edgelist(g))
+        return lambda: cli.main([command, str(path), *flags, "--quiet"])
+
+    return prepare
+
+
+_P200 = Graph.from_edges(200, [(i, i + 1) for i in range(199)])
+_GP100 = gen_path_graph(100, 100, 1)[0]
+_GP80 = gen_path_graph(80, 80, 0)[0]
+
+
 @pytest.mark.parametrize(
-    "g",
+    "g, prepare, searches",
     [
-        Graph.from_edges(200, [(i, i + 1) for i in range(199)]),
-        gen_path_graph(100, 100, 1)[0],
+        pytest.param(g, _direct(f), 1, id=f"{f.__name__}-{name}")
+        for f in (recognize_directed_path_graph, recognize_path_graph)
+        for name, g in (("P_200", _P200), ("gen_path_graph_100_100_1", _GP100))
+    ]
+    + [
+        pytest.param(_GP80, _direct(realize), 1, id="realize-gen_path_graph_80_80_0"),
+        pytest.param(_GP80, _host_of_realized, 1, id="host-gen_path_graph_80_80_0"),
+        pytest.param(make_worked8(), _direct(oracle_clique_path_tree), 1, id="oracle-worked8"),
+        pytest.param(_GP80, _cli("certify", "--realize", "--json"), 3, id="cli_certify_realize"),
+        pytest.param(_GP80, _cli("certify", "--json"), 1, id="cli_certify"),
+        pytest.param(_GP80, _cli("recognize"), 1, id="cli_recognize"),
+        pytest.param(_GP80, _cli("realize", "--json"), 2, id="cli_realize"),
+        pytest.param(make_worked8(), _cli("attachedness", "--json"), 1, id="cli_attachedness"),
     ],
-    ids=["P_200", "gen_path_graph_100_100_1"],
 )
-@pytest.mark.parametrize(
-    "recognize", [recognize_path_graph, recognize_directed_path_graph]
-)
-def test_one_search_per_public_call(monkeypatch, g, recognize):
-    # the chordal structure comes from the entry check's order, not per separator
+def test_one_search_per_public_call(monkeypatch, tmp_path, g, prepare, searches):
+    # the chordal structure comes from the entry check's order, not per
+    # separator, recursion node or validation; a CLI command pays once per
+    # public call it makes
+    call = prepare(g, tmp_path)
     calls = []
     search = chordal._mcs_order
 
@@ -169,5 +215,5 @@ def test_one_search_per_public_call(monkeypatch, g, recognize):
         return search(graph)
 
     monkeypatch.setattr(chordal, "_mcs_order", counted)
-    recognize(g)
-    assert calls == [g.n]
+    call()
+    assert calls == [g.n] * searches
