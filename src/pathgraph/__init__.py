@@ -35,7 +35,6 @@ from .errors import (
     InvariantError,
     PathgraphError,
     PreconditionError,
-    RealizationError,
 )
 from .generate import SplitMix64, gen_chordal, gen_path_graph, k4_hub
 from .graphs import (
@@ -93,7 +92,6 @@ __all__ = [
     "ObstructionPattern",
     "PathgraphError",
     "PreconditionError",
-    "RealizationError",
     "Refutation",
     "SeparatorReport",
     "Skeleton",

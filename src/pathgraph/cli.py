@@ -1,8 +1,6 @@
 """Command line surface.
 
-Exit codes: 0 member, 1 non-member, 2 input error, 3 guard refusal (or a
-realization failure, which is likewise a refusal to emit an unvalidated
-artifact).
+Exit codes: 0 member, 1 non-member, 2 input error, 3 guard refusal.
 """
 
 from __future__ import annotations
@@ -12,18 +10,12 @@ import sys
 
 from . import io as gio
 from .attach import quotient
-from .chordal import HoleCertificate, clique_index, is_chordal, peo_or_hole
-from .errors import (
-    GenerationError,
-    GuardRefusal,
-    InputError,
-    PreconditionError,
-    RealizationError,
-)
+from .chordal import HoleCertificate, clique_index, component_indices, peo_or_hole
+from .errors import GenerationError, GuardRefusal, InputError, PreconditionError
 from .generate import gen_chordal, gen_path_graph, k4_hub
-from .graphs import Graph, connected_components, graph_plus, induced_subgraph
+from .graphs import Graph, connected_components, graph_plus
 from .obstructions import DF, F, FTILDE, W0, W1, build_family
-from .oracle import oracle_clique_path_tree
+from .oracle import _oracle_tree
 from .realize import clique_path_tree_to_host, realize
 from .recognize import (
     DIRECTED_PATH_GRAPH,
@@ -118,18 +110,20 @@ def _cmd_realize(args) -> int:
 
 def _cmd_oracle(args) -> int:
     g = _read_graph(args)
-    if not is_chordal(g):
+    res = peo_or_hole(g)
+    if isinstance(res, HoleCertificate):
         _say(args, "not chordal; not a path graph")
         return 1
     trees = []
     ok = True
-    for comp in connected_components(g):
-        sub, idmap = induced_subgraph(g, comp)
-        t = oracle_clique_path_tree(sub)
+    # the empty graph has no component to sweep
+    pieces = component_indices(g, clique_index(g, res.order)) if g.n else []
+    for _, idmap, index in pieces:
+        t = _oracle_tree(index)
         if t is None:
             ok = False
             break
-        trees.append((idmap, t))
+        trees.append((range(g.n) if idmap is None else idmap, t))
     if args.json:
         doc: dict = {"path_graph": ok}
         if ok:
@@ -321,7 +315,7 @@ def main(argv=None) -> int:
     except (InputError, PreconditionError, GenerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (GuardRefusal, RealizationError) as exc:
+    except GuardRefusal as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3
 

@@ -11,16 +11,15 @@ from .graphs import Graph, VertexSet, components_without, is_clique, is_connecte
 
 @dataclass(frozen=True)
 class GammaComponent:
-    """One separated part: the subgraph induced by a component plus the separator.
+    """One separated part: a component C of G - Q.
 
-    relevant_cliques are the maximal cliques of that subgraph which meet the
+    relevant_cliques are the maximal cliques of G[C + Q] which meet the
     separator but do not equal it; traces are their intersections with the
     separator, deduplicated.
     """
 
     index: int
-    vertices: VertexSet          # component plus separator, original ids
-    component: VertexSet         # the component itself
+    component: VertexSet
     relevant_cliques: tuple[VertexSet, ...]
     traces: tuple[VertexSet, ...]
 
@@ -76,7 +75,6 @@ def decomposition(index: CliqueIndex, q: VertexSet, parts: list[VertexSet]) -> D
     gammas = tuple(
         GammaComponent(
             index=idx,
-            vertices=vset(qs.union(part)),
             component=part,
             relevant_cliques=tuple(rel[idx]),
             traces=tuple(sorted({vset(qs.intersection(k)) for k in rel[idx]})),

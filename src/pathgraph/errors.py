@@ -23,7 +23,3 @@ class InvariantError(PathgraphError):
 
 class GenerationError(PathgraphError):
     """A random generator could not produce a valid instance within its retry budget."""
-
-
-class RealizationError(PathgraphError):
-    """A host-tree realization could not be constructed for an accepted graph."""

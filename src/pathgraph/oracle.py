@@ -6,7 +6,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 
 from .attach import AttachednessGraph
-from .chordal import CliqueTree, _is_path_tree
+from .chordal import CliqueIndex, CliqueTree, _is_path_tree
 from .coloring import is_strong_coloring
 from .decompose import Decomposition, _connected_index
 from .errors import GuardRefusal, InvariantError
@@ -93,7 +93,11 @@ def oracle_clique_path_tree(g: Graph) -> CliqueTree | None:
 
     Guarded to at most 9 cliques (9^7 labeled trees).
     """
-    index = _connected_index(g, "oracle_clique_path_tree")
+    return _oracle_tree(_connected_index(g, "oracle_clique_path_tree"))
+
+
+def _oracle_tree(index: CliqueIndex) -> CliqueTree | None:
+    """oracle_clique_path_tree on the index of a connected chordal graph."""
     c = len(index.cliques)
     if c > TREE_SWEEP_MAX_CLIQUES:
         raise GuardRefusal(

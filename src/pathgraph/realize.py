@@ -2,30 +2,23 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
+from typing import Sequence
 
-from .attach import quotient
 from .chordal import (
     CliqueIndex,
     CliqueTree,
-    _clique_tree,
     _is_path_tree,
     _is_tree,
     _path_tree_index,
     _tree_adj,
     component_indices,
-    restrict_index,
 )
-from .coloring import WeakColoring, weak_coloring
-from .errors import (
-    GuardRefusal,
-    InvariantError,
-    PreconditionError,
-    RealizationError,
-)
-from .graphs import Graph, VertexSet, _norm_edge, induced_subgraph, vset
-from .oracle import oracle_clique_path_tree
-from .recognize import _decompositions, _recognize
+from .errors import InvariantError, PreconditionError
+from .graphs import Graph, VertexSet, _norm_edge, vset
+from .recognize import SeparatorReport, _recognize
 
 
 @dataclass(frozen=True)
@@ -40,151 +33,153 @@ class HostRealization:
 def realize(g: Graph) -> CliqueTree:
     """A validated clique path tree of a path graph.
 
-    Separator by separator, the parts are realized recursively and merged at
-    their shared separator node: color classes of the weak coloring each occupy
-    their own side, and branches within a class nest along the dominance order.
-    Every merge is validated; failures fall back to the exhaustive oracle.
+    The tree is assembled from the separator reports of recognition, one
+    component at a time, with no recursion and no search; the component trees
+    are bridged, and the result is checked as a clique path tree.
     """
     verdict, index = _recognize(g)
     if not verdict.is_path_graph:
         raise PreconditionError("realize requires a path graph")
     pieces = component_indices(g, index)
     if len(pieces) == 1:
-        return _realize_connected(g, index)
-
-    index_of = {c: i for i, c in enumerate(index.cliques)}
-    edges: set[tuple[int, int]] = set()
-    anchors: list[int] = []
-    for sub, idmap, sub_index in pieces:
-        t = _realize_connected(sub, sub_index)
-        local_to_global = [index_of[vset(idmap[v] for v in c)] for c in t.cliques]
-        for a, b in t.edges:
-            edges.add(_norm_edge(local_to_global[a], local_to_global[b]))
-        anchors.append(min(local_to_global))
-    # bridge the component trees; vertex paths are unaffected
-    for a, b in zip(anchors, anchors[1:]):
-        edges.add(_norm_edge(a, b))
+        edges = _assemble(index, verdict.reports)
+    else:
+        # a component's reports carry its id map; its smallest vertex names it
+        reports_of: dict[int, list[SeparatorReport]] = {}
+        for r in verdict.reports:
+            reports_of.setdefault(r.vertex_map[0], []).append(r)
+        index_of = {c: i for i, c in enumerate(index.cliques)}
+        edges = set()
+        anchors: list[int] = []
+        for _, idmap, sub_index in pieces:
+            glob = [index_of[vset(idmap[v] for v in c)] for c in sub_index.cliques]
+            for a, b in _assemble(sub_index, reports_of.get(idmap[0], ())):
+                edges.add(_norm_edge(glob[a], glob[b]))
+            anchors.append(min(glob))
+        # bridge the component trees; vertex paths are unaffected
+        for a, b in zip(anchors, anchors[1:]):
+            edges.add(_norm_edge(a, b))
     tree = CliqueTree(index.cliques, frozenset(edges))
     if not _is_path_tree(index, tree.edges):
-        raise InvariantError("bridged component trees lost the path property")
+        raise InvariantError("assembled tree is not a clique path tree")
     return tree
 
 
-def _realize_connected(g: Graph, index: CliqueIndex) -> CliqueTree:
-    dec = next(_decompositions(g, index), None)
-    if dec is None:
-        t = _clique_tree(index)
-        if _is_path_tree(index, t.edges):
-            return t
-        return _oracle_fallback(g, None)
-    m = quotient(dec)
-    wc = weak_coloring(m)
-    if not isinstance(wc, WeakColoring):
-        raise InvariantError("accepted graph refuted during realization")
-
-    sub_cliques: list[list[VertexSet]] = []
-    sub_edges: list[frozenset[tuple[int, int]]] = []
-    for gamma in dec.gammas:
-        sub, idmap = induced_subgraph(g, gamma.vertices)
-        t = _realize_connected(sub, restrict_index(index, sub, idmap))
-        sub_cliques.append([vset(idmap[v] for v in c) for c in t.cliques])
-        sub_edges.append(t.edges)
-
-    tree = _merge_at_q(index.cliques, dec.q, dec, m, wc, sub_cliques, sub_edges)
-    if tree is not None and _is_path_tree(index, tree.edges):
-        return tree
-    return _oracle_fallback(g, dec.q)
+def _holds(vs: VertexSet, v: int) -> bool:
+    i = bisect_left(vs, v)
+    return i < len(vs) and vs[i] == v
 
 
-def _oracle_fallback(g: Graph, q: VertexSet | None) -> CliqueTree:
-    where = "an atom" if q is None else f"separator {q}"
-    try:
-        t = oracle_clique_path_tree(g)
-    except GuardRefusal as exc:
-        raise RealizationError(
-            f"merge failed at {where} and the instance exceeds the oracle guard"
-        ) from exc
-    if t is None:
-        raise InvariantError(f"accepted graph has no clique path tree (at {where})")
-    return t
+def _assemble(
+    index: CliqueIndex, reports: Sequence[SeparatorReport]
+) -> set[tuple[int, int]]:
+    """Tree edges of a clique path tree of a connected path graph, from its
+    separator reports (in the ids of the index).
 
+    Rooted at the first separator. A part D of G - K, for K a clique already
+    placed, is realized at its head H: a relevant clique with D's largest
+    trace, which contains every trace of D. When H is no separator, D is H
+    alone. Otherwise H's parts inside D are realized first, then hung at H
+    together with one more part, the single clique K, which takes the class
+    and color of the part of G - H holding K. That reuses G's report at H
+    inside D: dropping the traces of the part above can make an antipodal
+    pair comparable but never the reverse, and never turns a dominance
+    around. Frames are listed top-down and hung bottom-up, so nothing
+    recurses. Each report is read once: O(parts log n + the relevant
+    cliques' sizes) per separator.
+    """
+    cliques = index.cliques
+    if not reports:
+        # every inner node of a clique tree is a separator, so there are at
+        # most two cliques
+        return {(0, 1)} if len(cliques) == 2 else set()
+    node_of = {c: i for i, c in enumerate(cliques)}
+    report_at = {node_of[r.decomposition.q]: r for r in reports}
 
-def _merge_at_q(
-    cliques: tuple[VertexSet, ...],
-    q: VertexSet,
-    dec,
-    m,
-    wc: WeakColoring,
-    sub_cliques: list[list[VertexSet]],
-    sub_edges: list[frozenset[tuple[int, int]]],
-) -> CliqueTree | None:
-    index_of = {c: i for i, c in enumerate(cliques)}
-    qi = index_of[q]
-    qs = set(q)
-    edges: set[tuple[int, int]] = set()
+    def frame(h, part=None, k=None, up=None):
+        """Separator node h with its parts to realize, for the part of G - K
+        it heads (None at the root), whose result goes to up."""
+        rep = report_at[h]
+        hs = set(cliques[h])
+        gammas = rep.decomposition.gammas
+        results: dict[int, tuple[int, dict[int, int]]] = {}
+        kpart = None
+        if part is not None:
+            x = next(v for v in cliques[k] if v not in hs)
+            kpart = next(gm.index for gm in gammas if _holds(gm.component, x))
+            results[kpart] = (k, dict.fromkeys(max(part.traces, key=len), k))
+            gammas = [gm for gm in gammas if _holds(part.component, gm.component[0])]
+        return h, rep, hs, gammas, results, kpart, part, up
 
-    cls_of = {
-        gi: cid for cid, members in enumerate(m.class_members) for gi in members
-    }
-    groups: dict[int, list[int]] = {}
-    for gi in range(len(dec.gammas)):
-        groups.setdefault(wc.f[cls_of[gi]], []).append(gi)
-
-    for color in sorted(groups):
-        idxs = groups[color]
-
-        def rank(gi: int) -> tuple[int, int, int]:
-            c = cls_of[gi]
-            doms = sum(
-                1
-                for gj in idxs
-                if cls_of[gj] != c and m.dominated_by(c, cls_of[gj])
+    frames = [frame(node_of[reports[0].decomposition.q])]
+    for h, _, hs, inside, results, _, _, _ in frames:  # the list grows while read
+        for gm in inside:
+            trace = max(gm.traces, key=len)
+            head = next(
+                node_of[c]
+                for c in gm.relevant_cliques
+                if len(hs.intersection(c)) == len(trace)
             )
-            return (doms, c, gi)
+            if head in report_at:
+                frames.append(frame(head, gm, h, results))
+            else:
+                results[gm.index] = (head, dict.fromkeys(trace, head))
+    edges: set[tuple[int, int]] = set()
+    for h, rep, _, _, results, kpart, part, up in reversed(frames):
+        hung = _hang(h, rep, results, kpart, edges)
+        if up is not None:
+            up[part.index] = hung
+    return edges
 
-        idxs.sort(key=rank)
-        spine: list[int] = [qi]
-        for gi in idxs:
-            part = sub_cliques[gi]
-            glob = [index_of[c] for c in part]
-            qnode = part.index(q)
-            adj = _tree_adj(len(part), sub_edges[gi])
-            # the part's tree minus its separator node falls into branches, one
-            # per neighbor of that node; their edges carry over unchanged
-            for a, b in sub_edges[gi]:
-                if qnode not in (a, b):
-                    edges.add(_norm_edge(glob[a], glob[b]))
-            roots = sorted(adj[qnode], key=lambda r: (-len(set(part[r]) & qs), glob[r]))
-            for root in roots:
-                need = set(part[root]) & qs
-                attach = qi
-                covered = set(qs)
-                hang = 0
-                for pos, node in enumerate(spine[1:], start=1):
-                    covered &= set(cliques[node])
-                    if need <= covered:
-                        attach = node
-                        hang = pos
-                    else:
-                        break
-                edges.add(_norm_edge(attach, glob[root]))
-                # new spine: prefix up to the attachment, then the branch's
-                # own chain of separator-meeting cliques
-                spine = spine[: hang + 1]
-                cur = root
-                seen = {qnode, root}
-                spine.append(glob[root])
-                while True:
-                    nxt = [w for w in adj[cur] if w not in seen and set(part[w]) & qs]
-                    if not nxt:
-                        break
-                    cur = max(nxt, key=lambda w: (len(set(part[w]) & qs), -glob[w]))
-                    seen.add(cur)
-                    spine.append(glob[cur])
 
-    if len(edges) != len(cliques) - 1:
+def _hang(
+    h: int,
+    rep: SeparatorReport,
+    results: dict[int, tuple[int, dict[int, int]]],
+    kpart: int | None,
+    edges: set[tuple[int, int]],
+) -> tuple[int, dict[int, int]] | None:
+    """Hang the realized parts of the separator at node h, color by color.
+
+    results maps a part to its top clique (h's only neighbour in the part's
+    tree) and the far end of each of its trace vertices' paths. Within
+    a color, parts go by number of strict dominators, class id, part index.
+    The coloring is proper on antipodal pairs, so an earlier part sharing a
+    trace vertex with a later one dominates it and holds its whole trace on
+    one path: the later top clique hangs where that path ends so far. A
+    vertex sees at most two colors, so its path leaves h on at most two sides.
+
+    Returns, for the part of the frame above, the node its clique K hangs at
+    and the far end of each of its trace vertices away from K.
+    """
+    m = rep.attachedness
+    color = rep.coloring.f
+    cls_of = {gi: cid for cid, members in enumerate(m.class_members) for gi in members}
+    ndom = Counter(a for a, _ in m.dominance_order)
+
+    def rank(i: int) -> tuple[int, int, int, int]:
+        c = cls_of[i]
+        return (color[c], ndom[c], c, i)
+
+    ends: dict[int, dict[int, int]] = {}  # v -> color -> where v's path ends
+    top = h
+    for i in sorted(results, key=rank):
+        head, far = results[i]
+        side = color[cls_of[i]]
+        at = ends.get(next(iter(far)), {}).get(side, h)
+        if i == kpart:
+            top = at
+        else:
+            edges.add(_norm_edge(at, head))
+        for v, end in far.items():
+            ends.setdefault(v, {})[side] = end
+    if kpart is None:
         return None
-    return CliqueTree(cliques, frozenset(edges))
+    side = color[cls_of[kpart]]
+    return top, {
+        v: next((end for s, end in ends[v].items() if s != side), h)
+        for v in results[kpart][1]
+    }
 
 
 def clique_path_tree_to_host(g: Graph, t: CliqueTree) -> HostRealization:
@@ -216,7 +211,14 @@ def clique_path_tree_to_host(g: Graph, t: CliqueTree) -> HostRealization:
 
 def verify_realization(g: Graph, host: HostRealization) -> bool:
     """The host is a tree, each path is a nonempty path of it, and the paths
-    pairwise intersect exactly where the graph has edges."""
+    pairwise intersect exactly where the graph has edges.
+
+    Two paths of a tree meet in a path or not at all, so a meeting pair
+    shares one node more than it shares edges: the meeting pairs number the
+    sum over host nodes of C(k, 2) minus the sum over host edges of C(k, 2),
+    k the paths through each. That count must be m, with every edge's two
+    paths meeting. Linear in the path lengths plus m times a path length.
+    """
     nodes = range(host.host_n)
     if len(host.paths) != g.n:
         return False
@@ -225,15 +227,18 @@ def verify_realization(g: Graph, host: HostRealization) -> bool:
     if not _is_tree(host.host_n, host.host_edges):
         return False
     adj = _tree_adj(host.host_n, host.host_edges)
-    for p in host.paths:
-        if not p or len(set(p)) != len(p) or any(x not in nodes for x in p):
+    sets = [frozenset(p) for p in host.paths]
+    for p, s in zip(host.paths, sets):
+        if not p or len(s) != len(p) or any(x not in nodes for x in p):
             return False
         for a, b in zip(p, p[1:]):
             if b not in adj[a]:
                 return False
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            shares = bool(set(host.paths[u]) & set(host.paths[v]))
-            if shares != g.has_edge(u, v):
-                return False
-    return True
+    through_node = Counter(x for p in host.paths for x in p)
+    through_edge = Counter(_norm_edge(a, b) for p in host.paths for a, b in zip(p, p[1:]))
+    meets = sum(k * (k - 1) // 2 for k in through_node.values()) - sum(
+        k * (k - 1) // 2 for k in through_edge.values()
+    )
+    return meets == g.num_edges and all(
+        not sets[u].isdisjoint(sets[v]) for u in range(g.n) for v in g.adj[u] if u < v
+    )

@@ -112,3 +112,36 @@ def strong_colorable_by_enumeration(dec) -> bool:
             continue
         return True
     return False
+
+
+def realization_by_pairs(g, host) -> bool:
+    """A host realization checked pair by pair: the host is a tree on
+    0..host_n-1, every path is a nonempty path of it, and two paths share a
+    node exactly when their vertices are adjacent. O(n^2) path intersections."""
+    nodes = range(host.host_n)
+    if len(host.paths) != g.n:
+        return False
+    if any(x not in nodes for e in host.host_edges for x in e):
+        return False
+    adj = {x: set() for x in nodes}
+    for a, b in host.host_edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    seen = {0} if host.host_n else set()
+    stack = list(seen)
+    while stack:
+        for y in adj[stack.pop()] - seen:
+            seen.add(y)
+            stack.append(y)
+    if len(host.host_edges) != max(host.host_n - 1, 0) or len(seen) != host.host_n:
+        return False
+    for p in host.paths:
+        if not p or len(set(p)) != len(p) or any(x not in nodes for x in p):
+            return False
+        if any(b not in adj[a] for a, b in zip(p, p[1:])):
+            return False
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if bool(set(host.paths[u]) & set(host.paths[v])) != g.has_edge(u, v):
+                return False
+    return True

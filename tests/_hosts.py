@@ -13,7 +13,7 @@ from pathgraph.graphs import EdgeColoredGraph
 def fake_m(size, anti=(), order=(), neighbor_map=None):
     gammas = tuple(
         GammaComponent(
-            index=i, vertices=(), component=(), relevant_cliques=(), traces=()
+            index=i, component=(), relevant_cliques=(), traces=()
         )
         for i in range(size)
     )

@@ -18,7 +18,7 @@ def gm(index, *traces):
     """Bare part carrying only traces; enough for the relation functions."""
     ts = tuple(sorted(vset(t) for t in traces))
     return GammaComponent(
-        index=index, vertices=(), component=(), relevant_cliques=(), traces=ts
+        index=index, component=(), relevant_cliques=(), traces=ts
     )
 
 

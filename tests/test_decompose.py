@@ -29,8 +29,9 @@ def test_worked8_parts_and_traces(worked8):
 def test_part_vertices_include_separator(worked8):
     dec = gamma_components(worked8, (1, 2, 4))
     for gm in dec.gammas:
-        assert set((1, 2, 4)) <= set(gm.vertices)
-        assert set(gm.component) == set(gm.vertices) - {1, 2, 4}
+        part = set(gm.component) | set(dec.q)
+        assert set((1, 2, 4)) <= part
+        assert set(gm.component) == part - {1, 2, 4}
 
 
 def test_relevant_cliques_meet_both_sides(chordal_corpus):
@@ -102,7 +103,7 @@ def test_relevant_cliques_match_induced_parts(chordal_corpus):
     for _, g in chordal_corpus:
         for q in clique_separators(g):
             for gm in gamma_components(g, q).gammas:
-                sub, idmap = induced_subgraph(g, gm.vertices)
+                sub, idmap = induced_subgraph(g, set(gm.component) | set(q))
                 order = _brute.mcs_order_by_scan(sub)[::-1]
                 want = []
                 for c in _brute.maximal_cliques_by_containment(sub, order):

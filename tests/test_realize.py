@@ -1,7 +1,12 @@
+import random
+
 import pytest
 
+import _brute
+from pathgraph import oracle
 from pathgraph.chordal import CliqueTree, is_clique_path_tree
 from pathgraph.errors import PreconditionError
+from pathgraph.generate import gen_path_graph
 from pathgraph.graphs import Graph
 from pathgraph.realize import (
     HostRealization,
@@ -115,3 +120,72 @@ def test_verify_realization_rejects_bad_hosts():
     # empty path
     e1 = Graph.from_edges(1, [])
     assert not verify_realization(e1, HostRealization(1, frozenset(), ((),)))
+
+
+@pytest.fixture
+def no_oracle(monkeypatch):
+    """Fail on any use of the exhaustive tree sweep, by whatever route."""
+
+    def refuse(*args):
+        raise AssertionError("realize used the exhaustive oracle")
+
+    monkeypatch.setattr(oracle, "oracle_clique_path_tree", refuse)
+    monkeypatch.setattr(oracle, "_first_path_tree", refuse)
+
+
+@pytest.mark.parametrize(
+    "args",
+    # (40,40,3) is the smallest input that once failed outright, (10,8,26)
+    # on 8 vertices the smallest that once needed the oracle
+    [(n, n, s) for n in (40, 80) for s in range(40)] + [(10, 8, 26)],
+    ids=lambda a: "gen_path_graph(%d,%d,%d)" % a,
+)
+def test_realize_is_total_without_the_oracle(no_oracle, args):
+    g, _ = gen_path_graph(*args)
+    assert verify_realization(g, clique_path_tree_to_host(g, realize(g)))
+
+
+def test_long_path_realizes_at_the_default_recursion_limit(no_oracle):
+    g = Graph.from_edges(1200, [(i, i + 1) for i in range(1199)])
+    host = clique_path_tree_to_host(g, realize(g))
+    assert host.host_n == 1199
+    assert verify_realization(g, host)
+
+
+def _mutated(host, rng):
+    """host with one vertex's path moved: shortened, extended along the tree,
+    shifted by one node, or replaced by a single node."""
+    adj = {x: set() for x in range(host.host_n)}
+    for a, b in host.host_edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    paths = list(host.paths)
+    u = rng.randrange(len(paths))
+    p = list(paths[u])
+    kind = rng.randrange(4)
+    if kind == 0 and len(p) > 1:
+        p = p[1:] if rng.randrange(2) else p[:-1]
+    elif kind in (1, 2):
+        if rng.randrange(2):
+            p.reverse()
+        grow = sorted(adj[p[-1]] - set(p))
+        if grow:
+            p.append(rng.choice(grow))
+            if kind == 2 and len(p) > 1:
+                p = p[1:]
+    else:
+        p = [rng.randrange(host.host_n)]
+    paths[u] = tuple(p)
+    return HostRealization(host.host_n, host.host_edges, tuple(paths))
+
+
+def test_verify_realization_matches_pairwise_reference():
+    rng = random.Random(2024)
+    verdicts = []
+    for seed in range(150):
+        g, host = gen_path_graph(rng.randrange(2, 25), rng.randrange(1, 25), seed)
+        for h in [host] + [_mutated(host, rng) for _ in range(6)]:
+            want = _brute.realization_by_pairs(g, h)
+            assert verify_realization(g, h) == want
+            verdicts.append(want)
+    assert verdicts.count(True) > 200 and verdicts.count(False) > 200

@@ -182,6 +182,7 @@ def _cli(command, *flags):
 _P200 = Graph.from_edges(200, [(i, i + 1) for i in range(199)])
 _GP100 = gen_path_graph(100, 100, 1)[0]
 _GP80 = gen_path_graph(80, 80, 0)[0]
+_WORKED8_TRIANGLE = Graph.from_edges(11, WORKED8_EDGES + [(8, 9), (9, 10), (8, 10)])
 
 
 @pytest.mark.parametrize(
@@ -200,6 +201,7 @@ _GP80 = gen_path_graph(80, 80, 0)[0]
         pytest.param(_GP80, _cli("recognize"), 1, id="cli_recognize"),
         pytest.param(_GP80, _cli("realize", "--json"), 2, id="cli_realize"),
         pytest.param(make_worked8(), _cli("attachedness", "--json"), 1, id="cli_attachedness"),
+        pytest.param(_WORKED8_TRIANGLE, _cli("oracle", "--json"), 1, id="cli_oracle"),
     ],
 )
 def test_one_search_per_public_call(monkeypatch, tmp_path, g, prepare, searches):
