@@ -213,7 +213,7 @@ def component_indices(
     component is induced and indexed through restrict_index.
     """
     comps = connected_components(g)
-    if len(comps) <= 1:
+    if len(comps) == 1:
         return [(g, None, index)]
     subs = [induced_subgraph(g, comp) for comp in comps]
     return [(sub, idmap, restrict_index(index, sub, idmap)) for sub, idmap in subs]

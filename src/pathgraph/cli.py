@@ -116,9 +116,7 @@ def _cmd_oracle(args) -> int:
         return 1
     trees = []
     ok = True
-    # the empty graph has no component to sweep
-    pieces = component_indices(g, clique_index(g, res.order)) if g.n else []
-    for _, idmap, index in pieces:
+    for _, idmap, index in component_indices(g, clique_index(g, res.order)):
         t = _oracle_tree(index)
         if t is None:
             ok = False

@@ -164,13 +164,13 @@ def _hang(
     ends: dict[int, dict[int, int]] = {}  # v -> color -> where v's path ends
     top = h
     for i in sorted(results, key=rank):
-        head, far = results[i]
+        first, far = results[i]
         side = color[cls_of[i]]
         at = ends.get(next(iter(far)), {}).get(side, h)
         if i == kpart:
             top = at
         else:
-            edges.add(_norm_edge(at, head))
+            edges.add(_norm_edge(at, first))
         for v, end in far.items():
             ends.setdefault(v, {})[side] = end
     if kpart is None:
