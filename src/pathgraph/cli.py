@@ -6,6 +6,7 @@ Exit codes: 0 member, 1 non-member, 2 input error, 3 guard refusal.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import io as gio
@@ -16,12 +17,13 @@ from .generate import gen_chordal, gen_path_graph, k4_hub
 from .graphs import Graph, connected_components, graph_plus
 from .obstructions import DF, F, FTILDE, W0, W1, build_family
 from .oracle import _oracle_tree
-from .realize import clique_path_tree_to_host, realize
+from .realize import _host_from, _tree_from
 from .recognize import (
     DIRECTED_PATH_GRAPH,
     NOT_CHORDAL,
     _decompositions,
     _directed_verdict,
+    _recognize,
     recognize_path_graph,
 )
 
@@ -48,6 +50,12 @@ def _say(args, text: str) -> None:
         print(text, end="" if text.endswith("\n") else "\n")
 
 
+def _reject(args, text: str) -> int:
+    """A non-member: text, or under --json the document {"path_graph": false}."""
+    _say(args, gio.emit_verdict({"path_graph": False}) if args.json else text)
+    return 1
+
+
 def _cmd_recognize(args) -> int:
     g = _read_graph(args)
     verdict = recognize_path_graph(g)
@@ -72,13 +80,12 @@ def _cmd_recognize(args) -> int:
 
 def _cmd_certify(args) -> int:
     g = _read_graph(args)
-    verdict = recognize_path_graph(g)
+    verdict, index = _recognize(g)
     directed = _directed_verdict(verdict)
     realization = None
     if args.realize and verdict.is_path_graph:
-        t = realize(g)
-        host = clique_path_tree_to_host(g, t)
-        realization = gio.realization_doc(t, host)
+        t = _tree_from(g, verdict, index)
+        realization = gio.realization_doc(t, _host_from(g, index, t))
     doc = gio.verdict_document(
         g, verdict, gplus=args.gplus, directed=directed, realization=realization
     )
@@ -88,12 +95,11 @@ def _cmd_certify(args) -> int:
 
 def _cmd_realize(args) -> int:
     g = _read_graph(args)
-    try:
-        t = realize(g)
-    except PreconditionError:
-        _say(args, "not a path graph; nothing to realize")
-        return 1
-    host = clique_path_tree_to_host(g, t)
+    verdict, index = _recognize(g)
+    if not verdict.is_path_graph:
+        return _reject(args, "not a path graph; nothing to realize")
+    t = _tree_from(g, verdict, index)
+    host = _host_from(g, index, t)
     if args.dot:
         _say(args, gio.emit_dot(t, g))
     elif args.json:
@@ -112,27 +118,25 @@ def _cmd_oracle(args) -> int:
     g = _read_graph(args)
     res = peo_or_hole(g)
     if isinstance(res, HoleCertificate):
-        _say(args, "not chordal; not a path graph")
-        return 1
+        return _reject(args, "not chordal; not a path graph")
     trees = []
-    ok = True
     for _, idmap, index in component_indices(g, clique_index(g, res.order)):
         t = _oracle_tree(index)
         if t is None:
-            ok = False
-            break
+            return _reject(args, "path graph (oracle): no")
         trees.append((range(g.n) if idmap is None else idmap, t))
     if args.json:
-        doc: dict = {"path_graph": ok}
-        if ok:
-            doc["trees"] = [
+        doc = {
+            "path_graph": True,
+            "trees": [
                 gio.realization_doc(t) | {"component": list(idmap)}
                 for idmap, t in trees
-            ]
+            ],
+        }
         _say(args, gio.emit_verdict(doc))
     else:
-        _say(args, "path graph (oracle): yes" if ok else "path graph (oracle): no")
-    return 0 if ok else 1
+        _say(args, "path graph (oracle): yes")
+    return 0
 
 
 def _cmd_gen(args) -> int:
@@ -232,7 +236,10 @@ def _cmd_obstruction(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; each parse_args call returns a
+    fresh Namespace."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("edgelist", "graph6"), default="edgelist",
@@ -306,8 +313,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = _build_parser()
-    args = ap.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (InputError, PreconditionError, GenerationError) as exc:

@@ -18,7 +18,7 @@ from .chordal import (
 )
 from .errors import InvariantError, PreconditionError
 from .graphs import Graph, VertexSet, _norm_edge, vset
-from .recognize import SeparatorReport, _recognize
+from .recognize import SeparatorReport, Verdict, _recognize
 
 
 @dataclass(frozen=True)
@@ -40,6 +40,11 @@ def realize(g: Graph) -> CliqueTree:
     verdict, index = _recognize(g)
     if not verdict.is_path_graph:
         raise PreconditionError("realize requires a path graph")
+    return _tree_from(g, verdict, index)
+
+
+def _tree_from(g: Graph, verdict: Verdict, index: CliqueIndex) -> CliqueTree:
+    """realize from a path verdict and the clique index it was built on."""
     pieces = component_indices(g, index)
     if len(pieces) == 1:
         edges = _assemble(index, verdict.reports)
@@ -188,6 +193,11 @@ def clique_path_tree_to_host(g: Graph, t: CliqueTree) -> HostRealization:
     index = _path_tree_index(g, t, "clique_path_tree_to_host")
     if not _is_path_tree(index, t.edges):
         raise PreconditionError("clique_path_tree_to_host requires a clique path tree")
+    return _host_from(g, index, t)
+
+
+def _host_from(g: Graph, index: CliqueIndex, t: CliqueTree) -> HostRealization:
+    """clique_path_tree_to_host for a clique path tree over index's cliques."""
     c = len(t.cliques)
     adj = _tree_adj(c, t.edges)
     paths = []

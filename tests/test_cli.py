@@ -3,13 +3,20 @@ import json
 
 import pytest
 
+from pathgraph import cli
 from pathgraph.cli import main
-from pathgraph.generate import gen_chordal, k4_hub
-from pathgraph.io import emit_edgelist, parse_edgelist, parse_graph6
-from pathgraph.realize import HostRealization, verify_realization
-from pathgraph.graphs import Graph
+from pathgraph.generate import gen_chordal, gen_path_graph, k4_hub
+from pathgraph.io import emit_edgelist, parse_edgelist, parse_graph6, realization_doc
+from pathgraph.realize import (
+    HostRealization,
+    clique_path_tree_to_host,
+    realize,
+    verify_realization,
+)
+from pathgraph.graphs import Graph, graph_plus
 
 from conftest import make_worked8
+from make_certify_golden import _union
 
 C4_TEXT = "p 4\n0 1\n1 2\n2 3\n0 3\n"
 
@@ -237,3 +244,57 @@ def test_input_errors_exit_2(capsys, tmp_path):
     assert "error:" in err
     code, _, err = run(capsys, "recognize", str(tmp_path / "missing.txt"))
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "g, oracle_text",
+    [
+        (parse_edgelist(C4_TEXT), "not chordal; not a path graph\n"),
+        (k4_hub(4), "path graph (oracle): no\n"),
+    ],
+    ids=["C4", "k4_hub_4"],
+)
+def test_rejections_under_json_are_documents(capsys, tmp_path, g, oracle_text):
+    p = tmp_path / "g.txt"
+    p.write_text(emit_edgelist(g))
+    code, out, _ = run(capsys, "realize", "--json", str(p))
+    assert (code, json.loads(out)) == (1, {"path_graph": False})
+    code, out, _ = run(capsys, "oracle", "--json", str(p))
+    assert (code, json.loads(out)) == (1, {"path_graph": False})
+    assert run(capsys, "realize", str(p))[:2] == (1, "not a path graph; nothing to realize\n")
+    assert run(capsys, "oracle", str(p))[:2] == (1, oracle_text)
+
+
+def test_reused_parser_leaks_nothing_between_calls(capsys, monkeypatch, worked8_file):
+    realized = run(capsys, "certify", worked8_file, "--realize", "--json")
+    plain = run(capsys, "certify", worked8_file, "--json")
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", worked8_file, "--no-such-flag"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    again = run(capsys, "certify", worked8_file, "--json")
+    assert "realization" in json.loads(realized[1])
+    assert plain == again
+    assert "realization" not in json.loads(plain[1])
+    closed = []
+    monkeypatch.setattr(cli, "graph_plus", lambda g: closed.append(g.n) or graph_plus(g))
+    assert run(capsys, "recognize", worked8_file, "--gplus")[0] == 0
+    assert closed == [8]
+    assert run(capsys, "recognize", worked8_file)[0] == 0
+    assert closed == [8]
+
+
+@pytest.mark.parametrize(
+    "g",
+    [gen_path_graph(n, n, s)[0] for n in (20, 40) for s in range(10)]
+    + [_union(gen_path_graph(20, 20, 3)[0], gen_path_graph(40, 40, 7)[0])],
+)
+def test_cli_realization_matches_the_library(capsys, tmp_path, g):
+    p = tmp_path / "g.txt"
+    p.write_text(emit_edgelist(g))
+    t = realize(g)
+    expected = realization_doc(t, clique_path_tree_to_host(g, t))
+    code, out, _ = run(capsys, "certify", str(p), "--realize", "--json")
+    assert (code, json.loads(out)["realization"]) == (0, expected)
+    code, out, _ = run(capsys, "realize", str(p), "--json")
+    assert (code, json.loads(out)) == (0, expected)

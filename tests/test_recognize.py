@@ -1,6 +1,6 @@
 import pytest
 
-from pathgraph import chordal, cli
+from pathgraph import chordal, cli, recognize
 from pathgraph.chordal import maximal_cliques
 from pathgraph.coloring import FULL_ANTIPODAL_TRIPLE
 from pathgraph.errors import GuardRefusal, InvariantError
@@ -196,18 +196,17 @@ _WORKED8_TRIANGLE = Graph.from_edges(11, WORKED8_EDGES + [(8, 9), (9, 10), (8, 1
         pytest.param(_GP80, _direct(realize), 1, id="realize-gen_path_graph_80_80_0"),
         pytest.param(_GP80, _host_of_realized, 1, id="host-gen_path_graph_80_80_0"),
         pytest.param(make_worked8(), _direct(oracle_clique_path_tree), 1, id="oracle-worked8"),
-        pytest.param(_GP80, _cli("certify", "--realize", "--json"), 3, id="cli_certify_realize"),
+        pytest.param(_GP80, _cli("certify", "--realize", "--json"), 1, id="cli_certify_realize"),
         pytest.param(_GP80, _cli("certify", "--json"), 1, id="cli_certify"),
         pytest.param(_GP80, _cli("recognize"), 1, id="cli_recognize"),
-        pytest.param(_GP80, _cli("realize", "--json"), 2, id="cli_realize"),
+        pytest.param(_GP80, _cli("realize", "--json"), 1, id="cli_realize"),
         pytest.param(make_worked8(), _cli("attachedness", "--json"), 1, id="cli_attachedness"),
         pytest.param(_WORKED8_TRIANGLE, _cli("oracle", "--json"), 1, id="cli_oracle"),
     ],
 )
 def test_one_search_per_public_call(monkeypatch, tmp_path, g, prepare, searches):
     # the chordal structure comes from the entry check's order, not per
-    # separator, recursion node or validation; a CLI command pays once per
-    # public call it makes
+    # separator, recursion node or validation; a CLI command searches once
     call = prepare(g, tmp_path)
     calls = []
     search = chordal._mcs_order
@@ -219,3 +218,24 @@ def test_one_search_per_public_call(monkeypatch, tmp_path, g, prepare, searches)
     monkeypatch.setattr(chordal, "_mcs_order", counted)
     call()
     assert calls == [g.n] * searches
+
+
+_GP80_TWICE = Graph.from_edges(160, _GP80.edges() + shift(_GP80.edges(), 80))
+
+
+@pytest.mark.parametrize("g, pieces", [(_GP80, [None]), (_GP80_TWICE, [0, 80])])
+@pytest.mark.parametrize("command", [("certify", "--realize", "--json"), ("realize", "--json")])
+def test_cli_analyzes_each_component_once(monkeypatch, tmp_path, g, pieces, command):
+    # the tree and the host come from the verdict's own reports and index;
+    # a component is named by its smallest vertex, None when g is connected
+    call = _cli(*command)(g, tmp_path)
+    calls = []
+    reports = recognize._component_reports
+
+    def counted(sub, index, idmap):
+        calls.append(None if idmap is None else idmap[0])
+        return reports(sub, index, idmap)
+
+    monkeypatch.setattr(recognize, "_component_reports", counted)
+    assert call() == 0
+    assert calls == pieces
