@@ -86,32 +86,20 @@ def is_neighboring_set(m: AttachednessGraph, classes: tuple[int, ...]) -> int | 
 def quotient(dec: Decomposition) -> AttachednessGraph:
     """Build the attachedness graph over dominance classes.
 
-    Attached pairs are comparable xor antipodal by construction; the remaining
-    structural facts the construction leans on are verified rather than
-    assumed: dominance is transitive, and relations do not depend on the
-    choice of class members.
+    Each ordered pair of parts is tested once for attachedness and, when
+    attached, once for dominance; an attached pair that is incomparable is
+    antipodal, as `antipodal` defines it. The structural facts the
+    construction leans on are verified rather than assumed: dominance is
+    transitive, and relations do not depend on the choice of class members.
     """
     gammas = dec.gammas
     k = len(gammas)
-    att = [[False] * k for _ in range(k)]
-    anti = [[False] * k for _ in range(k)]
-    dom = [[False] * k for _ in range(k)]  # dom[i][j]: gamma_i <= gamma_j
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            att[i][j] = attached(gammas[i], gammas[j])
-            anti[i][j] = antipodal(gammas[i], gammas[j])
-            dom[i][j] = dominates(gammas[i], gammas[j])
+    att = [[i != j and attached(a, b) for j, b in enumerate(gammas)]
+           for i, a in enumerate(gammas)]
+    # dom[i][j]: gamma_i <= gamma_j
+    dom = [[att[i][j] and dominates(a, b) for j, b in enumerate(gammas)]
+           for i, a in enumerate(gammas)]
 
-    for i in range(k):
-        for j in range(i + 1, k):
-            if att[i][j]:
-                comparable = dom[i][j] or dom[j][i]
-                if not (comparable or anti[i][j]) or (comparable and anti[i][j]):
-                    raise InvariantError(
-                        f"attached parts {i},{j} must be comparable xor antipodal"
-                    )
     for i in range(k):
         for j in range(k):
             if not dom[i][j]:
@@ -142,21 +130,18 @@ def quotient(dec: Decomposition) -> AttachednessGraph:
     for ci in range(s):
         for cj in range(ci + 1, s):
             ri, rj = reps[ci], reps[cj]
-            rel = (att[ri][rj], anti[ri][rj], dom[ri][rj], dom[rj][ri])
+            rel = (att[ri][rj], dom[ri][rj], dom[rj][ri])
             for a in members[ci]:
                 for b in members[cj]:
-                    if (att[a][b], anti[a][b], dom[a][b], dom[b][a]) != rel:
+                    if (att[a][b], dom[a][b], dom[b][a]) != rel:
                         raise InvariantError(
                             f"relation between classes {ci},{cj} depends on members"
                         )
-            if anti[ri][rj]:
+            if dom[ri][rj] or dom[rj][ri]:
+                d_edges.add((ci, cj))
+                order.add((ci, cj) if dom[ri][rj] else (cj, ci))
+            elif att[ri][rj]:
                 a_edges.add((ci, cj))
-            elif dom[ri][rj]:
-                d_edges.add((ci, cj))
-                order.add((ci, cj))
-            elif dom[rj][ri]:
-                d_edges.add((ci, cj))
-                order.add((cj, ci))
 
     for a, b in order:
         if (b, a) in order:

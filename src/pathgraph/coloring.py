@@ -281,18 +281,19 @@ def weak_coloring(m: AttachednessGraph) -> WeakColoring | Refutation:
     Pipeline: full antipodal triple over the upper bounds, skeleton, bad triple,
     cross extension, then per-member proper 2-colorings by bipartite propagation.
     """
-    s = skeleton(m)
+    return _weak_coloring(m, skeleton(m))
+
+
+def _weak_coloring(m: AttachednessGraph, s: Skeleton) -> WeakColoring | Refutation:
+    """weak_coloring on the skeleton of m, which the caller has built."""
     ft = full_antipodal_triple(m, restrict_to=s.upper)
     if ft is not None:
         return Refutation(kind=FULL_ANTIPODAL_TRIPLE, classes=ft[0], witness=ft[1])
     if s.unassigned:
-        # 3+ upper bounds force a full antipodal triple among them
+        # 3+ upper bounds force a full antipodal triple among them, and the
+        # search above ran over all upper bounds
         g = s.unassigned[0]
-        ups = tuple(u for u in s.upper if m.dominated_by(g, u))
-        ft = full_antipodal_triple(m, restrict_to=ups)
-        if ft is None:
-            raise InvariantError(f"class {g} has 3+ upper bounds but no full triple")
-        return Refutation(kind=FULL_ANTIPODAL_TRIPLE, classes=ft[0], witness=ft[1])
+        raise InvariantError(f"class {g} has 3+ upper bounds but no full triple")
 
     cross, _ = cross_intra_split(m, s)
     _check_cross_shape(s, cross)

@@ -18,8 +18,8 @@ from .coloring import (
     Skeleton,
     WeakColoring,
     _two_color_member,
+    _weak_coloring,
     skeleton,
-    weak_coloring,
 )
 from .decompose import Decomposition, decomposition
 from .errors import InvariantError
@@ -99,7 +99,7 @@ def _component_reports(
     for dec in _decompositions(g, index):
         m = quotient(dec)
         s = skeleton(m)
-        res = weak_coloring(m)
+        res = _weak_coloring(m, s)
         refuted = isinstance(res, Refutation)
         reports.append(
             SeparatorReport(
