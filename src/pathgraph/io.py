@@ -180,7 +180,7 @@ def _obstruction_doc(o: Obstruction, vmap) -> dict:
 def _refutation_doc(r, vmap) -> dict:
     doc: dict = {"kind": r.kind, "classes": list(r.classes)}
     if r.witness is not None:
-        doc["witness_class"] = r.witness
+        doc["witness_class"] = vmap(r.witness)
     if r.member is not None:
         doc["member"] = list(r.member)
     if r.cycle is not None:

@@ -106,6 +106,18 @@ def test_certify_documents(capsys, worked8_file, k4hub_file):
     assert doc["separators"][0]["obstruction"]["witness"] == 0
 
 
+def test_certify_witness_uses_input_ids(capsys, tmp_path):
+    # the hub is a component of its own, analyzed in local ids 0..6
+    p = tmp_path / "triangle-and-hub.txt"
+    p.write_text(emit_edgelist(_union(Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)]), k4_hub(4))))
+    code, out, _ = run(capsys, "certify", str(p), "--json")
+    assert code == 1
+    sep = json.loads(out)["separators"][-1]
+    assert sep["refutation"]["kind"] == "FULL_ANTIPODAL_TRIPLE"
+    assert sep["refutation"]["witness_class"] == sep["obstruction"]["witness"] == 3
+    assert sep["refutation"]["witness_class"] in sep["q"]
+
+
 def test_certify_output_is_stable(capsys, worked8_file):
     _, first, _ = run(capsys, "certify", worked8_file)
     _, second, _ = run(capsys, "certify", worked8_file)
