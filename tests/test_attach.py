@@ -10,7 +10,7 @@ from pathgraph.attach import (
     quotient,
 )
 from pathgraph.decompose import GammaComponent, clique_separators, gamma_components
-from pathgraph.generate import gen_chordal
+from pathgraph.generate import gen_chordal, k4_hub
 from pathgraph.graphs import ANTIPODAL, Graph, vset
 
 
@@ -183,3 +183,20 @@ def test_quotient_strict_order_is_sane(chordal_corpus):
             for (a, b), (c, d) in itertools.product(order, repeat=2):
                 if b == c:
                     assert a == d or (a, d) in order
+
+
+def test_quotient_matches_the_pairwise_relations(chordal_corpus, worked8):
+    """Classes are mutual dominance, antipodal class edges are antipodal
+    parts, and the order is strict dominance, for every pair of parts."""
+    graphs = [g for _, g in chordal_corpus] + [k4_hub(t) for t in (4, 5, 6)] + [worked8]
+    for g in graphs:
+        for q in clique_separators(g):
+            dec = gamma_components(g, q)
+            m = quotient(dec)
+            cls = {p: c for c, mem in enumerate(m.class_members) for p in mem}
+            for a, b in itertools.permutations(dec.gammas, 2):
+                ca, cb = cls[a.index], cls[b.index]
+                ab, ba = dominates(a, b), dominates(b, a)
+                assert (ca == cb) == (ab and ba)
+                assert m.is_antipodal(ca, cb) == antipodal(a, b)
+                assert ((ca, cb) in m.dominance_order) == (ab and not ba)

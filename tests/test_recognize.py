@@ -1,10 +1,12 @@
 import pytest
 
-from pathgraph import chordal, cli, recognize
+from collections import Counter
+
+from pathgraph import attach, chordal, cli, coloring, recognize
 from pathgraph.chordal import maximal_cliques
 from pathgraph.coloring import FULL_ANTIPODAL_TRIPLE
 from pathgraph.errors import GuardRefusal, InvariantError
-from pathgraph.generate import gen_chordal, gen_path_graph
+from pathgraph.generate import gen_chordal, gen_path_graph, k4_hub
 from pathgraph.graphs import Graph
 from pathgraph.io import emit_edgelist
 from pathgraph.obstructions import FULL_TRIANGLE
@@ -239,3 +241,34 @@ def test_cli_analyzes_each_component_once(monkeypatch, tmp_path, g, pieces, comm
     monkeypatch.setattr(recognize, "_component_reports", counted)
     assert call() == 0
     assert calls == pieces
+
+
+@pytest.mark.parametrize("g", [_GP80, k4_hub(5)], ids=["gen_path_graph_80_80_0", "k4_hub_5"])
+def test_one_skeleton_and_one_dominance_test_per_separator(monkeypatch, g):
+    # the report, the coloring and the obstruction share one skeleton, and
+    # quotient tests each ordered pair of parts for dominance at most once
+    skeletons = []
+    per_quotient: list[Counter] = []
+    skeleton, quotient, dominates = coloring.skeleton, recognize.quotient, attach.dominates
+
+    def counted_skeleton(m):
+        skeletons.append(id(m))
+        return skeleton(m)
+
+    def counted_quotient(dec):
+        per_quotient.append(Counter())
+        return quotient(dec)
+
+    def counted_dominates(a, b):
+        per_quotient[-1][a.index, b.index] += 1
+        return dominates(a, b)
+
+    for mod in (coloring, recognize):
+        monkeypatch.setattr(mod, "skeleton", counted_skeleton)
+    monkeypatch.setattr(recognize, "quotient", counted_quotient)
+    monkeypatch.setattr(attach, "dominates", counted_dominates)
+    verdict = recognize_path_graph(g)
+    assert verdict.reports
+    assert len(per_quotient) == len(verdict.reports)
+    assert all(max(c.values(), default=0) <= 1 for c in per_quotient)
+    assert skeletons == [id(r.attachedness) for r in verdict.reports]
