@@ -1,6 +1,6 @@
-import pytest
-
 from collections import Counter
+
+import pytest
 
 from pathgraph import attach, chordal, cli, coloring, recognize
 from pathgraph.chordal import maximal_cliques
