@@ -7,6 +7,8 @@ byte-identical output without committing megabytes of documents.
 Regenerate (only when the output is meant to change):
 
     PYTHONPATH=src python tests/make_certify_golden.py
+
+It prints each case it adds, removes or changes, one per line.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import sys
 from pathlib import Path
 
 from pathgraph.cli import main
-from pathgraph.generate import gen_chordal, gen_path_graph, k4_hub
+from pathgraph.generate import SplitMix64, gen_chordal, gen_path_graph, k4_hub
 from pathgraph.graphs import Graph
 from pathgraph.io import emit_edgelist
 
@@ -37,6 +39,19 @@ def _cycle(n: int) -> Graph:
 def _union(a: Graph, b: Graph) -> Graph:
     shifted = [(u + a.n, v + a.n) for u, v in b.edges()]
     return Graph.from_edges(a.n + b.n, a.edges() + shifted)
+
+
+def _interleaved(pieces: list[Graph], seed: int) -> Graph:
+    """Disjoint union of the pieces, ids shuffled by a seeded permutation."""
+    g = pieces[0]
+    for piece in pieces[1:]:
+        g = _union(g, piece)
+    rng = SplitMix64(seed)
+    perm = list(range(g.n))
+    for i in range(g.n - 1, 0, -1):
+        j = rng.randrange(i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
 def corpus() -> list[tuple[str, Graph, bool]]:
@@ -57,6 +72,16 @@ def corpus() -> list[tuple[str, Graph, bool]]:
     for i in range(10):
         pair = _union(gen_chordal(6 + i, 100 + i), gen_chordal(5 + i, 200 + i))
         cases.append((f"disjoint-{i}", pair, False))
+    for i in range(10):
+        pieces = [
+            gen_path_graph(6 + i, 6 + i, 300 + i)[0],
+            gen_chordal(5 + i, 400 + i),
+            gen_path_graph(2, 2 + i % 3, 500 + i)[0],
+        ]
+        if i % 2:
+            # a non-member in a later component; what follows it goes unreported
+            pieces.insert(1 + i % 3, k4_hub(4))
+        cases.append((f"disjoint-interleaved-{i}", _interleaved(pieces, 600 + i), True))
     return cases
 
 
@@ -79,6 +104,15 @@ def digests() -> dict[str, str]:
 
 
 if __name__ == "__main__":
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    new = digests()
+    for name in sorted(old.keys() | new.keys()):
+        if name not in old:
+            print(f"added: {name}")
+        elif name not in new:
+            print(f"removed: {name}")
+        elif old[name] != new[name]:
+            print(f"changed: {name}")
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(digests(), indent=1, sort_keys=True) + "\n")
+    GOLDEN.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN}")
