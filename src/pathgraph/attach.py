@@ -18,8 +18,12 @@ def attached(a: GammaComponent, b: GammaComponent) -> bool:
 def dominates(a: GammaComponent, b: GammaComponent) -> bool:
     """a <= b: attached, and every trace of b either contains all traces of a
     or is disjoint from all of them."""
-    if not attached(a, b):
-        return False
+    return attached(a, b) and _nests(a, b)
+
+
+def _nests(a: GammaComponent, b: GammaComponent) -> bool:
+    """Every trace of b either contains all traces of a or is disjoint from
+    all of them: dominance, for a pair already known to be attached."""
     for s in b.traces:
         ss = set(s)
         contains = all(set(t) <= ss for t in a.traces)
@@ -87,26 +91,27 @@ def quotient(dec: Decomposition) -> AttachednessGraph:
     """Build the attachedness graph over dominance classes.
 
     Each ordered pair of parts is tested once for attachedness and, when
-    attached, once for dominance; an attached pair that is incomparable is
-    antipodal, as `antipodal` defines it. The structural facts the
-    construction leans on are verified rather than assumed: dominance is
-    transitive, and relations do not depend on the choice of class members.
+    attached, once for trace nesting, which makes it a dominance; an attached
+    pair that is incomparable is antipodal, as `antipodal` defines it. The
+    structural facts the construction leans on are verified rather than
+    assumed: dominance is transitive, and relations do not depend on the
+    choice of class members.
     """
     gammas = dec.gammas
     k = len(gammas)
     att = [[i != j and attached(a, b) for j, b in enumerate(gammas)]
            for i, a in enumerate(gammas)]
     # dom[i][j]: gamma_i <= gamma_j
-    dom = [[att[i][j] and dominates(a, b) for j, b in enumerate(gammas)]
+    dom = [[att[i][j] and _nests(a, b) for j, b in enumerate(gammas)]
            for i, a in enumerate(gammas)]
 
+    # transitive: when i <= j, every part above j is above i or is i; one
+    # bitmask row per part makes that O(k^2) row tests
+    up = [sum(1 << j for j in range(k) if dom[i][j]) for i in range(k)]
     for i in range(k):
         for j in range(k):
-            if not dom[i][j]:
-                continue
-            for l in range(k):
-                if dom[j][l] and i != l and not dom[i][l]:
-                    raise InvariantError("dominance is not transitive")
+            if dom[i][j] and up[j] & ~(up[i] | 1 << i):
+                raise InvariantError("dominance is not transitive")
 
     # classes of mutual dominance, ordered by smallest member
     assigned = [-1] * k

@@ -219,6 +219,22 @@ def component_indices(
     return [(sub, idmap, restrict_index(index, sub, idmap)) for sub, idmap in subs]
 
 
+def _component_cliques(
+    g: Graph, index: CliqueIndex
+) -> list[tuple[VertexSet, list[int]]]:
+    """Each connected component of a chordal graph, by smallest vertex, with
+    the indices of its maximal cliques in canonical order."""
+    comps = connected_components(g)
+    comp_of = [0] * g.n
+    for k, comp in enumerate(comps):
+        for v in comp:
+            comp_of[v] = k
+    nodes: list[list[int]] = [[] for _ in comps]
+    for i, c in enumerate(index.cliques):
+        nodes[comp_of[c[0]]].append(i)
+    return list(zip(comps, nodes))
+
+
 def _checked_index(g: Graph, caller: str) -> CliqueIndex:
     """The clique index of a chordal graph, built at a public boundary.
 

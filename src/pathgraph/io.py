@@ -157,30 +157,23 @@ def emit_graph6(g: Graph) -> str:
     return head + body + "\n"
 
 
-def _vmapper(report: SeparatorReport):
-    vm = report.vertex_map
-    if vm is None:
-        return lambda v: v
-    return lambda v: vm[v]
-
-
-def _obstruction_doc(o: Obstruction, vmap) -> dict:
+def _obstruction_doc(o: Obstruction) -> dict:
     p = o.pattern
     return {
         "kind": _FAMILY_JSON[p.family],
         "size": p.size,
         "embedding": list(o.embedding),
-        "witness": None if o.witness is None else vmap(o.witness),
+        "witness": o.witness,
         "pattern_antipodal": [list(e) for e in sorted(p.pattern.antipodal)],
         "pattern_dominance": [list(e) for e in sorted(p.pattern.dominance)],
-        "q": [vmap(v) for v in o.q],
+        "q": list(o.q),
     }
 
 
-def _refutation_doc(r, vmap) -> dict:
+def _refutation_doc(r) -> dict:
     doc: dict = {"kind": r.kind, "classes": list(r.classes)}
     if r.witness is not None:
-        doc["witness_class"] = vmap(r.witness)
+        doc["witness_class"] = r.witness
     if r.member is not None:
         doc["member"] = list(r.member)
     if r.cycle is not None:
@@ -195,19 +188,18 @@ def _refutation_doc(r, vmap) -> dict:
 
 
 def separator_doc(report: SeparatorReport) -> dict:
-    vmap = _vmapper(report)
     m = report.attachedness
     dec = report.decomposition
     s = report.skeleton
     doc: dict = {
-        "q": [vmap(v) for v in dec.q],
+        "q": list(dec.q),
         "classes": m.size,
         "class_members": [list(mem) for mem in m.class_members],
         "gammas": [
             {
                 "index": gamma.index,
-                "component": [vmap(v) for v in gamma.component],
-                "traces": [[vmap(v) for v in tr] for tr in gamma.traces],
+                "component": list(gamma.component),
+                "traces": [list(tr) for tr in gamma.traces],
             }
             for gamma in dec.gammas
         ],
@@ -225,9 +217,9 @@ def separator_doc(report: SeparatorReport) -> dict:
     if report.coloring is not None:
         doc["coloring"] = {str(k): c for k, c in sorted(report.coloring.f.items())}
     if report.refutation is not None:
-        doc["refutation"] = _refutation_doc(report.refutation, vmap)
+        doc["refutation"] = _refutation_doc(report.refutation)
     if report.obstruction is not None:
-        doc["obstruction"] = _obstruction_doc(report.obstruction, vmap)
+        doc["obstruction"] = _obstruction_doc(report.obstruction)
     return doc
 
 

@@ -10,14 +10,14 @@ from typing import Sequence
 from .chordal import (
     CliqueIndex,
     CliqueTree,
+    _component_cliques,
     _is_path_tree,
     _is_tree,
     _path_tree_index,
     _tree_adj,
-    component_indices,
 )
 from .errors import InvariantError, PreconditionError
-from .graphs import Graph, VertexSet, _norm_edge, vset
+from .graphs import Graph, VertexSet, _norm_edge
 from .recognize import SeparatorReport, Verdict, _recognize
 
 
@@ -33,9 +33,9 @@ class HostRealization:
 def realize(g: Graph) -> CliqueTree:
     """A validated clique path tree of a path graph.
 
-    The tree is assembled from the separator reports of recognition, one
-    component at a time, with no recursion and no search; the component trees
-    are bridged, and the result is checked as a clique path tree.
+    The tree is assembled from the separator reports of recognition, with no
+    recursion and no search; the component trees are bridged, and the result
+    is checked as a clique path tree.
     """
     verdict, index = _recognize(g)
     if not verdict.is_path_graph:
@@ -45,25 +45,16 @@ def realize(g: Graph) -> CliqueTree:
 
 def _tree_from(g: Graph, verdict: Verdict, index: CliqueIndex) -> CliqueTree:
     """realize from a path verdict and the clique index it was built on."""
-    pieces = component_indices(g, index)
-    if len(pieces) == 1:
-        edges = _assemble(index, verdict.reports)
-    else:
-        # a component's reports carry its id map; its smallest vertex names it
-        reports_of: dict[int, list[SeparatorReport]] = {}
-        for r in verdict.reports:
-            reports_of.setdefault(r.vertex_map[0], []).append(r)
-        index_of = {c: i for i, c in enumerate(index.cliques)}
-        edges = set()
-        anchors: list[int] = []
-        for _, idmap, sub_index in pieces:
-            glob = [index_of[vset(idmap[v] for v in c)] for c in sub_index.cliques]
-            for a, b in _assemble(sub_index, reports_of.get(idmap[0], ())):
-                edges.add(_norm_edge(glob[a], glob[b]))
-            anchors.append(min(glob))
-        # bridge the component trees; vertex paths are unaffected
-        for a, b in zip(anchors, anchors[1:]):
-            edges.add(_norm_edge(a, b))
+    edges = _assemble(index, verdict.reports)
+    anchors: list[int] = []
+    for _, nodes in _component_cliques(g, index):
+        if len(nodes) == 2:
+            # no separator: every inner node of a clique tree is one
+            edges.add((nodes[0], nodes[1]))
+        anchors.append(nodes[0])
+    # bridge the component trees at their first cliques, which increase with
+    # the components' smallest vertices; vertex paths are unaffected
+    edges.update(zip(anchors, anchors[1:]))
     tree = CliqueTree(index.cliques, frozenset(edges))
     if not _is_path_tree(index, tree.edges):
         raise InvariantError("assembled tree is not a clique path tree")
@@ -78,26 +69,23 @@ def _holds(vs: VertexSet, v: int) -> bool:
 def _assemble(
     index: CliqueIndex, reports: Sequence[SeparatorReport]
 ) -> set[tuple[int, int]]:
-    """Tree edges of a clique path tree of a connected path graph, from its
-    separator reports (in the ids of the index).
+    """Tree edges of a clique path forest of a path graph, from its separator
+    reports: one tree for each component that has a separator, over the
+    component's cliques, and no edge elsewhere.
 
-    Rooted at the first separator. A part D of G - K, for K a clique already
-    placed, is realized at its head H: a relevant clique with D's largest
-    trace, which contains every trace of D. When H is no separator, D is H
-    alone. Otherwise H's parts inside D are realized first, then hung at H
-    together with one more part, the single clique K, which takes the class
-    and color of the part of G - H holding K. That reuses G's report at H
-    inside D: dropping the traces of the part above can make an antipodal
-    pair comparable but never the reverse, and never turns a dominance
-    around. Frames are listed top-down and hung bottom-up, so nothing
-    recurses. Each report is read once: O(parts log n + the relevant
-    cliques' sizes) per separator.
+    Each tree is rooted at its component's first separator. A part D of
+    G - K, for K a clique already placed, is realized at its head H: a
+    relevant clique with D's largest trace, which contains every trace of D.
+    When H is no separator, D is H alone. Otherwise H's parts inside D are
+    realized first, then hung at H together with one more part, the single
+    clique K, which takes the class and color of the part of G - H holding K.
+    That reuses G's report at H inside D: dropping the traces of the part
+    above can make an antipodal pair comparable but never the reverse, and
+    never turns a dominance around. Frames are listed top-down and hung
+    bottom-up, so nothing recurses. Each report is read once: O(parts log n
+    + the relevant cliques' sizes) per separator.
     """
     cliques = index.cliques
-    if not reports:
-        # every inner node of a clique tree is a separator, so there are at
-        # most two cliques
-        return {(0, 1)} if len(cliques) == 2 else set()
     node_of = {c: i for i, c in enumerate(cliques)}
     report_at = {node_of[r.decomposition.q]: r for r in reports}
 
@@ -116,7 +104,12 @@ def _assemble(
             gammas = [gm for gm in gammas if _holds(part.component, gm.component[0])]
         return h, rep, hs, gammas, results, kpart, part, up
 
-    frames = [frame(node_of[reports[0].decomposition.q])]
+    # a separator's component is Q plus its parts, so Q or the first part
+    # holds the component's smallest vertex, which names it
+    roots: dict[int, SeparatorReport] = {}
+    for r in reports:
+        roots.setdefault(min(r.q[0], r.decomposition.gammas[0].component[0]), r)
+    frames = [frame(node_of[r.q]) for r in roots.values()]
     for h, _, hs, inside, results, _, _, _ in frames:  # the list grows while read
         for gm in inside:
             trace = max(gm.traces, key=len)

@@ -9,8 +9,8 @@ from .attach import AttachednessGraph, quotient
 from .chordal import (
     CliqueIndex,
     HoleCertificate,
+    _component_cliques,
     clique_index,
-    component_indices,
     peo_or_hole,
 )
 from .coloring import (
@@ -23,7 +23,7 @@ from .coloring import (
 )
 from .decompose import Decomposition, decomposition
 from .errors import InvariantError
-from .graphs import Graph, VertexSet, components_without, vset
+from .graphs import Graph, VertexSet, components_without
 from .obstructions import Obstruction, refutation_to_obstruction
 
 NOT_CHORDAL = "NOT_CHORDAL"
@@ -35,11 +35,9 @@ NOT_DIRECTED_PATH_GRAPH = "NOT_DIRECTED_PATH_GRAPH"
 
 @dataclass(frozen=True)
 class SeparatorReport:
-    """Analysis of one clique separator.
-
-    All structures use the analyzed graph's local vertex ids; vertex_map sends
-    those to the input graph's ids when a component was analyzed on its own
-    (it is None when the input was connected). The q field is always global.
+    """Analysis of one clique separator Q, in the input graph's vertex ids,
+    connected or not: q is Q, as is decomposition.q. vertex_map is always
+    None; no report is in other ids.
     """
 
     q: VertexSet
@@ -67,7 +65,7 @@ class Verdict:
 class DirectedVerdict:
     status: str
     hole: HoleCertificate | None
-    q: VertexSet | None = None              # failing separator, global ids
+    q: VertexSet | None = None              # failing separator
     odd_cycle: tuple[int, ...] | None = None  # class ids at that separator
 
     @property
@@ -75,47 +73,38 @@ class DirectedVerdict:
         return self.status == DIRECTED_PATH_GRAPH
 
 
-def _global_q(q: VertexSet, idmap: VertexSet | None) -> VertexSet:
-    return q if idmap is None else vset(idmap[v] for v in q)
-
-
 def _decompositions(g: Graph, index: CliqueIndex) -> Iterator[Decomposition]:
-    """Decompositions of a connected chordal graph at its clique separators,
-    in canonical order, each computed only when the caller gets to it."""
-    for q in index.cliques:
-        parts = components_without(g, q)
-        if len(parts) >= 2:
-            yield decomposition(index, q, parts)
+    """Decompositions of a chordal graph at its clique separators, component
+    by component (by smallest vertex) and in canonical order within each,
+    each computed only when the caller gets to it. The parts of G - Q lie in
+    Q's own component, so one traversal of that component finds them."""
+    for comp, nodes in _component_cliques(g, index):
+        for i in nodes:
+            q = index.cliques[i]
+            parts = components_without(g, q, comp)
+            if len(parts) >= 2:
+                yield decomposition(index, q, parts)
 
 
-def _component_reports(
-    g: Graph, index: CliqueIndex, idmap: VertexSet | None
-) -> tuple[list[SeparatorReport], bool]:
-    """Per-separator reports for one connected chordal graph.
-
-    Stops at the first refuted separator; the boolean says whether all passed.
-    """
-    reports: list[SeparatorReport] = []
+def _reports(g: Graph, index: CliqueIndex) -> Iterator[SeparatorReport]:
+    """Per-separator reports of a chordal graph, up to and including the first
+    refuted separator."""
     for dec in _decompositions(g, index):
         m = quotient(dec)
         s = skeleton(m)
         res = _weak_coloring(m, s)
         refuted = isinstance(res, Refutation)
-        reports.append(
-            SeparatorReport(
-                q=_global_q(dec.q, idmap),
-                decomposition=dec,
-                attachedness=m,
-                skeleton=s,
-                coloring=None if refuted else res,
-                refutation=res if refuted else None,
-                obstruction=refutation_to_obstruction(m, s, res) if refuted else None,
-                vertex_map=idmap,
-            )
+        yield SeparatorReport(
+            q=dec.q,
+            decomposition=dec,
+            attachedness=m,
+            skeleton=s,
+            coloring=None if refuted else res,
+            refutation=res if refuted else None,
+            obstruction=refutation_to_obstruction(m, s, res) if refuted else None,
         )
         if refuted:
-            return reports, False
-    return reports, True
+            return
 
 
 def _recognize(g: Graph) -> tuple[Verdict, CliqueIndex | None]:
@@ -124,21 +113,17 @@ def _recognize(g: Graph) -> tuple[Verdict, CliqueIndex | None]:
     if isinstance(res, HoleCertificate):
         return Verdict(status=NOT_CHORDAL, hole=res, reports=()), None
     index = clique_index(g, res.order)
-    all_reports: list[SeparatorReport] = []
-    for sub, idmap, sub_index in component_indices(g, index):
-        reports, ok = _component_reports(sub, sub_index, idmap)
-        all_reports.extend(reports)
-        if not ok:
-            return Verdict(NOT_PATH_GRAPH, None, tuple(all_reports)), index
-    return Verdict(PATH_GRAPH, None, tuple(all_reports)), index
+    reports = tuple(_reports(g, index))
+    refuted = bool(reports) and reports[-1].refutation is not None
+    return Verdict(NOT_PATH_GRAPH if refuted else PATH_GRAPH, None, reports), index
 
 
 def recognize_path_graph(g: Graph) -> Verdict:
     """Certified recognition: hole, per-separator weak colorings, or a refuted
     separator with its colored obstruction.
 
-    Disconnected inputs are analyzed component by component (a graph is a path
-    graph exactly when all its components are).
+    A graph is a path graph exactly when all its components are; the
+    separators of a disconnected input are taken component by component.
     """
     return _recognize(g)[0]
 
@@ -146,9 +131,9 @@ def recognize_path_graph(g: Graph) -> Verdict:
 def _first_odd_cycle(
     quotients: Iterable[tuple[VertexSet, AttachednessGraph]]
 ) -> DirectedVerdict:
-    """The directed verdict of a chordal graph from its (global q, quotient)
-    pairs in separator order: refuted at the first odd cycle in an antipodal
-    graph over classes."""
+    """The directed verdict of a chordal graph from its (q, quotient) pairs
+    in separator order: refuted at the first odd cycle in an antipodal graph
+    over classes."""
     for q, m in quotients:
         res = _two_color_member(m, tuple(range(m.size)), {}, 0, 1)
         if isinstance(res, tuple):
@@ -165,9 +150,7 @@ def recognize_directed_path_graph(g: Graph) -> DirectedVerdict:
     if isinstance(res, HoleCertificate):
         return DirectedVerdict(status=NOT_CHORDAL, hole=res)
     return _first_odd_cycle(
-        (_global_q(dec.q, idmap), quotient(dec))
-        for sub, idmap, index in component_indices(g, clique_index(g, res.order))
-        for dec in _decompositions(sub, index)
+        (dec.q, quotient(dec)) for dec in _decompositions(g, clique_index(g, res.order))
     )
 
 

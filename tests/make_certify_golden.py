@@ -41,7 +41,7 @@ def _union(a: Graph, b: Graph) -> Graph:
     return Graph.from_edges(a.n + b.n, a.edges() + shifted)
 
 
-def _interleaved(pieces: list[Graph], seed: int) -> Graph:
+def interleaved(pieces: list[Graph], seed: int) -> Graph:
     """Disjoint union of the pieces, ids shuffled by a seeded permutation."""
     g = pieces[0]
     for piece in pieces[1:]:
@@ -81,7 +81,7 @@ def corpus() -> list[tuple[str, Graph, bool]]:
         if i % 2:
             # a non-member in a later component; what follows it goes unreported
             pieces.insert(1 + i % 3, k4_hub(4))
-        cases.append((f"disjoint-interleaved-{i}", _interleaved(pieces, 600 + i), True))
+        cases.append((f"disjoint-interleaved-{i}", interleaved(pieces, 600 + i), True))
     return cases
 
 

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from pathgraph import attach
 from pathgraph.attach import (
     antipodal,
     attached,
@@ -10,6 +11,7 @@ from pathgraph.attach import (
     quotient,
 )
 from pathgraph.decompose import GammaComponent, clique_separators, gamma_components
+from pathgraph.errors import InvariantError
 from pathgraph.generate import gen_chordal, k4_hub
 from pathgraph.graphs import ANTIPODAL, Graph, vset
 
@@ -200,3 +202,14 @@ def test_quotient_matches_the_pairwise_relations(chordal_corpus, worked8):
                 assert (ca == cb) == (ab and ba)
                 assert m.is_antipodal(ca, cb) == antipodal(a, b)
                 assert ((ca, cb) in m.dominance_order) == (ab and not ba)
+
+
+def test_quotient_rejects_non_transitive_dominance(monkeypatch):
+    # the star K_{1,4} at {0, 1}: three parts {2}, {3}, {4}, all attached at 0;
+    # a nesting test with 0 <= 1 <= 2 but not 0 <= 2 must not pass unseen
+    star = Graph.from_edges(5, [(0, i) for i in range(1, 5)])
+    dec = gamma_components(star, (0, 1))
+    assert dec.size == 3
+    monkeypatch.setattr(attach, "_nests", lambda a, b: (a.index, b.index) in {(0, 1), (1, 2)})
+    with pytest.raises(InvariantError, match="dominance is not transitive"):
+        quotient(dec)

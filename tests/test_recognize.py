@@ -2,12 +2,12 @@ from collections import Counter
 
 import pytest
 
-from pathgraph import attach, chordal, cli, coloring, recognize
-from pathgraph.chordal import maximal_cliques
+from pathgraph import attach, chordal, cli, coloring, graphs, recognize
+from pathgraph.chordal import is_clique_path_tree, maximal_cliques
 from pathgraph.coloring import FULL_ANTIPODAL_TRIPLE
 from pathgraph.errors import GuardRefusal, InvariantError
-from pathgraph.generate import gen_chordal, gen_path_graph, k4_hub
-from pathgraph.graphs import Graph
+from pathgraph.generate import SplitMix64, gen_chordal, gen_path_graph, k4_hub
+from pathgraph.graphs import Graph, connected_components, induced_subgraph
 from pathgraph.io import emit_edgelist
 from pathgraph.obstructions import FULL_TRIANGLE
 from pathgraph.oracle import oracle_clique_path_tree
@@ -25,6 +25,7 @@ from pathgraph.recognize import (
 )
 
 from conftest import WORKED8_EDGES, make_worked8
+from make_certify_golden import interleaved
 
 
 def shift(edges, by):
@@ -81,10 +82,12 @@ def test_disconnected_input_analyzed_per_component(worked8, k4hub):
     assert len(v.reports) == 3
     assert [rep.q for rep in v.reports] == [(1, 2, 4), (1, 4, 6), (8, 9, 10, 11)]
     bad = v.reports[-1]
-    assert bad.vertex_map == tuple(range(8, 15))
+    assert bad.vertex_map is None
     assert bad.refutation.kind == FULL_ANTIPODAL_TRIPLE
-    # local ids inside the report still address the analyzed component
-    assert bad.decomposition.q == (0, 1, 2, 3)
+    # the whole report is in input ids
+    assert bad.decomposition.q == (8, 9, 10, 11)
+    assert bad.refutation.witness in bad.q
+    assert bad.obstruction.q == bad.q
 
     tri = [(15, 16), (16, 17), (15, 17)]
     ok = Graph.from_edges(18, WORKED8_EDGES + tri)
@@ -225,50 +228,144 @@ def test_one_search_per_public_call(monkeypatch, tmp_path, g, prepare, searches)
 _GP80_TWICE = Graph.from_edges(160, _GP80.edges() + shift(_GP80.edges(), 80))
 
 
-@pytest.mark.parametrize("g, pieces", [(_GP80, [None]), (_GP80_TWICE, [0, 80])])
+@pytest.mark.parametrize("g, pieces", [(_GP80, [0]), (_GP80_TWICE, [0, 80])])
 @pytest.mark.parametrize("command", [("certify", "--realize", "--json"), ("realize", "--json")])
 def test_cli_analyzes_each_component_once(monkeypatch, tmp_path, g, pieces, command):
-    # the tree and the host come from the verdict's own reports and index;
-    # a component is named by its smallest vertex, None when g is connected
+    # one pass over the separators of the whole graph, whatever the number of
+    # components (named by their smallest vertices); the tree and the host
+    # come from its reports and index
+    assert [comp[0] for comp in connected_components(g)] == pieces
     call = _cli(*command)(g, tmp_path)
     calls = []
-    reports = recognize._component_reports
+    reports = recognize._reports
 
-    def counted(sub, index, idmap):
-        calls.append(None if idmap is None else idmap[0])
-        return reports(sub, index, idmap)
+    def counted(graph, index):
+        calls.append(graph.n)
+        return reports(graph, index)
 
-    monkeypatch.setattr(recognize, "_component_reports", counted)
+    monkeypatch.setattr(recognize, "_reports", counted)
     assert call() == 0
-    assert calls == pieces
+    assert calls == [g.n]
+
+
+_MEMBERS_INTERLEAVED = interleaved(
+    [_GP80, make_worked8(), Graph.from_edges(3, [(0, 1), (1, 2)]), Graph(1, (frozenset(),))], 0
+)
+
+
+@pytest.mark.parametrize(
+    "prepare",
+    [_direct(recognize_path_graph), _direct(realize), _cli("certify", "--realize", "--json")],
+    ids=["recognize", "realize", "cli_certify_realize"],
+)
+def test_disconnected_input_is_never_rebuilt_per_component(monkeypatch, tmp_path, prepare):
+    # a member, so realize and --realize build a tree
+    assert recognize_path_graph(_MEMBERS_INTERLEAVED).is_path_graph
+    call = prepare(_MEMBERS_INTERLEAVED, tmp_path)
+
+    def refuse(*args):
+        raise AssertionError("a component was rebuilt on its own")
+
+    for mod, name in (
+        (graphs, "induced_subgraph"),
+        (chordal, "induced_subgraph"),
+        (chordal, "restrict_index"),
+    ):
+        monkeypatch.setattr(mod, name, refuse)
+    call()
+
+
+def _seeded_union(seed):
+    """Two to four chordal pieces, some of them non-members, ids interleaved."""
+    rng = SplitMix64(seed)
+    pieces = []
+    for _ in range(2 + rng.randrange(3)):
+        kind = rng.randrange(5)
+        if kind == 0:
+            pieces.append(k4_hub(4))
+        elif kind == 1:
+            pieces.append(gen_chordal(3 + rng.randrange(10), seed))
+        else:
+            size = 1 + rng.randrange(12)
+            pieces.append(gen_path_graph(size, size, seed)[0])
+    return interleaved(pieces, seed)
+
+
+def _per_component(g):
+    """Status and (q, refutation kind, witness) per separator, from
+    recognize_path_graph on each component's induced subgraph, mapped back to
+    input ids, up to the first refuted component."""
+    seps = []
+    for comp in connected_components(g):
+        sub, idmap = induced_subgraph(g, comp)
+        v = recognize_path_graph(sub)
+        for r in v.reports:
+            ref = r.refutation
+            witness = None if ref is None or ref.witness is None else idmap[ref.witness]
+            seps.append((tuple(idmap[x] for x in r.q), ref and ref.kind, witness))
+        if not v.is_path_graph:
+            return v.status, seps
+    return PATH_GRAPH, seps
+
+
+def test_disconnected_matches_per_component_recognition():
+    members = 0
+    for seed in range(60):
+        g = _seeded_union(seed)
+        v = recognize_path_graph(g)
+        seps = [
+            (r.q, r.refutation and r.refutation.kind, r.refutation and r.refutation.witness)
+            for r in v.reports
+        ]
+        assert (v.status, seps) == _per_component(g), seed
+        assert all(r.decomposition.q == r.q for r in v.reports)
+        if v.is_path_graph:
+            members += 1
+            assert is_clique_path_tree(g, realize(g))
+    assert 20 <= members < 60
 
 
 @pytest.mark.parametrize("g", [_GP80, k4_hub(5)], ids=["gen_path_graph_80_80_0", "k4_hub_5"])
 def test_one_skeleton_and_one_dominance_test_per_separator(monkeypatch, g):
     # the report, the coloring and the obstruction share one skeleton, and
-    # quotient tests each ordered pair of parts for dominance at most once
+    # quotient tests each ordered pair of parts once for attachedness and at
+    # most once, when attached, for trace nesting
     skeletons = []
-    per_quotient: list[Counter] = []
-    skeleton, quotient, dominates = coloring.skeleton, recognize.quotient, attach.dominates
+    per_quotient: list[tuple[Counter, Counter]] = []
+    skeleton, quotient = coloring.skeleton, recognize.quotient
+    attached, nests = attach.attached, attach._nests
 
     def counted_skeleton(m):
         skeletons.append(id(m))
         return skeleton(m)
 
     def counted_quotient(dec):
-        per_quotient.append(Counter())
+        per_quotient.append((Counter(), Counter()))
         return quotient(dec)
 
-    def counted_dominates(a, b):
-        per_quotient[-1][a.index, b.index] += 1
-        return dominates(a, b)
+    def counted_attached(a, b):
+        per_quotient[-1][0][a.index, b.index] += 1
+        return attached(a, b)
+
+    def counted_nests(a, b):
+        per_quotient[-1][1][a.index, b.index] += 1
+        return nests(a, b)
 
     for mod in (coloring, recognize):
         monkeypatch.setattr(mod, "skeleton", counted_skeleton)
     monkeypatch.setattr(recognize, "quotient", counted_quotient)
-    monkeypatch.setattr(attach, "dominates", counted_dominates)
+    monkeypatch.setattr(attach, "attached", counted_attached)
+    monkeypatch.setattr(attach, "_nests", counted_nests)
     verdict = recognize_path_graph(g)
     assert verdict.reports
     assert len(per_quotient) == len(verdict.reports)
-    assert all(max(c.values(), default=0) <= 1 for c in per_quotient)
+    for r, (att, nest) in zip(verdict.reports, per_quotient):
+        k = r.decomposition.size
+        assert sorted(att) == [(i, j) for i in range(k) for j in range(k) if i != j]
+        assert set(att.values()) == {1}
+        # the nesting test runs only on attached pairs
+        assert set(nest.values()) <= {1}
+        parts = r.decomposition.gammas
+        assert all(attached(parts[i], parts[j]) for i, j in nest)
+    assert any(nest for _, nest in per_quotient)
     assert skeletons == [id(r.attachedness) for r in verdict.reports]
