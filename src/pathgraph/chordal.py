@@ -6,17 +6,10 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import InputError, InvariantError, PreconditionError
-from .graphs import (
-    Graph,
-    VertexSet,
-    connected_components,
-    induced_subgraph,
-    is_connected,
-    vset,
-)
+from .graphs import Graph, VertexSet, is_connected, vset
 
 
 @dataclass(frozen=True)
@@ -43,65 +36,71 @@ class CliqueTree:
 
 @dataclass(frozen=True)
 class CliqueIndex:
-    """The chordal structure of a graph, computed once from one elimination order.
+    """The chordal structure of a graph, computed once by one search.
 
     cliques are the maximal cliques in canonical order; occurrences[v] lists,
-    increasing, the indices of the cliques that contain v.
+    increasing, the indices of the cliques that contain v; components holds
+    each connected component, by smallest vertex, with the indices of its
+    cliques in canonical order.
     """
 
     order: tuple[int, ...]
     cliques: tuple[VertexSet, ...]
     occurrences: tuple[tuple[int, ...], ...]
+    components: tuple[tuple[VertexSet, tuple[int, ...]], ...]
 
 
-def _mcs_order(g: Graph) -> list[int]:
+def _mcs(g: Graph) -> tuple[list[int], list[list[int]], list[int]]:
     """Maximum cardinality search; ties broken toward the smallest vertex id.
 
     A heap keyed (-weight, id), packed into the int id - weight * n, with stale
     entries skipped on pop: O((n + m) log n). Returns the selection order
-    (first selected first).
+    (first selected first); for each vertex, its neighbors selected before it,
+    in selection order, which are its later neighbors in the reversed
+    (elimination) order, so its weight is their number; and each vertex's
+    component number. A vertex selected at weight 0 starts the next component,
+    and by the tie-break it is that component's smallest vertex.
     """
     n = g.n
-    weight = [0] * n
-    selected = [False] * n
+    adj = g.adj
+    before: list[list[int]] = [[] for _ in range(n)]
+    comp = [-1] * n
     heap = list(range(n))  # every key id - 0 * n, sorted, hence a heap
-    order: list[int] = []
+    selection: list[int] = []
+    comps = 0
     while heap:
         key = heappop(heap)
-        best = key % n
-        if selected[best] or key != best - weight[best] * n:
+        v = key % n
+        if comp[v] >= 0 or key != v - len(before[v]) * n:
             continue
-        selected[best] = True
-        order.append(best)
-        for u in g.adj[best]:
-            if not selected[u]:
-                weight[u] += 1
-                heappush(heap, u - weight[u] * n)
-    return order
+        if not before[v]:
+            comps += 1
+        comp[v] = comps - 1
+        selection.append(v)
+        for u in adj[v]:
+            if comp[u] < 0:
+                bu = before[u]
+                bu.append(v)
+                heappush(heap, u - len(bu) * n)
+    return selection, before, comp
 
 
-def _later_neighbors(g: Graph, order: list[int]) -> tuple[list[int], list[list[int]]]:
-    """Each vertex's position in the order, and its neighbors placed after it."""
-    pos = [0] * g.n
-    for i, v in enumerate(order):
-        pos[v] = i
-    return pos, [[u for u in g.adj[v] if pos[u] > pos[v]] for v in range(g.n)]
-
-
-def _check_peo(g: Graph, order: list[int]) -> tuple[int, int, int] | None:
+def _check_peo(
+    g: Graph, order: list[int], later: list[list[int]]
+) -> tuple[int, int, int] | None:
     """First violation (v, p, x) of the elimination order, or None when perfect.
 
-    p is v's earliest-eliminated later neighbor; x the earliest-eliminated
-    later neighbor not adjacent to p.
+    later[v] lists v's later neighbors, latest-eliminated first. p is v's
+    earliest-eliminated later neighbor; x the earliest-eliminated later
+    neighbor not adjacent to p.
     """
-    pos, later = _later_neighbors(g, order)
+    adj = g.adj
     for v in order:
-        if len(later[v]) <= 1:
-            continue
-        p = min(later[v], key=pos.__getitem__)
-        bad = set(later[v]) - g.adj[p] - {p}
-        if bad:
-            return (v, p, min(bad, key=pos.__getitem__))
+        lv = later[v]
+        if len(lv) > 1:
+            p = lv[-1]
+            if not adj[p].issuperset(lv[:-1]):
+                return (v, p, next(x for x in reversed(lv[:-1]) if x not in adj[p]))
     return None
 
 
@@ -151,88 +150,82 @@ def _find_hole(g: Graph, seed: tuple[int, int, int]) -> tuple[int, ...]:
     raise InvariantError("elimination order failed but no hole was found")
 
 
+def _index_or_hole(g: Graph) -> CliqueIndex | HoleCertificate:
+    """The clique index of a chordal graph, or a hole certificate, from one
+    maximum cardinality search.
+
+    The elimination order is the search's selection order reversed, so the
+    neighbors selected before v are v's later neighbors. The hole is extracted
+    from the first violation. Each maximal clique is C_v = {v} plus v's later
+    neighbors for exactly one v, its earliest vertex. C_v is absorbed when
+    some u whose first later neighbor is v has one more later neighbor than v
+    (then C_u = {u} plus C_v), which is the only way C_v can fail to be
+    maximal. Linear in n + m up to sorting and the heap.
+    """
+    selection, later, comp = _mcs(g)
+    order = selection[::-1]
+    bad = _check_peo(g, order, later)
+    if bad is not None:
+        return HoleCertificate(_canonical_cycle(_find_hole(g, bad)))
+    absorbed = [False] * g.n
+    for lu in later:
+        if lu and len(lu) == len(later[lu[-1]]) + 1:
+            absorbed[lu[-1]] = True
+    cliques = sorted(vset([v, *later[v]]) for v in range(g.n) if not absorbed[v])
+    members: list[list[int]] = [[] for _ in range(max(comp, default=-1) + 1)]
+    for v in range(g.n):
+        members[comp[v]].append(v)
+    occurrences: list[list[int]] = [[] for _ in range(g.n)]
+    nodes: list[list[int]] = [[] for _ in members]
+    for i, c in enumerate(cliques):
+        nodes[comp[c[0]]].append(i)
+        for v in c:
+            occurrences[v].append(i)
+    return CliqueIndex(
+        tuple(order),
+        tuple(cliques),
+        tuple(tuple(occ) for occ in occurrences),
+        tuple((tuple(vs), tuple(ns)) for vs, ns in zip(members, nodes)),
+    )
+
+
 def peo_or_hole(g: Graph) -> EliminationOrder | HoleCertificate:
     """Perfect elimination order of a chordal graph, or a hole certificate.
 
     The order comes from maximum cardinality search with smallest-id tie-breaks,
     so it is deterministic; the hole is extracted from the first violation.
     """
-    selection = _mcs_order(g)
-    order = selection[::-1]
-    bad = _check_peo(g, order)
-    if bad is None:
-        return EliminationOrder(tuple(order))
-    return HoleCertificate(_canonical_cycle(_find_hole(g, bad)))
+    res = _index_or_hole(g)
+    return res if isinstance(res, HoleCertificate) else EliminationOrder(res.order)
 
 
 def is_chordal(g: Graph) -> bool:
     return isinstance(peo_or_hole(g), EliminationOrder)
 
 
-def clique_index(g: Graph, order: tuple[int, ...] | list[int]) -> CliqueIndex:
-    """Maximal cliques and vertex occurrences read off a perfect elimination order.
+def _relabelled_components(
+    index: CliqueIndex,
+) -> Iterator[tuple[VertexSet, CliqueIndex]]:
+    """Each component of an indexed graph with its slice of the index,
+    relabelled to the component's own ids 0..k-1 in increasing order: the
+    index that component would get on its own. No search runs and no
+    subgraph is built.
 
-    Each maximal clique is C_v = {v} plus v's later neighbors for exactly one v,
-    its earliest vertex. C_v is absorbed when some u whose first later neighbor
-    is v has one more later neighbor than v (then C_u = {u} plus C_v), which is
-    the only way C_v can fail to be maximal. Linear in n + m up to sorting.
+    The search selects one whole component after another, so each
+    component's elimination order is one block of the order, the first
+    component's block last.
     """
-    pos, later = _later_neighbors(g, order)
-    absorbed = [False] * g.n
-    for u in range(g.n):
-        if later[u]:
-            p = min(later[u], key=pos.__getitem__)
-            if len(later[u]) == len(later[p]) + 1:
-                absorbed[p] = True
-    cliques = sorted(vset([v, *later[v]]) for v in range(g.n) if not absorbed[v])
-    occurrences: list[list[int]] = [[] for _ in range(g.n)]
-    for i, c in enumerate(cliques):
-        for v in c:
-            occurrences[v].append(i)
-    return CliqueIndex(
-        tuple(order), tuple(cliques), tuple(tuple(occ) for occ in occurrences)
-    )
-
-
-def restrict_index(index: CliqueIndex, sub: Graph, idmap: VertexSet) -> CliqueIndex:
-    """Index of the induced subgraph sub = G[idmap], in sub's ids.
-
-    A perfect elimination order restricted to an induced subgraph is still one,
-    so no new search runs; O(n + m) for the parent's order and sub's cliques.
-    """
-    local = {v: i for i, v in enumerate(idmap)}
-    return clique_index(sub, [local[v] for v in index.order if v in local])
-
-
-def component_indices(
-    g: Graph, index: CliqueIndex
-) -> list[tuple[Graph, VertexSet | None, CliqueIndex]]:
-    """(graph, id map, index) per connected component of a chordal graph.
-
-    A connected graph is its own single piece with id map None; otherwise each
-    component is induced and indexed through restrict_index.
-    """
-    comps = connected_components(g)
-    if len(comps) == 1:
-        return [(g, None, index)]
-    subs = [induced_subgraph(g, comp) for comp in comps]
-    return [(sub, idmap, restrict_index(index, sub, idmap)) for sub, idmap in subs]
-
-
-def _component_cliques(
-    g: Graph, index: CliqueIndex
-) -> list[tuple[VertexSet, list[int]]]:
-    """Each connected component of a chordal graph, by smallest vertex, with
-    the indices of its maximal cliques in canonical order."""
-    comps = connected_components(g)
-    comp_of = [0] * g.n
-    for k, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = k
-    nodes: list[list[int]] = [[] for _ in comps]
-    for i, c in enumerate(index.cliques):
-        nodes[comp_of[c[0]]].append(i)
-    return list(zip(comps, nodes))
+    end = len(index.order)
+    for comp, nodes in index.components:
+        local = {v: i for i, v in enumerate(comp)}
+        slot = {ci: j for j, ci in enumerate(nodes)}
+        yield comp, CliqueIndex(
+            tuple(local[v] for v in index.order[end - len(comp) : end]),
+            tuple(tuple(local[v] for v in index.cliques[ci]) for ci in nodes),
+            tuple(tuple(slot[ci] for ci in index.occurrences[v]) for v in comp),
+            ((tuple(range(len(comp))), tuple(range(len(nodes)))),),
+        )
+        end -= len(comp)
 
 
 def _checked_index(g: Graph, caller: str) -> CliqueIndex:
@@ -240,17 +233,25 @@ def _checked_index(g: Graph, caller: str) -> CliqueIndex:
 
     Raises PreconditionError naming the caller when g has a hole.
     """
-    res = peo_or_hole(g)
+    res = _index_or_hole(g)
     if isinstance(res, HoleCertificate):
         raise PreconditionError(f"{caller} requires a chordal graph")
-    return clique_index(g, res.order)
+    return res
+
+
+def _connected_index(g: Graph, caller: str) -> CliqueIndex:
+    """The clique index of a connected chordal graph; the boundary checks."""
+    index = _checked_index(g, caller)
+    if len(index.components) > 1:
+        raise PreconditionError(f"{caller} requires a connected graph")
+    return index
 
 
 def maximal_cliques(g: Graph) -> list[VertexSet]:
     """Maximal cliques of a chordal graph, canonically sorted.
 
     A chordal graph on n vertices has at most n maximal cliques; they are read
-    off an elimination order by clique_index.
+    off an elimination order by _index_or_hole.
     """
     return list(_checked_index(g, "maximal_cliques").cliques)
 
@@ -262,9 +263,7 @@ def clique_tree(g: Graph) -> CliqueTree:
     (Kruskal, ties toward lexicographically smaller index pairs), validated
     against the induced-subtree property.
     """
-    if not is_connected(g):
-        raise PreconditionError("clique_tree requires a connected graph")
-    return _clique_tree(_checked_index(g, "clique_tree"))
+    return _clique_tree(_connected_index(g, "clique_tree"))
 
 
 def _clique_tree(index: CliqueIndex) -> CliqueTree:

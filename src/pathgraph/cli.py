@@ -11,17 +11,17 @@ import sys
 
 from . import io as gio
 from .attach import quotient
-from .chordal import HoleCertificate, clique_index, component_indices, peo_or_hole
+from .chordal import HoleCertificate, _index_or_hole, _relabelled_components
+from .decompose import _decompositions
 from .errors import GenerationError, GuardRefusal, InputError, PreconditionError
 from .generate import gen_chordal, gen_path_graph, k4_hub
-from .graphs import Graph, connected_components, graph_plus
+from .graphs import Graph, graph_plus
 from .obstructions import DF, F, FTILDE, W0, W1, build_family
 from .oracle import _oracle_tree
 from .realize import _host_from, _tree_from
 from .recognize import (
     DIRECTED_PATH_GRAPH,
     NOT_CHORDAL,
-    _decompositions,
     _directed_verdict,
     _recognize,
     recognize_path_graph,
@@ -84,7 +84,7 @@ def _cmd_certify(args) -> int:
     directed = _directed_verdict(verdict)
     realization = None
     if args.realize and verdict.is_path_graph:
-        t = _tree_from(g, verdict, index)
+        t = _tree_from(verdict, index)
         realization = gio.realization_doc(t, _host_from(g, index, t))
     doc = gio.verdict_document(
         g, verdict, gplus=args.gplus, directed=directed, realization=realization
@@ -98,7 +98,7 @@ def _cmd_realize(args) -> int:
     verdict, index = _recognize(g)
     if not verdict.is_path_graph:
         return _reject(args, "not a path graph; nothing to realize")
-    t = _tree_from(g, verdict, index)
+    t = _tree_from(verdict, index)
     host = _host_from(g, index, t)
     if args.dot:
         _say(args, gio.emit_dot(t, g))
@@ -116,21 +116,20 @@ def _cmd_realize(args) -> int:
 
 def _cmd_oracle(args) -> int:
     g = _read_graph(args)
-    res = peo_or_hole(g)
-    if isinstance(res, HoleCertificate):
+    index = _index_or_hole(g)
+    if isinstance(index, HoleCertificate):
         return _reject(args, "not chordal; not a path graph")
     trees = []
-    for _, idmap, index in component_indices(g, clique_index(g, res.order)):
-        t = _oracle_tree(index)
+    for comp, comp_index in _relabelled_components(index):
+        t = _oracle_tree(comp_index)
         if t is None:
             return _reject(args, "path graph (oracle): no")
-        trees.append((range(g.n) if idmap is None else idmap, t))
+        trees.append((comp, t))
     if args.json:
         doc = {
             "path_graph": True,
             "trees": [
-                gio.realization_doc(t) | {"component": list(idmap)}
-                for idmap, t in trees
+                gio.realization_doc(t) | {"component": list(comp)} for comp, t in trees
             ],
         }
         _say(args, gio.emit_verdict(doc))
@@ -140,15 +139,10 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    host_doc = None
+    host = None
     if args.kind == "path":
         tree_nodes = args.tree_nodes if args.tree_nodes else max(2, args.n)
         g, host = gen_path_graph(tree_nodes, args.n, args.seed)
-        host_doc = {
-            "host_n": host.host_n,
-            "host_edges": [list(e) for e in sorted(host.host_edges)],
-            "paths": [list(p) for p in host.paths],
-        }
     elif args.kind == "chordal":
         g = gen_chordal(args.n, args.seed)
     elif args.kind == "k4hub":
@@ -157,8 +151,8 @@ def _cmd_gen(args) -> int:
         raise InputError(f"unknown kind {args.kind!r}")
     if args.json:
         doc = {"n": g.n, "edges": [list(e) for e in g.edges()]}
-        if host_doc is not None:
-            doc["host"] = host_doc
+        if host is not None:
+            doc["host"] = gio.host_doc(host)
         _say(args, gio.emit_verdict(doc))
     elif args.format == "graph6":
         _say(args, gio.emit_graph6(g))
@@ -169,37 +163,25 @@ def _cmd_gen(args) -> int:
 
 def _cmd_attachedness(args) -> int:
     g = _read_graph(args)
-    comps = connected_components(g)
-    if len(comps) > 1:
-        raise InputError("attachedness needs a connected graph")
-    res = peo_or_hole(g)
-    if isinstance(res, HoleCertificate):
+    index = _index_or_hole(g)
+    if isinstance(index, HoleCertificate):
         raise InputError("attachedness needs a chordal graph")
-    decs = list(_decompositions(g, clique_index(g, res.order)))
+    if len(index.components) > 1:
+        raise InputError("attachedness needs a connected graph")
+    decs = list(_decompositions(g, index))
     if not decs:
         raise InputError("graph has no clique separator (it is an atom)")
     if not 0 <= args.separator < len(decs):
         raise InputError(
             f"separator index {args.separator} out of range (have {len(decs)})"
         )
-    dec = decs[args.separator]
-    q = dec.q
-    m = quotient(dec)
+    m = quotient(decs[args.separator])
     if args.dot:
         _say(args, gio.emit_dot(m, g))
     elif args.json:
-        doc = {
-            "q": list(q),
-            "classes": m.size,
-            "class_members": [list(mem) for mem in m.class_members],
-            "antipodal_edges": [
-                [u, v] for u, v, c in m.edges.edges() if c == "antipodal"
-            ],
-            "dominance_pairs": [list(p) for p in sorted(m.dominance_order)],
-        }
-        _say(args, gio.emit_verdict(doc))
+        _say(args, gio.emit_verdict(gio.attachedness_doc(m)))
     else:
-        lines = [f"separator: {' '.join(g.label(v) for v in q)}"]
+        lines = [f"separator: {' '.join(g.label(v) for v in m.q)}"]
         lines.append(f"classes: {m.size}")
         for i, gamma in enumerate(m.gammas):
             traces = " ".join(

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
-from .chordal import CliqueIndex, _checked_index
+from .chordal import CliqueIndex, _connected_index
 from .errors import PreconditionError
-from .graphs import Graph, VertexSet, components_without, is_clique, is_connected, vset
+from .graphs import Graph, VertexSet, components_without, is_clique, vset
 
 
 @dataclass(frozen=True)
@@ -37,21 +38,26 @@ class Decomposition:
         return len(self.gammas)
 
 
-def _connected_index(g: Graph, caller: str) -> CliqueIndex:
-    """The clique index of a connected chordal graph; the boundary checks."""
-    index = _checked_index(g, caller)
-    if not is_connected(g):
-        raise PreconditionError(f"{caller} requires a connected graph")
-    return index
-
-
 def clique_separators(g: Graph) -> list[VertexSet]:
     """Maximal cliques whose removal disconnects the graph, canonically ordered.
 
     Requires a connected chordal graph.
     """
     index = _connected_index(g, "clique_separators")
-    return [q for q in index.cliques if len(components_without(g, q)) >= 2]
+    return [dec.q for dec in _decompositions(g, index)]
+
+
+def _decompositions(g: Graph, index: CliqueIndex) -> Iterator[Decomposition]:
+    """Decompositions of a chordal graph at its clique separators, component
+    by component (by smallest vertex) and in canonical order within each,
+    each computed only when the caller gets to it. The parts of G - Q lie in
+    Q's own component, so one traversal of that component finds them."""
+    for comp, nodes in index.components:
+        for i in nodes:
+            q = index.cliques[i]
+            parts = components_without(g, q, comp)
+            if len(parts) >= 2:
+                yield decomposition(index, q, parts)
 
 
 def decomposition(index: CliqueIndex, q: VertexSet, parts: list[VertexSet]) -> Decomposition:

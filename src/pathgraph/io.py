@@ -187,14 +187,24 @@ def _refutation_doc(r) -> dict:
     return doc
 
 
+def attachedness_doc(m: AttachednessGraph) -> dict:
+    """The separator, its classes and the colored edges between them."""
+    return {
+        "q": list(m.q),
+        "classes": m.size,
+        "class_members": [list(mem) for mem in m.class_members],
+        "antipodal_edges": [
+            [u, v] for u, v, c in m.edges.edges() if c == ANTIPODAL
+        ],
+        "dominance_pairs": [list(p) for p in sorted(m.dominance_order)],
+    }
+
+
 def separator_doc(report: SeparatorReport) -> dict:
     m = report.attachedness
     dec = report.decomposition
     s = report.skeleton
-    doc: dict = {
-        "q": list(dec.q),
-        "classes": m.size,
-        "class_members": [list(mem) for mem in m.class_members],
+    doc: dict = attachedness_doc(m) | {
         "gammas": [
             {
                 "index": gamma.index,
@@ -203,10 +213,6 @@ def separator_doc(report: SeparatorReport) -> dict:
             }
             for gamma in dec.gammas
         ],
-        "antipodal_edges": [
-            [u, v] for u, v, c in m.edges.edges() if c == ANTIPODAL
-        ],
-        "dominance_pairs": [list(p) for p in sorted(m.dominance_order)],
         "upper": list(s.upper),
         "d_single": {str(i + 1): list(d) for i, d in enumerate(s.d_single)},
         "d_pair": {f"{i},{j}": list(d) for (i, j), d in sorted(s.d_pair.items())},
@@ -229,12 +235,16 @@ def realization_doc(t: CliqueTree, host: HostRealization | None = None) -> dict:
         "tree_edges": [list(e) for e in sorted(t.edges)],
     }
     if host is not None:
-        doc["host"] = {
-            "host_n": host.host_n,
-            "host_edges": [list(e) for e in sorted(host.host_edges)],
-            "paths": [list(p) for p in host.paths],
-        }
+        doc["host"] = host_doc(host)
     return doc
+
+
+def host_doc(host: HostRealization) -> dict:
+    return {
+        "host_n": host.host_n,
+        "host_edges": [list(e) for e in sorted(host.host_edges)],
+        "paths": [list(p) for p in host.paths],
+    }
 
 
 def verdict_document(

@@ -6,9 +6,9 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 
 from .attach import AttachednessGraph
-from .chordal import CliqueIndex, CliqueTree, _is_path_tree
+from .chordal import CliqueIndex, CliqueTree, _connected_index, _is_path_tree
 from .coloring import is_strong_coloring
-from .decompose import Decomposition, _connected_index
+from .decompose import Decomposition
 from .errors import GuardRefusal, InvariantError
 from .graphs import Graph
 

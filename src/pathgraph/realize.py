@@ -10,7 +10,6 @@ from typing import Sequence
 from .chordal import (
     CliqueIndex,
     CliqueTree,
-    _component_cliques,
     _is_path_tree,
     _is_tree,
     _path_tree_index,
@@ -40,14 +39,14 @@ def realize(g: Graph) -> CliqueTree:
     verdict, index = _recognize(g)
     if not verdict.is_path_graph:
         raise PreconditionError("realize requires a path graph")
-    return _tree_from(g, verdict, index)
+    return _tree_from(verdict, index)
 
 
-def _tree_from(g: Graph, verdict: Verdict, index: CliqueIndex) -> CliqueTree:
+def _tree_from(verdict: Verdict, index: CliqueIndex) -> CliqueTree:
     """realize from a path verdict and the clique index it was built on."""
     edges = _assemble(index, verdict.reports)
     anchors: list[int] = []
-    for _, nodes in _component_cliques(g, index):
+    for _, nodes in index.components:
         if len(nodes) == 2:
             # no separator: every inner node of a clique tree is one
             edges.add((nodes[0], nodes[1]))

@@ -6,13 +6,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .attach import AttachednessGraph, quotient
-from .chordal import (
-    CliqueIndex,
-    HoleCertificate,
-    _component_cliques,
-    clique_index,
-    peo_or_hole,
-)
+from .chordal import CliqueIndex, HoleCertificate, _index_or_hole
 from .coloring import (
     Refutation,
     Skeleton,
@@ -21,9 +15,9 @@ from .coloring import (
     _weak_coloring,
     skeleton,
 )
-from .decompose import Decomposition, decomposition
+from .decompose import Decomposition, _decompositions
 from .errors import InvariantError
-from .graphs import Graph, VertexSet, components_without
+from .graphs import Graph, VertexSet
 from .obstructions import Obstruction, refutation_to_obstruction
 
 NOT_CHORDAL = "NOT_CHORDAL"
@@ -73,19 +67,6 @@ class DirectedVerdict:
         return self.status == DIRECTED_PATH_GRAPH
 
 
-def _decompositions(g: Graph, index: CliqueIndex) -> Iterator[Decomposition]:
-    """Decompositions of a chordal graph at its clique separators, component
-    by component (by smallest vertex) and in canonical order within each,
-    each computed only when the caller gets to it. The parts of G - Q lie in
-    Q's own component, so one traversal of that component finds them."""
-    for comp, nodes in _component_cliques(g, index):
-        for i in nodes:
-            q = index.cliques[i]
-            parts = components_without(g, q, comp)
-            if len(parts) >= 2:
-                yield decomposition(index, q, parts)
-
-
 def _reports(g: Graph, index: CliqueIndex) -> Iterator[SeparatorReport]:
     """Per-separator reports of a chordal graph, up to and including the first
     refuted separator."""
@@ -109,10 +90,9 @@ def _reports(g: Graph, index: CliqueIndex) -> Iterator[SeparatorReport]:
 
 def _recognize(g: Graph) -> tuple[Verdict, CliqueIndex | None]:
     """recognize_path_graph, plus the clique index it built (None for a hole)."""
-    res = peo_or_hole(g)
-    if isinstance(res, HoleCertificate):
-        return Verdict(status=NOT_CHORDAL, hole=res, reports=()), None
-    index = clique_index(g, res.order)
+    index = _index_or_hole(g)
+    if isinstance(index, HoleCertificate):
+        return Verdict(status=NOT_CHORDAL, hole=index, reports=()), None
     reports = tuple(_reports(g, index))
     refuted = bool(reports) and reports[-1].refutation is not None
     return Verdict(NOT_PATH_GRAPH if refuted else PATH_GRAPH, None, reports), index
@@ -146,12 +126,10 @@ def _first_odd_cycle(
 def recognize_directed_path_graph(g: Graph) -> DirectedVerdict:
     """A chordal graph is a directed path graph exactly when every separator's
     antipodality structure is bipartite."""
-    res = peo_or_hole(g)
-    if isinstance(res, HoleCertificate):
-        return DirectedVerdict(status=NOT_CHORDAL, hole=res)
-    return _first_odd_cycle(
-        (dec.q, quotient(dec)) for dec in _decompositions(g, clique_index(g, res.order))
-    )
+    index = _index_or_hole(g)
+    if isinstance(index, HoleCertificate):
+        return DirectedVerdict(status=NOT_CHORDAL, hole=index)
+    return _first_odd_cycle((dec.q, quotient(dec)) for dec in _decompositions(g, index))
 
 
 def _directed_verdict(verdict: Verdict) -> DirectedVerdict:

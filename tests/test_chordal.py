@@ -10,9 +10,9 @@ from pathgraph.chordal import (
     CliqueTree,
     EliminationOrder,
     HoleCertificate,
-    clique_index,
+    _index_or_hole,
+    _relabelled_components,
     clique_tree,
-    component_indices,
     is_chordal,
     is_clique_path_tree,
     is_valid_clique_tree,
@@ -21,7 +21,7 @@ from pathgraph.chordal import (
 )
 from pathgraph.errors import InputError, PreconditionError
 from pathgraph.generate import gen_chordal
-from pathgraph.graphs import Graph, induced_subgraph
+from pathgraph.graphs import Graph, connected_components, induced_subgraph
 
 
 @st.composite
@@ -177,25 +177,33 @@ def _reference_graphs():
 def test_search_and_order_check_match_scan_references(monkeypatch):
     graphs = _reference_graphs()
     for g in graphs:
-        order = chordal._mcs_order(g)
-        assert order == _brute.mcs_order_by_scan(g)
-        peo = order[::-1]
-        assert chordal._check_peo(g, peo) == _brute.first_peo_violation(g, peo)
+        selection, later, comp = chordal._mcs(g)
+        assert selection == _brute.mcs_order_by_scan(g)
+        peo = selection[::-1]
+        pos = {v: i for i, v in enumerate(peo)}
+        for v in range(g.n):
+            assert len(later[v]) == len(set(later[v]))
+            assert set(later[v]) == {u for u in g.adj[v] if pos[u] > pos[v]}
+        assert comp == [
+            next(k for k, c in enumerate(connected_components(g)) if v in c)
+            for v in range(g.n)
+        ]
+        assert chordal._check_peo(g, peo, later) == _brute.first_peo_violation(g, peo)
     results = [peo_or_hole(g) for g in graphs]
     assert any(isinstance(r, HoleCertificate) for r in results)
     assert any(isinstance(r, EliminationOrder) for r in results)
-    monkeypatch.setattr(chordal, "_mcs_order", _brute.mcs_order_by_scan)
-    monkeypatch.setattr(chordal, "_check_peo", _brute.first_peo_violation)
+    monkeypatch.setattr(
+        chordal, "_check_peo", lambda g, order, later: _brute.first_peo_violation(g, order)
+    )
     assert [peo_or_hole(g) for g in graphs] == results
 
 
 def test_maximal_cliques_match_containment_filter():
     for g in _reference_graphs():
-        res = peo_or_hole(g)
-        if isinstance(res, HoleCertificate):
+        index = _index_or_hole(g)
+        if isinstance(index, HoleCertificate):
             continue
-        want = _brute.maximal_cliques_by_containment(g, res.order)
-        index = clique_index(g, res.order)
+        want = _brute.maximal_cliques_by_containment(g, index.order)
         assert list(index.cliques) == want == maximal_cliques(g)
         for v in range(g.n):
             assert index.occurrences[v] == tuple(
@@ -203,17 +211,20 @@ def test_maximal_cliques_match_containment_filter():
             )
 
 
-def test_component_indices_restrict_one_order():
-    a, b = gen_chordal(12, 3), gen_chordal(9, 4)
+def test_component_relabel_matches_each_piece_on_its_own():
+    a, b, c = gen_chordal(12, 3), gen_chordal(9, 4), gen_chordal(7, 5)
     g = Graph.from_edges(
-        a.n + b.n, a.edges() + [(u + a.n, v + a.n) for u, v in b.edges()]
+        a.n + b.n + c.n + 1,
+        a.edges()
+        + [(u + a.n, v + a.n) for u, v in b.edges()]
+        + [(u + a.n + b.n + 1, v + a.n + b.n + 1) for u, v in c.edges()],
     )
-    index = clique_index(g, peo_or_hole(g).order)
-    pieces = component_indices(g, index)
-    assert [idmap for _, idmap, _ in pieces] == [
-        tuple(range(a.n)), tuple(range(a.n, g.n))
-    ]
-    for sub, idmap, sub_index in pieces:
-        assert sub == induced_subgraph(g, idmap)[0]
-        assert list(sub_index.cliques) == maximal_cliques(sub)
-    assert component_indices(a, clique_index(a, peo_or_hole(a).order))[0][1] is None
+    pieces = list(_relabelled_components(_index_or_hole(g)))
+    assert [comp for comp, _ in pieces] == connected_components(g)
+    assert len(pieces) == 4  # one isolated vertex
+    for comp, piece_index in pieces:
+        sub = induced_subgraph(g, comp)[0]
+        assert list(piece_index.cliques) == maximal_cliques(sub)
+        assert piece_index == _index_or_hole(sub)
+    ((comp, whole),) = _relabelled_components(_index_or_hole(a))
+    assert comp == tuple(range(a.n)) and whole == _index_or_hole(a)

@@ -3,10 +3,14 @@
 Each workload in perfbench/workloads.py runs and checks its smallest member
 and, where it has one, its smallest non-member, so an API change that breaks
 the harness (a renamed report field, a changed positional signature) fails
-here instead of in a benchmark run. The harness files are only imported.
+here instead of in a benchmark run. The harness files are only imported,
+except for one short traced run of run.py in a subprocess.
 """
 
 import importlib
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -40,3 +44,17 @@ def test_workload_runs_and_checks_its_smallest_cases(harness, tmp_path, name):
         res = w.check(pg, inst, w.run(pg, inst))
         assert res.correct and not res.failed, (inst.name, res.notes)
         assert res.valid == res.emitted, inst.name
+
+
+def test_traced_run_wraps_the_api_and_checks_out():
+    # --trace 1 wraps every public pathgraph function and fails on any it
+    # leaves unwrapped, so a renamed or deleted public name shows up here
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", "realize_members",
+         "--seed", "1", "--seconds", "0.5", "--trace", "1"],
+        cwd=PERFBENCH.parent, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    last = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert last["correct"] is True and last["failed"] == 0, last

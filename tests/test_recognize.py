@@ -1,3 +1,4 @@
+import sys
 from collections import Counter
 
 import pytest
@@ -214,13 +215,13 @@ def test_one_search_per_public_call(monkeypatch, tmp_path, g, prepare, searches)
     # separator, recursion node or validation; a CLI command searches once
     call = prepare(g, tmp_path)
     calls = []
-    search = chordal._mcs_order
+    search = chordal._mcs
 
     def counted(graph):
         calls.append(graph.n)
         return search(graph)
 
-    monkeypatch.setattr(chordal, "_mcs_order", counted)
+    monkeypatch.setattr(chordal, "_mcs", counted)
     call()
     assert calls == [g.n] * searches
 
@@ -266,13 +267,47 @@ def test_disconnected_input_is_never_rebuilt_per_component(monkeypatch, tmp_path
     def refuse(*args):
         raise AssertionError("a component was rebuilt on its own")
 
-    for mod, name in (
-        (graphs, "induced_subgraph"),
-        (chordal, "induced_subgraph"),
-        (chordal, "restrict_index"),
-    ):
-        monkeypatch.setattr(mod, name, refuse)
+    monkeypatch.setattr(graphs, "induced_subgraph", refuse)
     call()
+
+
+@pytest.mark.parametrize(
+    "prepare",
+    [
+        _direct(recognize_path_graph),
+        _direct(recognize_directed_path_graph),
+        _direct(realize),
+        _host_of_realized,
+        _cli("certify", "--realize", "--json"),
+    ],
+    ids=["recognize", "recognize_directed", "realize", "host", "cli_certify_realize"],
+)
+def test_input_graph_is_never_traversed_for_its_components(monkeypatch, tmp_path, prepare):
+    # the components come with the clique index from the one search; the
+    # tree checks may still traverse the trees they are given
+    g = _MEMBERS_INTERLEAVED
+    call = prepare(g, tmp_path)
+    inputs, traversed = [g], []
+    read = cli._read_graph
+
+    def reading(args):
+        inputs.append(read(args))
+        return inputs[-1]
+
+    components = graphs.connected_components
+
+    def counted(graph):
+        traversed.extend(h for h in inputs if graph is h)
+        return components(graph)
+
+    monkeypatch.setattr(cli, "_read_graph", reading)
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("pathgraph") and (
+            getattr(mod, "connected_components", None) is components
+        ):
+            monkeypatch.setattr(mod, "connected_components", counted)
+    call()
+    assert traversed == []
 
 
 def _seeded_union(seed):
@@ -289,6 +324,24 @@ def _seeded_union(seed):
             size = 1 + rng.randrange(12)
             pieces.append(gen_path_graph(size, size, seed)[0])
     return interleaved(pieces, seed)
+
+
+def _index_components(g):
+    """CliqueIndex.components rebuilt from connected_components and the
+    canonical clique list: each clique goes to the component of its first
+    vertex."""
+    comps = connected_components(g)
+    cliques = maximal_cliques(g)
+    return tuple(
+        (comp, tuple(i for i, c in enumerate(cliques) if c[0] in comp)) for comp in comps
+    )
+
+
+def test_index_components_match_a_traversal():
+    cases = [Graph(0, ()), Graph.from_edges(4, []), Graph.from_edges(5, [(1, 3)])]
+    cases += [_seeded_union(seed) for seed in range(40)]
+    for g in cases:
+        assert chordal._index_or_hole(g).components == _index_components(g)
 
 
 def _per_component(g):
