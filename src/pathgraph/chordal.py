@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
-from heapq import heappop, heappush
-from itertools import combinations
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Iterator
 
 from .errors import InputError, InvariantError, PreconditionError
-from .graphs import Graph, VertexSet, is_connected, vset
+from .graphs import Graph, VertexSet, _norm_edge, is_connected, vset
 
 
 @dataclass(frozen=True)
@@ -41,47 +40,76 @@ class CliqueIndex:
     cliques are the maximal cliques in canonical order; occurrences[v] lists,
     increasing, the indices of the cliques that contain v; components holds
     each connected component, by smallest vertex, with the indices of its
-    cliques in canonical order.
+    cliques in canonical order. parent is a clique forest, one tree per
+    component: each clique's parent clique, -1 at a root, and the clique
+    C shares with its parent is C's separator. top[v] is the clique closest
+    to the root among those containing v, so v lies in C's separator exactly
+    when v is in C and top[v] != C.
     """
 
     order: tuple[int, ...]
     cliques: tuple[VertexSet, ...]
     occurrences: tuple[tuple[int, ...], ...]
     components: tuple[tuple[VertexSet, tuple[int, ...]], ...]
+    parent: tuple[int, ...]
+    top: tuple[int, ...]
 
 
 def _mcs(g: Graph) -> tuple[list[int], list[list[int]], list[int]]:
     """Maximum cardinality search; ties broken toward the smallest vertex id.
 
-    A heap keyed (-weight, id), packed into the int id - weight * n, with stale
-    entries skipped on pop: O((n + m) log n). Returns the selection order
-    (first selected first); for each vertex, its neighbors selected before it,
-    in selection order, which are its later neighbors in the reversed
-    (elimination) order, so its weight is their number; and each vertex's
-    component number. A vertex selected at weight 0 starts the next component,
-    and by the tie-break it is that component's smallest vertex.
+    The unselected vertices sit in one set per weight (Tarjan & Yannakakis).
+    A bucket is heapified the first time a vertex is selected from it; after
+    that each arrival into it is pushed, and a popped vertex that has since
+    moved up a bucket is skipped. Weights never fall, so a vertex leaves a
+    bucket for good, and the highest nonempty bucket rises by at most one per
+    selection. O(n + m) bucket moves, with heap work only on the buckets
+    selected from. Returns the selection order (first selected first); for
+    each vertex, its neighbors selected before it, in selection order, which
+    are its later neighbors in the reversed (elimination) order, so its weight
+    is their number; and each vertex's component number. A vertex selected at
+    weight 0 starts the next component, and by the tie-break it is that
+    component's smallest vertex.
     """
     n = g.n
     adj = g.adj
     before: list[list[int]] = [[] for _ in range(n)]
     comp = [-1] * n
-    heap = list(range(n))  # every key id - 0 * n, sorted, hence a heap
+    buckets: list[set[int]] = [set(range(n))]
+    heaps: list[list[int] | None] = [None]
     selection: list[int] = []
     comps = 0
-    while heap:
-        key = heappop(heap)
-        v = key % n
-        if comp[v] >= 0 or key != v - len(before[v]) * n:
-            continue
-        if not before[v]:
+    w = 0  # the highest nonempty bucket
+    for _ in range(n):
+        while not buckets[w]:
+            w -= 1
+        bucket = buckets[w]
+        heap = heaps[w]
+        if heap is None:
+            heap = heaps[w] = list(bucket)
+            heapify(heap)
+        v = heappop(heap)
+        while v not in bucket:
+            v = heappop(heap)
+        bucket.remove(v)
+        if not w:
             comps += 1
         comp[v] = comps - 1
         selection.append(v)
         for u in adj[v]:
             if comp[u] < 0:
                 bu = before[u]
+                buckets[len(bu)].remove(u)
                 bu.append(v)
-                heappush(heap, u - len(bu) * n)
+                k = len(bu)
+                if k == len(buckets):
+                    buckets.append(set())
+                    heaps.append(None)
+                buckets[k].add(u)
+                if heaps[k] is not None:
+                    heappush(heaps[k], u)
+        if w + 1 < len(buckets) and buckets[w + 1]:
+            w += 1
     return selection, before, comp
 
 
@@ -151,27 +179,43 @@ def _find_hole(g: Graph, seed: tuple[int, int, int]) -> tuple[int, ...]:
 
 
 def _index_or_hole(g: Graph) -> CliqueIndex | HoleCertificate:
-    """The clique index of a chordal graph, or a hole certificate, from one
-    maximum cardinality search.
+    """The clique index and clique forest of a chordal graph, or a hole
+    certificate, from one maximum cardinality search.
 
     The elimination order is the search's selection order reversed, so the
     neighbors selected before v are v's later neighbors. The hole is extracted
-    from the first violation. Each maximal clique is C_v = {v} plus v's later
-    neighbors for exactly one v, its earliest vertex. C_v is absorbed when
-    some u whose first later neighbor is v has one more later neighbor than v
-    (then C_u = {u} plus C_v), which is the only way C_v can fail to be
-    maximal. Linear in n + m up to sorting and the heap.
+    from the first violation. The cliques and the tree come off the selection
+    order (Blair & Peyton): v continues the clique of the vertex selected just
+    before it when its weight rose by exactly one; otherwise v starts the new
+    clique {v} plus its later neighbors, whose parent is the clique holding
+    v's most recently selected later neighbor when that one was selected.
+    Each vertex's first clique is the top of the subtree of its cliques.
+    Linear in n + m up to sorting and the search's heaps.
     """
     selection, later, comp = _mcs(g)
     order = selection[::-1]
     bad = _check_peo(g, order, later)
     if bad is not None:
         return HoleCertificate(_canonical_cycle(_find_hole(g, bad)))
-    absorbed = [False] * g.n
-    for lu in later:
-        if lu and len(lu) == len(later[lu[-1]]) + 1:
-            absorbed[lu[-1]] = True
-    cliques = sorted(vset([v, *later[v]]) for v in range(g.n) if not absorbed[v])
+    blocks: list[list[int]] = []  # cliques in the order the search makes them
+    up: list[int] = []  # each block's parent block; -1 at a component's root
+    home = [0] * g.n  # the block each vertex joins
+    weight = -1
+    for v in selection:
+        lv = later[v]
+        if lv and len(lv) == weight + 1:
+            blocks[-1].append(v)
+        else:
+            up.append(home[lv[-1]] if lv else -1)
+            blocks.append([*lv, v])
+        home[v] = len(blocks) - 1
+        weight = len(lv)
+    made = [vset(b) for b in blocks]
+    by_clique = sorted(range(len(made)), key=made.__getitem__)
+    rank = [0] * len(made)
+    for i, b in enumerate(by_clique):
+        rank[b] = i
+    cliques = [made[b] for b in by_clique]
     members: list[list[int]] = [[] for _ in range(max(comp, default=-1) + 1)]
     for v in range(g.n):
         members[comp[v]].append(v)
@@ -186,6 +230,8 @@ def _index_or_hole(g: Graph) -> CliqueIndex | HoleCertificate:
         tuple(cliques),
         tuple(tuple(occ) for occ in occurrences),
         tuple((tuple(vs), tuple(ns)) for vs, ns in zip(members, nodes)),
+        tuple(rank[up[b]] if up[b] >= 0 else -1 for b in by_clique),
+        tuple(rank[b] for b in home),
     )
 
 
@@ -224,6 +270,8 @@ def _relabelled_components(
             tuple(tuple(local[v] for v in index.cliques[ci]) for ci in nodes),
             tuple(tuple(slot[ci] for ci in index.occurrences[v]) for v in comp),
             ((tuple(range(len(comp))), tuple(range(len(nodes)))),),
+            tuple(slot.get(index.parent[ci], -1) for ci in nodes),
+            tuple(slot[index.top[v]] for v in comp),
         )
         end -= len(comp)
 
@@ -257,42 +305,16 @@ def maximal_cliques(g: Graph) -> list[VertexSet]:
 
 
 def clique_tree(g: Graph) -> CliqueTree:
-    """A clique tree of a connected chordal graph.
-
-    Maximum-weight spanning tree of the clique graph under intersection sizes
-    (Kruskal, ties toward lexicographically smaller index pairs), validated
-    against the induced-subtree property.
-    """
-    return _clique_tree(_connected_index(g, "clique_tree"))
-
-
-def _clique_tree(index: CliqueIndex) -> CliqueTree:
-    """clique_tree on the index of a connected chordal graph."""
-    c = len(index.cliques)
-    if c == 0:
-        return CliqueTree((), frozenset())
-    # pairs of cliques sharing a vertex, weighted by how many they share
-    shared = Counter(pair for occ in index.occurrences for pair in combinations(occ, 2))
-    cands = sorted((-w, i, j) for (i, j), w in shared.items())
-    parent = list(range(c))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    edges: set[tuple[int, int]] = set()
-    for _, i, j in cands:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-            edges.add((i, j))
-    if len(edges) != c - 1:
-        raise InvariantError("clique graph of a connected chordal graph must be connected")
-    tree = CliqueTree(index.cliques, frozenset(edges))
+    """A clique tree of a connected chordal graph: the one its maximum
+    cardinality search yields (see _index_or_hole), validated against the
+    induced-subtree property."""
+    index = _connected_index(g, "clique_tree")
+    tree = CliqueTree(
+        index.cliques,
+        frozenset(_norm_edge(i, p) for i, p in enumerate(index.parent) if p >= 0),
+    )
     if not _has_subtree_property(index, tree.edges):
-        raise InvariantError("maximum-weight spanning tree is not a clique tree")
+        raise InvariantError("the search's clique tree lacks the induced-subtree property")
     return tree
 
 

@@ -146,7 +146,7 @@ def _cmd_gen(args) -> int:
     elif args.kind == "chordal":
         g = gen_chordal(args.n, args.seed)
     elif args.kind == "k4hub":
-        g = k4_hub(args.n if args.n else 4)
+        g = k4_hub(args.n)
     else:
         raise InputError(f"unknown kind {args.kind!r}")
     if args.json:
@@ -168,7 +168,7 @@ def _cmd_attachedness(args) -> int:
         raise InputError("attachedness needs a chordal graph")
     if len(index.components) > 1:
         raise InputError("attachedness needs a connected graph")
-    decs = list(_decompositions(g, index))
+    decs = list(_decompositions(index))
     if not decs:
         raise InputError("graph has no clique separator (it is an atom)")
     if not 0 <= args.separator < len(decs):

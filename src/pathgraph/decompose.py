@@ -1,41 +1,115 @@
-"""Decomposition of a chordal graph along maximal clique separators."""
+"""Decomposition of a chordal graph along maximal clique separators, read off
+the clique forest of its search."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from bisect import bisect_right
+from dataclasses import dataclass, field
+from itertools import chain, filterfalse
+from typing import Callable, Iterator
 
 from .chordal import CliqueIndex, _connected_index
 from .errors import PreconditionError
-from .graphs import Graph, VertexSet, components_without, is_clique, vset
+from .graphs import Graph, VertexSet, is_clique, vset
 
 
-@dataclass(frozen=True)
 class GammaComponent:
     """One separated part: a component C of G - Q.
 
     relevant_cliques are the maximal cliques of G[C + Q] which meet the
     separator but do not equal it; traces are their intersections with the
-    separator, deduplicated.
+    separator, deduplicated; smallest is C's smallest vertex. The vertex set
+    C itself, component, is either given or derived on first read by
+    expand(index) from the clique forest: io's full documents read it,
+    recognition and realization never do.
     """
 
-    index: int
-    component: VertexSet
-    relevant_cliques: tuple[VertexSet, ...]
-    traces: tuple[VertexSet, ...]
+    def __init__(
+        self,
+        index: int,
+        component: VertexSet | None = None,
+        relevant_cliques: tuple[VertexSet, ...] = (),
+        traces: tuple[VertexSet, ...] = (),
+        smallest: int | None = None,
+        expand: Callable[[int], VertexSet] | None = None,
+    ) -> None:
+        self.index = index
+        self.relevant_cliques = relevant_cliques
+        self.traces = traces
+        self.smallest = smallest
+        self._component = component
+        self._expand = expand
+
+    @property
+    def component(self) -> VertexSet:
+        if self._component is None:
+            self._component = self._expand(self.index)
+        return self._component
 
 
 @dataclass(frozen=True)
 class Decomposition:
-    """All parts of a graph relative to one maximal clique separator."""
+    """All parts of a graph relative to one maximal clique separator.
+
+    part_of(v) is the index of the part holding v, a vertex outside q.
+    """
 
     q: VertexSet
     gammas: tuple[GammaComponent, ...]
     neighbor_map: dict[int, tuple[int, ...]]  # v in Q -> gammas with v in some trace
+    part_of: Callable[[int], int] = field(repr=False, compare=False)
 
     @property
     def size(self) -> int:
         return len(self.gammas)
+
+
+class _Tour:
+    """An index's clique forest in depth-first preorder: nodes[p] is the
+    clique at position p, and clique x's subtree holds the positions pos[x]
+    to end[x] - 1, inside its tree's root[x]; seps[x] is what x shares with
+    its parent. least(a, b) is the smallest vertex of the cliques at
+    positions a to b - 1, from a sparse table of minima: O(c log c) once,
+    O(1) per query."""
+
+    def __init__(self, index: CliqueIndex) -> None:
+        parent = index.parent
+        c = len(parent)
+        kids: list[list[int]] = [[] for _ in range(c)]
+        stack: list[int] = []
+        for x, p in enumerate(parent):
+            (kids[p] if p >= 0 else stack).append(x)
+        stack.reverse()
+        nodes: list[int] = []
+        while stack:
+            x = stack.pop()
+            nodes.append(x)
+            stack.extend(reversed(kids[x]))
+        pos = [0] * c
+        root = list(range(c))
+        for p, x in enumerate(nodes):
+            pos[x] = p
+            if parent[x] >= 0:
+                root[x] = root[parent[x]]
+        end = [p + 1 for p in pos]
+        for x in reversed(nodes):
+            if parent[x] >= 0:
+                end[parent[x]] = max(end[parent[x]], end[x])
+        table = [[index.cliques[x][0] for x in nodes]]
+        step = 1
+        while 2 * step <= c:
+            row = table[-1]
+            table.append(list(map(min, row[:-step], row[step:])))
+            step *= 2
+        self.nodes, self.pos, self.end, self.root, self._table = nodes, pos, end, root, table
+        self.seps = [
+            [v for v in clique if index.top[v] != x] for x, clique in enumerate(index.cliques)
+        ]
+
+    def least(self, a: int, b: int) -> int:
+        k = (b - a).bit_length() - 1
+        row = self._table[k]
+        return min(row[a], row[b - (1 << k)])
 
 
 def clique_separators(g: Graph) -> list[VertexSet]:
@@ -44,56 +118,120 @@ def clique_separators(g: Graph) -> list[VertexSet]:
     Requires a connected chordal graph.
     """
     index = _connected_index(g, "clique_separators")
-    return [dec.q for dec in _decompositions(g, index)]
+    return [dec.q for dec in _decompositions(index)]
 
 
-def _decompositions(g: Graph, index: CliqueIndex) -> Iterator[Decomposition]:
+def _decompositions(index: CliqueIndex) -> Iterator[Decomposition]:
     """Decompositions of a chordal graph at its clique separators, component
     by component (by smallest vertex) and in canonical order within each,
-    each computed only when the caller gets to it. The parts of G - Q lie in
-    Q's own component, so one traversal of that component finds them."""
-    for comp, nodes in index.components:
+    each computed only when the caller gets to it."""
+    tour = _Tour(index)
+    for _, nodes in index.components:
         for i in nodes:
-            q = index.cliques[i]
-            parts = components_without(g, q, comp)
-            if len(parts) >= 2:
-                yield decomposition(index, q, parts)
+            dec = _decomposition(index, tour, i)
+            if dec is not None:
+                yield dec
 
 
-def decomposition(index: CliqueIndex, q: VertexSet, parts: list[VertexSet]) -> Decomposition:
-    """Decomposition at the separator q with the given parts, read off the index.
+def _decomposition(index: CliqueIndex, tour: _Tour, qi: int) -> Decomposition | None:
+    """The decomposition at the maximal clique Q = cliques[qi], or None when
+    Q separates nothing.
 
-    The maximal cliques of G[C + Q] other than Q are exactly G's maximal
-    cliques holding a vertex of C, so the relevant cliques of part C are the
-    indexed cliques that meet Q and hold a vertex of C. Such a clique lies in
-    C + Q, so any one of its vertices outside Q names its part. O(n + m) per
-    separator.
+    A vertex outside Q has its cliques in one subtree that avoids Q, and two
+    cliques adjacent in the tree share a vertex outside Q unless their
+    separator lies inside Q. So the parts of G - Q are the regions of the
+    tree cut at Q and at every edge whose separator lies inside Q. A
+    separator is never empty, so every cut falls between cliques that meet
+    Q, which form a subtree S around Q. The maximal cliques of G[C + Q] other
+    than Q are G's cliques holding a vertex of C, so a region's relevant
+    cliques are its cliques in S. In preorder, each region is its cliques in
+    S, each followed by a run of cliques hanging below it, plus the cliques
+    above S when it holds S's top. The runs give each part's smallest vertex
+    and, by bisection, the part of any vertex outside Q. The work is the size
+    of the cliques that meet Q.
     """
+    cliques, parent, top = index.cliques, index.parent, index.top
+    pos, end, nodes = tour.pos, tour.end, tour.nodes
+    q = cliques[qi]
     qs = set(q)
-    part_of: dict[int, int] = {}
-    for idx, part in enumerate(parts):
-        part_of.update(dict.fromkeys(part, idx))
-    rel: list[list[VertexSet]] = [[] for _ in parts]
-    for ci in sorted({ci for v in q for ci in index.occurrences[v]}):
-        k = index.cliques[ci]
-        if k != q:
-            rel[part_of[next(v for v in k if v not in qs)]].append(k)
-    gammas = tuple(
-        GammaComponent(
-            index=idx,
-            component=part,
-            relevant_cliques=tuple(rel[idx]),
-            traces=tuple(sorted({vset(qs.intersection(k)) for k in rel[idx]})),
-        )
-        for idx, part in enumerate(parts)
-    )
+    near = sorted(set().union(*map(index.occurrences.__getitem__, q)), key=pos.__getitem__)
+    region = {qi: -1}
+    held: list[list[int]] = []  # each region's cliques that meet Q
+    for z in near:
+        if z != qi:
+            r = region.get(parent[z], -1)
+            if r < 0 or qs.issuperset(tour.seps[z]):
+                r = len(held)
+                held.append([])
+            region[z] = r
+            held[r].append(z)
+    if len(held) < 2:
+        return None
 
+    # the runs: from starts[i] to the next start, positions are in region
+    # labels[i]; Q's own position is in none
+    outer = region[near[0]]
+    last = end[tour.root[qi]]
+    starts, labels = [pos[tour.root[qi]]], [outer]
+    enclosing: list[int] = []
+
+    def close(limit: int) -> None:
+        while enclosing and end[enclosing[-1]] <= limit:
+            starts.append(end[enclosing.pop()])
+            labels.append(region[enclosing[-1]] if enclosing else outer)
+
+    for z in near:
+        close(pos[z])
+        starts.append(pos[z])
+        labels.append(region[z])
+        enclosing.append(z)
+    close(last)
+    bounds = starts[1:] + [last]
+
+    low = [
+        min(filterfalse(qs.__contains__, chain.from_iterable(map(cliques.__getitem__, zs))))
+        for zs in held
+    ]
+    runs = []  # the nonempty runs past the cliques in S
+    for a, b, r in zip(starts, bounds, labels):
+        if r >= 0 and a < b:
+            a += nodes[a] in region
+            if a < b:
+                runs.append((a, b, r))
+                low[r] = min(low[r], tour.least(a, b))
+    order = sorted(range(len(held)), key=low.__getitem__)  # part k is region order[k]
+    rank = {r: k for k, r in enumerate(order)}
+
+    def part_of(v: int) -> int:
+        return rank[labels[bisect_right(starts, pos[top[v]]) - 1]]
+
+    parts: list[VertexSet] = []
+
+    def vertices(k: int) -> VertexSet:
+        if not parts:  # all parts at once
+            found = [set().union(*map(cliques.__getitem__, zs)) for zs in held]
+            for a, b, r in runs:
+                found[r].update(*map(cliques.__getitem__, nodes[a:b]))
+            parts.extend(tuple(sorted(found[r] - qs)) for r in order)
+        return parts[k]
+
+    gammas = []
     nmap: dict[int, list[int]] = {v: [] for v in q}
-    for gm in gammas:
-        for v in {v for t in gm.traces for v in t}:
-            nmap[v].append(gm.index)
+    for k, r in enumerate(order):
+        rel = tuple(map(cliques.__getitem__, sorted(held[r])))
+        traces = tuple(sorted({tuple(filter(qs.__contains__, c)) for c in rel}))
+        gammas.append(
+            GammaComponent(
+                index=k, relevant_cliques=rel, traces=traces, smallest=low[r], expand=vertices
+            )
+        )
+        for v in set().union(*traces):
+            nmap[v].append(k)
     return Decomposition(
-        q=q, gammas=gammas, neighbor_map={v: tuple(ix) for v, ix in nmap.items()}
+        q=q,
+        gammas=tuple(gammas),
+        neighbor_map={v: tuple(ix) for v, ix in nmap.items()},
+        part_of=part_of,
     )
 
 
@@ -104,7 +242,7 @@ def gamma_components(g: Graph, q: VertexSet) -> Decomposition:
     if q not in index.cliques:
         kind = "maximal clique" if is_clique(g, q) else "clique"
         raise PreconditionError(f"{q} is not a {kind}")
-    parts = components_without(g, q)
-    if len(parts) < 2:
+    dec = _decomposition(index, _Tour(index), index.cliques.index(q))
+    if dec is None:
         raise PreconditionError(f"{q} does not separate the graph")
-    return decomposition(index, q, parts)
+    return dec

@@ -95,14 +95,11 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, VertexSe
     return Graph(len(idmap), adj, labels), idmap
 
 
-def components_without(
-    g: Graph, removed: Iterable[int], vertices: Iterable[int] | None = None
-) -> list[VertexSet]:
-    """Connected components of g[vertices] (all of g when None) minus the
-    removed vertices, each a canonical vertex set, sorted by smallest member;
-    one traversal of those vertices."""
+def components_without(g: Graph, removed: Iterable[int]) -> list[VertexSet]:
+    """Connected components of g minus the removed vertices, each a canonical
+    vertex set, sorted by smallest member; one traversal."""
     adj = g.adj
-    unseen = set(range(g.n) if vertices is None else vertices).difference(removed)
+    unseen = set(range(g.n)).difference(removed)
     comps: list[VertexSet] = []
     while unseen:
         s = min(unseen)

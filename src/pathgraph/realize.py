@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
@@ -16,7 +15,7 @@ from .chordal import (
     _tree_adj,
 )
 from .errors import InvariantError, PreconditionError
-from .graphs import Graph, VertexSet, _norm_edge
+from .graphs import Graph, _norm_edge
 from .recognize import SeparatorReport, Verdict, _recognize
 
 
@@ -60,11 +59,6 @@ def _tree_from(verdict: Verdict, index: CliqueIndex) -> CliqueTree:
     return tree
 
 
-def _holds(vs: VertexSet, v: int) -> bool:
-    i = bisect_left(vs, v)
-    return i < len(vs) and vs[i] == v
-
-
 def _assemble(
     index: CliqueIndex, reports: Sequence[SeparatorReport]
 ) -> set[tuple[int, int]]:
@@ -97,17 +91,22 @@ def _assemble(
         results: dict[int, tuple[int, dict[int, int]]] = {}
         kpart = None
         if part is not None:
-            x = next(v for v in cliques[k] if v not in hs)
-            kpart = next(gm.index for gm in gammas if _holds(gm.component, x))
+            kpart = rep.decomposition.part_of(next(v for v in cliques[k] if v not in hs))
             results[kpart] = (k, dict.fromkeys(max(part.traces, key=len), k))
-            gammas = [gm for gm in gammas if _holds(part.component, gm.component[0])]
+            # the other parts of G - H avoid K, so each lies in one part of G - K
+            above = report_at[k].decomposition
+            gammas = [
+                gm
+                for gm in gammas
+                if gm.index != kpart and above.part_of(gm.smallest) == part.index
+            ]
         return h, rep, hs, gammas, results, kpart, part, up
 
     # a separator's component is Q plus its parts, so Q or the first part
     # holds the component's smallest vertex, which names it
     roots: dict[int, SeparatorReport] = {}
     for r in reports:
-        roots.setdefault(min(r.q[0], r.decomposition.gammas[0].component[0]), r)
+        roots.setdefault(min(r.q[0], r.decomposition.gammas[0].smallest), r)
     frames = [frame(node_of[r.q]) for r in roots.values()]
     for h, _, hs, inside, results, _, _, _ in frames:  # the list grows while read
         for gm in inside:

@@ -70,7 +70,7 @@ class DirectedVerdict:
 def _reports(g: Graph, index: CliqueIndex) -> Iterator[SeparatorReport]:
     """Per-separator reports of a chordal graph, up to and including the first
     refuted separator."""
-    for dec in _decompositions(g, index):
+    for dec in _decompositions(index):
         m = quotient(dec)
         s = skeleton(m)
         res = _weak_coloring(m, s)
@@ -129,7 +129,7 @@ def recognize_directed_path_graph(g: Graph) -> DirectedVerdict:
     index = _index_or_hole(g)
     if isinstance(index, HoleCertificate):
         return DirectedVerdict(status=NOT_CHORDAL, hole=index)
-    return _first_odd_cycle((dec.q, quotient(dec)) for dec in _decompositions(g, index))
+    return _first_odd_cycle((dec.q, quotient(dec)) for dec in _decompositions(index))
 
 
 def _directed_verdict(verdict: Verdict) -> DirectedVerdict:

@@ -145,3 +145,73 @@ def realization_by_pairs(g, host) -> bool:
             if bool(set(host.paths[u]) & set(host.paths[v])) != g.has_edge(u, v):
                 return False
     return True
+
+
+def mcs_by_heap(g):
+    """Maximum cardinality search on one heap keyed (-weight, id), packed into
+    the int id - weight * n, with stale entries skipped on pop: one push and
+    one stale pop per edge. Returns what chordal._mcs returns: the selection
+    order, each vertex's neighbors selected before it, in selection order,
+    and each vertex's component number."""
+    from heapq import heappop, heappush
+
+    n = g.n
+    before = [[] for _ in range(n)]
+    comp = [-1] * n
+    heap = list(range(n))  # every key id - 0 * n, sorted, hence a heap
+    selection = []
+    comps = 0
+    while heap:
+        key = heappop(heap)
+        v = key % n
+        if comp[v] >= 0 or key != v - len(before[v]) * n:
+            continue
+        if not before[v]:
+            comps += 1
+        comp[v] = comps - 1
+        selection.append(v)
+        for u in g.adj[v]:
+            if comp[u] < 0:
+                bu = before[u]
+                bu.append(v)
+                heappush(heap, u - len(bu) * n)
+    return selection, before, comp
+
+
+def decompositions_by_traversal(g, index):
+    """The separators of a chordal graph with its clique index, component by
+    component and in canonical order within each, each with its parts found
+    by one breadth-first search of Q's component minus Q. Yields (q, parts,
+    neighbor_map), a part being (component, relevant_cliques, traces) in
+    order of smallest vertex; the relevant cliques of a part are the indexed
+    cliques that meet Q and hold one of its vertices."""
+    for comp, nodes in index.components:
+        for i in nodes:
+            q = index.cliques[i]
+            qs = set(q)
+            unseen = set(comp) - qs
+            parts = []
+            while unseen:
+                part = [min(unseen)]
+                unseen.discard(part[0])
+                for u in part:
+                    new = g.adj[u] & unseen
+                    unseen -= new
+                    part.extend(new)
+                parts.append(tuple(sorted(part)))
+            if len(parts) < 2:
+                continue
+            part_of = {v: k for k, part in enumerate(parts) for v in part}
+            rel = [[] for _ in parts]
+            for ci in sorted({ci for v in q for ci in index.occurrences[v]}):
+                k = index.cliques[ci]
+                if k != q:
+                    rel[part_of[next(v for v in k if v not in qs)]].append(k)
+            out = []
+            nmap = {v: [] for v in q}
+            for k, part in enumerate(parts):
+                traces = tuple(sorted({tuple(sorted(qs.intersection(c))) for c in rel[k]}))
+                out.append((part, tuple(rel[k]), traces))
+                for v in {v for t in traces for v in t}:
+                    nmap[v].append(k)
+            yield q, out, {v: tuple(ks) for v, ks in nmap.items()}

@@ -228,3 +228,20 @@ def test_component_relabel_matches_each_piece_on_its_own():
         assert piece_index == _index_or_hole(sub)
     ((comp, whole),) = _relabelled_components(_index_or_hole(a))
     assert comp == tuple(range(a.n)) and whole == _index_or_hole(a)
+
+
+def test_bucket_search_matches_heap_reference(mixed_graphs):
+    for name, g in mixed_graphs:
+        assert chordal._mcs(g) == _brute.mcs_by_heap(g), name
+
+
+def test_search_tree_is_a_clique_tree_of_each_component(mixed_graphs):
+    unions = 0
+    for name, g in mixed_graphs:
+        if not is_chordal(g):
+            continue
+        for comp in connected_components(g):
+            sub = induced_subgraph(g, comp)[0]
+            assert is_valid_clique_tree(sub, clique_tree(sub)), name
+        unions += name.startswith("union-")
+    assert unions == 30

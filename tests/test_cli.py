@@ -175,6 +175,15 @@ def test_gen_round_trips(capsys):
     assert parse_edgelist(out).edges() == k4_hub().edges()
 
 
+@pytest.mark.parametrize("kind", ["path", "chordal", "k4hub"])
+def test_gen_size_zero_is_an_input_error(capsys, kind):
+    # --n goes to the generator as given, which rejects it
+    code, out, err = run(capsys, "gen", "--kind", kind, "--n", "0")
+    assert code == 2
+    assert out == ""
+    assert "error" in err
+
+
 def test_gen_path_includes_its_host(capsys):
     code, out, _ = run(
         capsys, "gen", "--kind", "path", "--n", "6", "--seed", "2", "--json"

@@ -1,7 +1,8 @@
 import pytest
 
 import _brute
-from pathgraph.decompose import clique_separators, gamma_components
+from pathgraph.chordal import HoleCertificate, _index_or_hole
+from pathgraph.decompose import _decompositions, clique_separators, gamma_components
 from pathgraph.errors import PreconditionError
 from pathgraph.generate import gen_chordal
 from pathgraph.graphs import Graph, induced_subgraph
@@ -113,3 +114,27 @@ def test_relevant_cliques_match_induced_parts(chordal_corpus):
                 assert gm.relevant_cliques == tuple(sorted(want))
                 checked += 1
     assert checked > 400
+
+
+def test_tree_parts_match_traversal_reference(mixed_graphs):
+    # separator order, part order, vertices, relevant cliques, traces and
+    # neighbor map all agree with one traversal of G - Q per clique
+    separators = 0
+    for name, g in mixed_graphs:
+        index = _index_or_hole(g)
+        if isinstance(index, HoleCertificate):
+            continue
+        got = list(_decompositions(index))
+        want = list(_brute.decompositions_by_traversal(g, index))
+        assert [dec.q for dec in got] == [q for q, _, _ in want], name
+        for dec, (_, parts, nmap) in zip(got, want):
+            assert [gm.index for gm in dec.gammas] == list(range(len(parts)))
+            assert [
+                (gm.component, gm.relevant_cliques, gm.traces) for gm in dec.gammas
+            ] == parts, name
+            assert [gm.smallest for gm in dec.gammas] == [c[0] for c, _, _ in parts]
+            assert dec.neighbor_map == nmap
+            for k, (c, _, _) in enumerate(parts):
+                assert all(dec.part_of(v) == k for v in c), name
+            separators += 1
+    assert separators > 1000

@@ -3,9 +3,10 @@ from collections import Counter
 
 import pytest
 
-from pathgraph import attach, chordal, cli, coloring, graphs, recognize
+from pathgraph import attach, chordal, cli, coloring, decompose, graphs, recognize
 from pathgraph.chordal import is_clique_path_tree, maximal_cliques
 from pathgraph.coloring import FULL_ANTIPODAL_TRIPLE
+from pathgraph.decompose import clique_separators
 from pathgraph.errors import GuardRefusal, InvariantError
 from pathgraph.generate import SplitMix64, gen_chordal, gen_path_graph, k4_hub
 from pathgraph.graphs import Graph, connected_components, induced_subgraph
@@ -224,6 +225,36 @@ def test_one_search_per_public_call(monkeypatch, tmp_path, g, prepare, searches)
     monkeypatch.setattr(chordal, "_mcs", counted)
     call()
     assert calls == [g.n] * searches
+
+
+@pytest.mark.parametrize(
+    "g",
+    [Graph.from_edges(300, [(i, i + 1) for i in range(299)])]
+    + [gen_path_graph(80, 80, s)[0] for s in (0, 1)],
+    ids=["P_300", "gen_path_graph_80_80_0", "gen_path_graph_80_80_1"],
+)
+def test_separators_never_walk_the_graph_nor_expand_parts(monkeypatch, g):
+    # each separator's parts are read off the clique tree: no traversal of
+    # G - Q per clique and no part's vertex set; the tree checks may still
+    # traverse the trees themselves
+    walk = graphs.components_without
+
+    def guarded(graph, *args):
+        if graph is g:
+            raise AssertionError("G - Q was traversed")
+        return walk(graph, *args)
+
+    def refuse(part):
+        raise AssertionError("a part's vertex set was expanded")
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("pathgraph") and getattr(mod, "components_without", None) is walk:
+            monkeypatch.setattr(mod, "components_without", guarded)
+    monkeypatch.setattr(decompose.GammaComponent, "component", property(refuse))
+    assert recognize_path_graph(g).is_path_graph
+    assert recognize_directed_path_graph(g).status in (DIRECTED_PATH_GRAPH, NOT_DIRECTED_PATH_GRAPH)
+    assert is_clique_path_tree(g, realize(g))
+    assert clique_separators(g)
 
 
 _GP80_TWICE = Graph.from_edges(160, _GP80.edges() + shift(_GP80.edges(), 80))
