@@ -23,14 +23,11 @@ def dominates(a: GammaComponent, b: GammaComponent) -> bool:
 
 def _nests(a: GammaComponent, b: GammaComponent) -> bool:
     """Every trace of b either contains all traces of a or is disjoint from
-    all of them: dominance, for a pair already known to be attached."""
-    for s in b.traces:
-        ss = set(s)
-        contains = all(set(t) <= ss for t in a.traces)
-        disjoint = all(not (set(t) & ss) for t in a.traces)
-        if not (contains or disjoint):
-            return False
-    return True
+    all of them: dominance, for a pair already known to be attached. A trace
+    contains or misses all of a's traces exactly when it contains or misses
+    their union."""
+    union = set().union(*a.traces)
+    return all(union.issubset(s) or union.isdisjoint(s) for s in b.traces)
 
 
 def antipodal(a: GammaComponent, b: GammaComponent) -> bool:
@@ -90,89 +87,56 @@ def is_neighboring_set(m: AttachednessGraph, classes: tuple[int, ...]) -> int | 
 def quotient(dec: Decomposition) -> AttachednessGraph:
     """Build the attachedness graph over dominance classes.
 
-    Each ordered pair of parts is tested once for attachedness and, when
-    attached, once for trace nesting, which makes it a dominance; an attached
-    pair that is incomparable is antipodal, as `antipodal` defines it. The
-    structural facts the construction leans on are verified rather than
-    assumed: dominance is transitive, and relations do not depend on the
-    choice of class members.
+    Every relation reads only trace sets, and two parts dominate each other
+    exactly when both have one and the same trace: if a <= b and b <= a, a
+    trace t of a meeting some trace s of b holds s, s holds t, and any other
+    trace of a lies in s, so meets b and equals t. The classes are therefore
+    the parts grouped by their single trace, and a part with two or more
+    traces is a class of its own. Classes are related through their first
+    members, and only when they share a Q vertex, which makes them attached;
+    an attached pair that nests neither way is antipodal, as `antipodal`
+    defines it. A nesting both ways across two classes, or a dominance that
+    is not transitive, raises InvariantError.
     """
-    gammas = dec.gammas
-    k = len(gammas)
-    att = [[i != j and attached(a, b) for j, b in enumerate(gammas)]
-           for i, a in enumerate(gammas)]
-    # dom[i][j]: gamma_i <= gamma_j
-    dom = [[att[i][j] and _nests(a, b) for j, b in enumerate(gammas)]
-           for i, a in enumerate(gammas)]
+    classes: dict[object, list[int]] = {}
+    for p in dec.gammas:
+        key = p.traces if len(p.traces) == 1 else p.index
+        classes.setdefault(key, []).append(p.index)
+    members = list(classes.values())
+    assigned = {i: c for c, mem in enumerate(members) for i in mem}
+    reps = [dec.gammas[mem[0]] for mem in members]
+    nmap = {v: tuple(sorted({assigned[i] for i in dec.neighbor_map[v]})) for v in dec.q}
 
-    # transitive: when i <= j, every part above j is above i or is i; one
-    # bitmask row per part makes that O(k^2) row tests
-    up = [sum(1 << j for j in range(k) if dom[i][j]) for i in range(k)]
-    for i in range(k):
-        for j in range(k):
-            if dom[i][j] and up[j] & ~(up[i] | 1 << i):
-                raise InvariantError("dominance is not transitive")
-
-    # classes of mutual dominance, ordered by smallest member
-    assigned = [-1] * k
-    members: list[list[int]] = []
-    for i in range(k):
-        if assigned[i] >= 0:
-            continue
-        cls = [i] + [j for j in range(i + 1, k) if dom[i][j] and dom[j][i]]
-        cid = len(members)
-        for j in cls:
-            assigned[j] = cid
-        members.append(cls)
-
-    reps = [cls[0] for cls in members]
-    s = len(reps)
-
-    # relations between classes, via representatives, checked member-invariant
     a_edges = set()
     d_edges = set()
     order = set()
-    for ci in range(s):
-        for cj in range(ci + 1, s):
-            ri, rj = reps[ci], reps[cj]
-            rel = (att[ri][rj], dom[ri][rj], dom[rj][ri])
-            for a in members[ci]:
-                for b in members[cj]:
-                    if (att[a][b], dom[a][b], dom[b][a]) != rel:
-                        raise InvariantError(
-                            f"relation between classes {ci},{cj} depends on members"
-                        )
-            if dom[ri][rj] or dom[rj][ri]:
+    # up[c]: bitmask of the classes strictly above c
+    up = [0] * len(reps)
+    for ci, a in enumerate(reps):
+        near = {cj for t in a.traces for v in t for cj in nmap[v] if cj > ci}
+        for cj in near:
+            b = reps[cj]
+            ab, ba = _nests(a, b), _nests(b, a)
+            if ab and ba:
+                raise InvariantError(f"classes {ci} and {cj} dominate each other")
+            if ab or ba:
+                lo, hi = (ci, cj) if ab else (cj, ci)
                 d_edges.add((ci, cj))
-                order.add((ci, cj) if dom[ri][rj] else (cj, ci))
-            elif att[ri][rj]:
+                order.add((lo, hi))
+                up[lo] |= 1 << hi
+            else:
                 a_edges.add((ci, cj))
 
-    for a, b in order:
-        if (b, a) in order:
-            raise InvariantError("strict dominance must be antisymmetric after quotient")
-        for c, d in order:
-            if c == b and (a, d) not in order and a != d:
-                raise InvariantError("strict dominance must be transitive after quotient")
+    # transitive: every class above hi is above each lo below hi
+    for lo, hi in order:
+        if up[hi] & ~up[lo]:
+            raise InvariantError("dominance is not transitive")
 
-    nmap: dict[int, tuple[int, ...]] = {}
-    for v in dec.q:
-        by_class = sorted({assigned[i] for i in dec.neighbor_map[v]})
-        for cid in by_class:
-            # neighboring is a class property: every member must agree
-            for member in members[cid]:
-                if member not in dec.neighbor_map[v]:
-                    raise InvariantError(
-                        f"vertex {v} neighbors only part of class {cid}"
-                    )
-        nmap[v] = tuple(by_class)
-
-    ecg = EdgeColoredGraph(s, frozenset(a_edges), frozenset(d_edges))
     return AttachednessGraph(
         q=dec.q,
-        gammas=tuple(gammas[r] for r in reps),
-        class_members=tuple(tuple(cls) for cls in members),
-        edges=ecg,
+        gammas=tuple(reps),
+        class_members=tuple(map(tuple, members)),
+        edges=EdgeColoredGraph(len(reps), frozenset(a_edges), frozenset(d_edges)),
         dominance_order=frozenset(order),
         neighbor_map=nmap,
     )

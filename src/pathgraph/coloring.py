@@ -214,11 +214,11 @@ def _two_color_member(
     class. Returns the coloring, or ("cycle", C) for an odd antipodal cycle, or
     ("path", P, (c1, c2)) for a conflicting path between two pre-colored classes.
     """
-    inside = set(classes)
-    adj = {
-        c: [d for d in sorted(inside) if d != c and m.is_antipodal(c, d)]
-        for c in classes
-    }
+    adj: dict[int, list[int]] = {c: [] for c in classes}
+    for a, b in sorted(m.edges.antipodal):
+        if a in adj and b in adj:
+            adj[a].append(b)
+            adj[b].append(a)
     bit: dict[int, int] = {}
     parent: dict[int, int | None] = {}
     root: dict[int, int] = {}
@@ -358,13 +358,7 @@ def check_canonical_conditions(
                 if any(m.is_antipodal(c, x) for x in dk) and f[c] != other:
                     ok_e = False
     out["e"] = ok_e
-    out["f"] = all(
-        f[a] != f[b]
-        for _, d in s.members()
-        for idx, a in enumerate(d)
-        for b in d[idx + 1 :]
-        if m.is_antipodal(a, b)
-    )
+    out["f"] = all(f[a] != f[b] for a, b in cross_intra_split(m, s)[1])
     return out
 
 

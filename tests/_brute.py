@@ -215,3 +215,106 @@ def decompositions_by_traversal(g, index):
                 for v in {v for t in traces for v in t}:
                     nmap[v].append(k)
             yield q, out, {v: tuple(ks) for v, ks in nmap.items()}
+
+
+def nests_by_trace(a, b):
+    """Every trace of b either contains all traces of a or is disjoint from
+    all of them, tested trace by trace."""
+    for s in b.traces:
+        ss = set(s)
+        contains = all(set(t) <= ss for t in a.traces)
+        disjoint = all(not (set(t) & ss) for t in a.traces)
+        if not (contains or disjoint):
+            return False
+    return True
+
+
+def quotient_by_pairs(dec):
+    """The attachedness graph from k x k relation tables over all parts:
+    classes of mutual dominance by smallest member, relations read off the
+    representatives and checked for every pair of members, strict dominance
+    checked antisymmetric and transitive over every pair of order pairs, and
+    neighboring checked to be a class property."""
+    from pathgraph.attach import AttachednessGraph, attached
+    from pathgraph.errors import InvariantError
+    from pathgraph.graphs import EdgeColoredGraph
+
+    gammas = dec.gammas
+    k = len(gammas)
+    att = [[i != j and attached(a, b) for j, b in enumerate(gammas)]
+           for i, a in enumerate(gammas)]
+    # dom[i][j]: gamma_i <= gamma_j
+    dom = [[att[i][j] and nests_by_trace(a, b) for j, b in enumerate(gammas)]
+           for i, a in enumerate(gammas)]
+
+    # transitive: when i <= j, every part above j is above i or is i; one
+    # bitmask row per part makes that O(k^2) row tests
+    up = [sum(1 << j for j in range(k) if dom[i][j]) for i in range(k)]
+    for i in range(k):
+        for j in range(k):
+            if dom[i][j] and up[j] & ~(up[i] | 1 << i):
+                raise InvariantError("dominance is not transitive")
+
+    # classes of mutual dominance, ordered by smallest member
+    assigned = [-1] * k
+    members = []
+    for i in range(k):
+        if assigned[i] >= 0:
+            continue
+        cls = [i] + [j for j in range(i + 1, k) if dom[i][j] and dom[j][i]]
+        cid = len(members)
+        for j in cls:
+            assigned[j] = cid
+        members.append(cls)
+
+    reps = [cls[0] for cls in members]
+    s = len(reps)
+
+    # relations between classes, via representatives, checked member-invariant
+    a_edges = set()
+    d_edges = set()
+    order = set()
+    for ci in range(s):
+        for cj in range(ci + 1, s):
+            ri, rj = reps[ci], reps[cj]
+            rel = (att[ri][rj], dom[ri][rj], dom[rj][ri])
+            for a in members[ci]:
+                for b in members[cj]:
+                    if (att[a][b], dom[a][b], dom[b][a]) != rel:
+                        raise InvariantError(
+                            f"relation between classes {ci},{cj} depends on members"
+                        )
+            if dom[ri][rj] or dom[rj][ri]:
+                d_edges.add((ci, cj))
+                order.add((ci, cj) if dom[ri][rj] else (cj, ci))
+            elif att[ri][rj]:
+                a_edges.add((ci, cj))
+
+    for a, b in order:
+        if (b, a) in order:
+            raise InvariantError("strict dominance must be antisymmetric after quotient")
+        for c, d in order:
+            if c == b and (a, d) not in order and a != d:
+                raise InvariantError("strict dominance must be transitive after quotient")
+
+    nmap = {}
+    for v in dec.q:
+        by_class = sorted({assigned[i] for i in dec.neighbor_map[v]})
+        for cid in by_class:
+            # neighboring is a class property: every member must agree
+            for member in members[cid]:
+                if member not in dec.neighbor_map[v]:
+                    raise InvariantError(
+                        f"vertex {v} neighbors only part of class {cid}"
+                    )
+        nmap[v] = tuple(by_class)
+
+    ecg = EdgeColoredGraph(s, frozenset(a_edges), frozenset(d_edges))
+    return AttachednessGraph(
+        q=dec.q,
+        gammas=tuple(gammas[r] for r in reps),
+        class_members=tuple(tuple(cls) for cls in members),
+        edges=ecg,
+        dominance_order=frozenset(order),
+        neighbor_map=nmap,
+    )

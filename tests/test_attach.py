@@ -1,7 +1,9 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import _brute
 from pathgraph import attach
 from pathgraph.attach import (
     antipodal,
@@ -10,9 +12,16 @@ from pathgraph.attach import (
     is_neighboring_set,
     quotient,
 )
-from pathgraph.decompose import GammaComponent, clique_separators, gamma_components
+from pathgraph.chordal import HoleCertificate, _index_or_hole
+from pathgraph.decompose import (
+    Decomposition,
+    GammaComponent,
+    _decompositions,
+    clique_separators,
+    gamma_components,
+)
 from pathgraph.errors import InvariantError
-from pathgraph.generate import gen_chordal, k4_hub
+from pathgraph.generate import gen_chordal
 from pathgraph.graphs import ANTIPODAL, Graph, vset
 
 
@@ -93,6 +102,24 @@ def test_identical_singleton_traces_merge_into_one_class():
     m = quotient(gamma_components(g, (0, 1, 2)))
     assert m.size == 1
     assert m.class_members == ((0, 1),)
+
+
+def fans(t):
+    """A triangle Q = {0, 1, 2} and t parts G - Q, each a vertex x on {0, 1}
+    and a vertex y on {0, x}: identical parts with the two traces {0} and
+    {0, 1}."""
+    edges = [(0, 1), (0, 2), (1, 2)]
+    for x in range(3, 3 + 2 * t, 2):
+        edges += [(x, 0), (x, 1), (x + 1, 0), (x + 1, x)]
+    return Graph.from_edges(3 + 2 * t, edges)
+
+
+def test_identical_multi_trace_parts_are_classes_of_their_own():
+    dec = gamma_components(fans(3), (0, 1, 2))
+    assert [p.traces for p in dec.gammas] == [((0,), (0, 1))] * 3
+    m = quotient(dec)
+    assert m.class_members == ((0,), (1,), (2,))
+    assert sorted(m.edges.antipodal) == [(0, 1), (0, 2), (1, 2)]
 
 
 def test_dominance_order_and_skeleton_inputs():
@@ -187,29 +214,98 @@ def test_quotient_strict_order_is_sane(chordal_corpus):
                     assert a == d or (a, d) in order
 
 
-def test_quotient_matches_the_pairwise_relations(chordal_corpus, worked8):
-    """Classes are mutual dominance, antipodal class edges are antipodal
-    parts, and the order is strict dominance, for every pair of parts."""
-    graphs = [g for _, g in chordal_corpus] + [k4_hub(t) for t in (4, 5, 6)] + [worked8]
-    for g in graphs:
-        for q in clique_separators(g):
-            dec = gamma_components(g, q)
+def star(n):
+    """K_{1,n}: every separator's parts share the one trace {0}."""
+    return Graph.from_edges(n + 1, [(0, i) for i in range(1, n + 1)])
+
+
+def chain(q):
+    """A clique {0..q-1} plus, for each i < q - 1, a pendant vertex q + i
+    adjacent to {0..i}: q - 1 separators of nested classes."""
+    edges = list(itertools.combinations(range(q), 2))
+    edges += [(q + i, j) for i in range(q - 1) for j in range(i + 1)]
+    return Graph.from_edges(2 * q - 1, edges)
+
+
+def test_quotient_matches_the_pairwise_relations(mixed_graphs, worked8):
+    """The quotient equals the pairwise reference, which checks member
+    invariance, class antisymmetry and transitivity, and neighboring as a
+    class property; classes are mutual dominance, antipodal class edges are
+    antipodal parts, and the order is strict dominance, for every pair of
+    parts. mixed_graphs holds the chordal corpus and k4_hub(4..7); separators
+    of more than 60 parts (K_{1,200}'s) are left to the stars below, as the
+    reference takes about a quarter second on each."""
+    graphs = mixed_graphs + [("worked8", worked8)]
+    graphs += [(f"K_1,{n}", star(n)) for n in range(2, 31)]
+    graphs += [(f"chain({q})", chain(q)) for q in range(3, 21)]
+    graphs += [(f"fans({t})", fans(t)) for t in range(2, 5)]
+    separators = 0
+    for name, g in graphs:
+        index = _index_or_hole(g)
+        if isinstance(index, HoleCertificate):
+            continue
+        for dec in _decompositions(index):
+            if dec.size > 60:
+                continue
             m = quotient(dec)
+            want = _brute.quotient_by_pairs(dec)
+            assert m.class_members == want.class_members, name
+            assert [p.index for p in m.gammas] == [p.index for p in want.gammas], name
+            assert m.edges == want.edges, name
+            assert m.dominance_order == want.dominance_order, name
+            assert m.neighbor_map == want.neighbor_map, name
+            for v, row in m.neighbor_map.items():
+                assert all(set(m.class_members[c]) <= set(dec.neighbor_map[v]) for c in row)
             cls = {p: c for c, mem in enumerate(m.class_members) for p in mem}
-            for a, b in itertools.permutations(dec.gammas, 2):
+            for a, b in itertools.combinations(dec.gammas, 2):
                 ca, cb = cls[a.index], cls[b.index]
                 ab, ba = dominates(a, b), dominates(b, a)
                 assert (ca == cb) == (ab and ba)
                 assert m.is_antipodal(ca, cb) == antipodal(a, b)
                 assert ((ca, cb) in m.dominance_order) == (ab and not ba)
+                assert ((cb, ca) in m.dominance_order) == (ba and not ab)
+            separators += 1
+    assert separators > 1500
 
 
 def test_quotient_rejects_non_transitive_dominance(monkeypatch):
-    # the star K_{1,4} at {0, 1}: three parts {2}, {3}, {4}, all attached at 0;
-    # a nesting test with 0 <= 1 <= 2 but not 0 <= 2 must not pass unseen
-    star = Graph.from_edges(5, [(0, i) for i in range(1, 5)])
-    dec = gamma_components(star, (0, 1))
-    assert dec.size == 3
+    # three parts with the single traces {0} < {0,1} < {0,1,2}, all sharing
+    # 0; a nesting test with 0 <= 1 <= 2 but not 0 <= 2 must not pass unseen
+    parts = tuple(gm(i, tuple(range(i + 1))) for i in range(3))
+    dec = Decomposition((0, 1, 2), parts, {0: (0, 1, 2), 1: (1, 2), 2: (2,)}, None)
     monkeypatch.setattr(attach, "_nests", lambda a, b: (a.index, b.index) in {(0, 1), (1, 2)})
     with pytest.raises(InvariantError, match="dominance is not transitive"):
         quotient(dec)
+
+
+def test_quotient_rejects_mutual_dominance_across_classes(monkeypatch):
+    # parts {0} and {0,1} are distinct classes; a nesting test that holds both
+    # ways between them contradicts the class lemma and must not pass unseen
+    parts = (gm(0, (0,)), gm(1, (0, 1)))
+    dec = Decomposition((0, 1), parts, {0: (0, 1), 1: (1,)}, None)
+    monkeypatch.setattr(attach, "_nests", lambda a, b: True)
+    with pytest.raises(InvariantError, match="classes 0 and 1 dominate each other"):
+        quotient(dec)
+
+
+def trace_families():
+    """Deduplicated families of nonempty traces over Q = range(6)."""
+    trace = st.frozensets(st.integers(0, 5), min_size=1)
+    return st.sets(trace, min_size=1, max_size=5).map(
+        lambda ts: tuple(sorted(tuple(sorted(t)) for t in ts))
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(trace_families(), trace_families(), st.booleans())
+def test_mutual_dominance_is_one_shared_trace(ta, tb, twins):
+    """The class lemma: two parts dominate each other exactly when both have
+    one and the same trace; twins with two or more traces are antipodal; and
+    the union form of the nesting test agrees with the trace-by-trace one."""
+    a, b = gm(0, *ta), gm(1, *(ta if twins else tb))
+    mutual = dominates(a, b) and dominates(b, a)
+    assert mutual == (a.traces == b.traces and len(a.traces) == 1)
+    if a.traces == b.traces and len(a.traces) > 1:
+        assert antipodal(a, b)
+    for x, y in ((a, b), (b, a)):
+        assert attach._nests(x, y) == _brute.nests_by_trace(x, y)

@@ -409,11 +409,20 @@ def test_disconnected_matches_per_component_recognition():
     assert 20 <= members < 60
 
 
-@pytest.mark.parametrize("g", [_GP80, k4_hub(5)], ids=["gen_path_graph_80_80_0", "k4_hub_5"])
-def test_one_skeleton_and_one_dominance_test_per_separator(monkeypatch, g):
-    # the report, the coloring and the obstruction share one skeleton, and
-    # quotient tests each ordered pair of parts once for attachedness and at
-    # most once, when attached, for trace nesting
+_STAR40 = Graph.from_edges(41, [(0, i) for i in range(1, 41)])
+
+
+@pytest.mark.parametrize(
+    "g, nested",
+    [(_GP80, True), (k4_hub(5), True), (_STAR40, False)],
+    ids=["gen_path_graph_80_80_0", "k4_hub_5", "star_1_40"],
+)
+def test_one_skeleton_and_one_dominance_test_per_separator(monkeypatch, g, nested):
+    # the report, the coloring and the obstruction share one skeleton;
+    # quotient never tests attachedness, and tests trace nesting at most once
+    # per ordered pair of distinct class representatives, and only on pairs
+    # that share a Q vertex; the star's parts all share one trace, so they
+    # form one class and nesting is never tested
     skeletons = []
     per_quotient: list[tuple[Counter, Counter]] = []
     skeleton, quotient = coloring.skeleton, recognize.quotient
@@ -444,12 +453,11 @@ def test_one_skeleton_and_one_dominance_test_per_separator(monkeypatch, g):
     assert verdict.reports
     assert len(per_quotient) == len(verdict.reports)
     for r, (att, nest) in zip(verdict.reports, per_quotient):
-        k = r.decomposition.size
-        assert sorted(att) == [(i, j) for i in range(k) for j in range(k) if i != j]
-        assert set(att.values()) == {1}
-        # the nesting test runs only on attached pairs
+        assert not att
         assert set(nest.values()) <= {1}
         parts = r.decomposition.gammas
+        reps = {p.index for p in r.attachedness.gammas}
+        assert all(i != j and {i, j} <= reps for i, j in nest)
         assert all(attached(parts[i], parts[j]) for i, j in nest)
-    assert any(nest for _, nest in per_quotient)
+    assert any(nest for _, nest in per_quotient) == nested
     assert skeletons == [id(r.attachedness) for r in verdict.reports]
