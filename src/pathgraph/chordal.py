@@ -8,7 +8,7 @@ from heapq import heapify, heappop, heappush
 from typing import Iterable, Iterator
 
 from .errors import InputError, InvariantError, PreconditionError
-from .graphs import Graph, VertexSet, _norm_edge, is_connected, vset
+from .graphs import Graph, VertexSet, _norm_edge, vset
 
 
 @dataclass(frozen=True)
@@ -338,7 +338,15 @@ def _is_tree(c: int, edges: frozenset[tuple[int, int]]) -> bool:
         raise InputError(f"tree edge endpoint out of range for {c} cliques")
     if len(edges) != max(c - 1, 0):
         return False
-    return is_connected(Graph(c, tuple(frozenset(a) for a in _tree_adj(c, edges))))
+    adj = _tree_adj(c, edges)
+    stack = [0] if c else []
+    reached = set(stack)
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in reached:
+                reached.add(w)
+                stack.append(w)
+    return len(reached) == c
 
 
 def _clique_degrees(

@@ -8,9 +8,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator
+from itertools import chain
+from typing import Iterable, Iterator
 
 from .attach import AttachednessGraph, antipodal as parts_antipodal, is_neighboring_set
+from .chordal import _tree_adj
 from .decompose import Decomposition
 from .errors import InvariantError
 
@@ -59,25 +61,25 @@ class WeakColoring:
     num_upper: int
 
 
-def upper_bounds(m: AttachednessGraph) -> tuple[int, ...]:
-    """Classes with no strict dominator, by smallest original part index."""
-    dominated = {a for a, _ in m.dominance_order}
-    return tuple(c for c in range(m.size) if c not in dominated)
-
-
 def full_antipodal_triple(
     m: AttachednessGraph, restrict_to: tuple[int, ...] | None = None
 ) -> tuple[tuple[int, int, int], int] | None:
     """Lexicographically first pairwise-antipodal triple sharing a witness vertex."""
-    cands = sorted(restrict_to) if restrict_to is not None else list(range(m.size))
-    for x, a in enumerate(cands):
-        for y in range(x + 1, len(cands)):
-            b = cands[y]
-            if not m.is_antipodal(a, b):
-                continue
-            for z in range(y + 1, len(cands)):
-                c = cands[z]
-                if m.is_antipodal(a, c) and m.is_antipodal(b, c):
+    cands = range(m.size) if restrict_to is None else restrict_to
+    return _full_triple(m, _tree_adj(m.size, m.edges.antipodal), cands)
+
+
+def _full_triple(
+    m: AttachednessGraph, adj: list[list[int]], cands: Iterable[int]
+) -> tuple[tuple[int, int, int], int] | None:
+    """full_antipodal_triple over the triangles a < b < c of adj among cands,
+    read as pairs b < c of a's later neighbors, in lexicographic order."""
+    inside = set(cands)
+    for a in sorted(inside):
+        later = [b for b in adj[a] if b > a and b in inside]
+        for y, b in enumerate(later):
+            for c in later[y + 1 :]:
+                if m.is_antipodal(b, c):
                     w = is_neighboring_set(m, (a, b, c))
                     if w is not None:
                         return (a, b, c), w
@@ -85,7 +87,10 @@ def full_antipodal_triple(
 
 
 def skeleton(m: AttachednessGraph) -> Skeleton:
-    upper = upper_bounds(m)
+    # the upper bounds are the classes with no strict dominator, by smallest
+    # original part index
+    dominated = {a for a, _ in m.dominance_order}
+    upper = tuple(c for c in range(m.size) if c not in dominated)
     pos = {u: i for i, u in enumerate(upper, start=1)}
     d_single: list[list[int]] = [[] for _ in upper]
     d_pair: dict[tuple[int, int], list[int]] = {}
@@ -114,179 +119,108 @@ def skeleton(m: AttachednessGraph) -> Skeleton:
     )
 
 
-def cross_intra_split(
-    m: AttachednessGraph, s: Skeleton
-) -> tuple[frozenset[tuple[int, int]], frozenset[tuple[int, int]]]:
-    """Antipodal edges split into cross (between members) and intra (within)."""
-    cross, intra = set(), set()
-    for a, b in m.edges.antipodal:
-        if s.member_of.get(a) == s.member_of.get(b):
-            intra.add((a, b))
-        else:
-            cross.add((a, b))
-    return frozenset(cross), frozenset(intra)
+def _cross_colors(s: Skeleton, adj: list[list[int]]) -> dict[int, int] | Refutation:
+    """The colors forced by antipodal edges between members, or the first bad triple.
 
-
-def _check_cross_shape(s: Skeleton, cross: frozenset[tuple[int, int]]) -> None:
-    """Cross edges touching a pair member must end in one of its two single members."""
-    for a, b in cross:
-        for x, y in ((a, b), (b, a)):
-            mx = s.member_of[x]
-            if mx[0] == "DIJ":
-                my = s.member_of[y]
-                if my[0] != "D" or my[1] not in (mx[1], mx[2]):
-                    raise InvariantError(
-                        f"cross edge {x},{y} leaves pair member {mx} illegally"
+    A class of D_i with a cross neighbor gets i. A class of D_ij may have
+    cross neighbors in D_i and D_j only: with both it is a bad triple (its
+    first neighbor on each side), with D_i's alone it gets j, with D_j's
+    alone i. Every cross edge is checked before a bad triple is returned.
+    """
+    f: dict[int, int] = {}
+    bad: Refutation | None = None
+    for key, classes in s.members():
+        for c in classes:
+            cross = [d for d in adj[c] if s.member_of[d] != key]
+            if cross and key[0] == "D":
+                f[c] = key[1]
+            elif cross:
+                i, j = key[1:]
+                first: dict[int, int] = {}
+                for d in cross:
+                    side = s.member_of[d]
+                    if side[0] != "D" or side[1] not in (i, j):
+                        raise InvariantError(
+                            f"cross edge {c},{d} leaves pair member {key} illegally"
+                        )
+                    first.setdefault(side[1], d)
+                if len(first) == 2:
+                    bad = bad or Refutation(
+                        kind=BAD_TRIPLE, classes=(c, first[i], first[j]), pair=(i, j)
                     )
-
-
-def base_coloring_hQ(m: AttachednessGraph, s: Skeleton) -> dict[int, int]:
-    """Color i on every cross vertex lying in a single member D_i."""
-    cross, _ = cross_intra_split(m, s)
-    touched = {v for e in cross for v in e}
-    h: dict[int, int] = {}
-    for c in sorted(touched):
-        key = s.member_of[c]
-        if key[0] == "D":
-            h[c] = key[1]
-    return h
-
-
-def find_bad_triple(
-    m: AttachednessGraph, s: Skeleton
-) -> tuple[tuple[int, int, int], tuple[int, int]] | None:
-    """First (gamma, gamma', gamma'') with gamma in D_ij antipodal into both D_i and D_j."""
-    for (i, j), pair_classes in sorted(s.d_pair.items()):
-        di = s.d_single[i - 1]
-        dj = s.d_single[j - 1]
-        for g in pair_classes:
-            for g1 in di:
-                if not m.is_antipodal(g, g1):
-                    continue
-                for g2 in dj:
-                    if m.is_antipodal(g, g2):
-                        return (g, g1, g2), (i, j)
-    return None
-
-
-def cross_extension(
-    m: AttachednessGraph, s: Skeleton, h: dict[int, int]
-) -> dict[int, int]:
-    """Extend the base coloring over pair-member cross vertices (forced choices)."""
-    cross, _ = cross_intra_split(m, s)
-    nbrs: dict[int, set[int]] = {}
-    for a, b in cross:
-        nbrs.setdefault(a, set()).add(b)
-        nbrs.setdefault(b, set()).add(a)
-    out = dict(h)
-    for (i, j), pair_classes in sorted(s.d_pair.items()):
-        for g in pair_classes:
-            if g not in nbrs:
-                continue
-            forced = set()
-            for d in nbrs[g]:
-                key = s.member_of[d]
-                if key[0] == "D" and key[1] in (i, j):
-                    forced.add(j if key[1] == i else i)
-            if len(forced) == 2:
-                raise InvariantError(
-                    f"class {g} forced both ways; a bad triple was missed"
-                )
-            # unreachable without a forcing neighbor once the cross shape holds,
-            # but the tie-break is fixed regardless
-            out[g] = forced.pop() if forced else min(i, j)
-    for a, b in cross:
-        if out[a] == out[b]:
-            raise InvariantError(f"cross extension is not proper at {a},{b}")
-    return out
+                else:
+                    f[c] = j if i in first else i
+    return bad or f
 
 
 def _two_color_member(
-    m: AttachednessGraph,
-    classes: tuple[int, ...],
+    adj: list[list[int]],
+    classes: Iterable[int],
     pre: dict[int, int],
     ca: int,
     cb: int,
 ) -> dict[int, int] | tuple:
-    """Extend pre to a proper 2-coloring of the antipodal graph on classes.
+    """Extend pre to a proper 2-coloring of the antipodal graph adj on classes.
 
     Colors are {ca, cb}; un-seeded components default to ca on their smallest
     class. Returns the coloring, or ("cycle", C) for an odd antipodal cycle, or
     ("path", P, (c1, c2)) for a conflicting path between two pre-colored classes.
     """
-    adj: dict[int, list[int]] = {c: [] for c in classes}
-    for a, b in sorted(m.edges.antipodal):
-        if a in adj and b in adj:
-            adj[a].append(b)
-            adj[b].append(a)
+    inside = set(classes)
     bit: dict[int, int] = {}
     parent: dict[int, int | None] = {}
-    root: dict[int, int] = {}
 
-    def chain(c: int) -> list[int]:
+    def to_root(c: int) -> list[int]:
         out = [c]
         while parent[out[-1]] is not None:
             out.append(parent[out[-1]])
-        return out
+        return out[::-1]  # root .. c
 
     def conflict(u: int, w: int) -> tuple:
-        if root[u] == root[w]:
-            up, wp = chain(u)[::-1], chain(w)[::-1]  # root .. vertex
-            l = 0
-            while l < len(up) and l < len(wp) and up[l] == wp[l]:
-                l += 1
-            cycle = up[l - 1 :] + wp[l:][::-1]
-            return ("cycle", tuple(cycle))
-        path = chain(u)[::-1] + chain(w)
-        return ("path", tuple(path), (pre[root[u]], pre[root[w]]))
+        up, wp = to_root(u), to_root(w)
+        if up[0] != wp[0]:
+            return ("path", tuple(up + wp[::-1]), (pre[up[0]], pre[wp[0]]))
+        l = 0
+        while l < len(up) and l < len(wp) and up[l] == wp[l]:
+            l += 1
+        return ("cycle", tuple(up[l - 1 :] + wp[l:][::-1]))
 
-    def bfs(queue: deque) -> tuple | None:
+    # the pre-colored classes spread together first, then each remaining
+    # component from its smallest class
+    order = sorted(inside)
+    for seeds in chain([[c for c in order if c in pre]], ([c] for c in order)):
+        queue = deque(c for c in seeds if c not in bit)
+        for c in queue:
+            bit[c] = 0 if pre.get(c, ca) == ca else 1
+            parent[c] = None
         while queue:
             u = queue.popleft()
             for w in adj[u]:
+                if w not in inside:
+                    continue
                 if w not in bit:
                     bit[w] = bit[u] ^ 1
                     parent[w] = u
-                    root[w] = root[u]
                     queue.append(w)
                 elif bit[w] == bit[u]:
                     return conflict(u, w)
-        return None
-
-    queue: deque = deque()
-    for c in sorted(classes):
-        if c in pre:
-            bit[c] = 0 if pre[c] == ca else 1
-            parent[c] = None
-            root[c] = c
-            queue.append(c)
-    bad = bfs(queue)
-    if bad is not None:
-        return bad
-    for c in sorted(classes):
-        if c in bit:
-            continue
-        bit[c] = 0
-        parent[c] = None
-        root[c] = c
-        bad = bfs(deque([c]))
-        if bad is not None:
-            return bad
     return {c: ca if bit[c] == 0 else cb for c in classes}
 
 
 def weak_coloring(m: AttachednessGraph) -> WeakColoring | Refutation:
     """The canonical weak coloring of the attachedness structure, or a refutation.
 
-    Pipeline: full antipodal triple over the upper bounds, skeleton, bad triple,
-    cross extension, then per-member proper 2-colorings by bipartite propagation.
+    Pipeline: skeleton, full antipodal triple over the upper bounds, the
+    colors forced across members (or a bad triple), then per-member proper
+    2-colorings by bipartite propagation, all read off one antipodal adjacency.
     """
     return _weak_coloring(m, skeleton(m))
 
 
 def _weak_coloring(m: AttachednessGraph, s: Skeleton) -> WeakColoring | Refutation:
     """weak_coloring on the skeleton of m, which the caller has built."""
-    ft = full_antipodal_triple(m, restrict_to=s.upper)
+    adj = _tree_adj(m.size, m.edges.antipodal)  # sorted antipodal neighbors
+    ft = _full_triple(m, adj, s.upper)
     if ft is not None:
         return Refutation(kind=FULL_ANTIPODAL_TRIPLE, classes=ft[0], witness=ft[1])
     if s.unassigned:
@@ -295,19 +229,15 @@ def _weak_coloring(m: AttachednessGraph, s: Skeleton) -> WeakColoring | Refutati
         g = s.unassigned[0]
         raise InvariantError(f"class {g} has 3+ upper bounds but no full triple")
 
-    cross, _ = cross_intra_split(m, s)
-    _check_cross_shape(s, cross)
-    h = base_coloring_hQ(m, s)
-    bt = find_bad_triple(m, s)
-    if bt is not None:
-        return Refutation(kind=BAD_TRIPLE, classes=bt[0], pair=bt[1])
-    f = cross_extension(m, s, h)
+    f = _cross_colors(s, adj)
+    if isinstance(f, Refutation):
+        return f
 
     l = len(s.upper)
     for key, classes in s.members():
         ca, cb = (key[1], l + 1) if key[0] == "D" else (key[1], key[2])
         pre = {c: f[c] for c in classes if c in f}
-        res = _two_color_member(m, classes, pre, ca, cb)
+        res = _two_color_member(adj, classes, pre, ca, cb)
         if isinstance(res, tuple):
             if res[0] == "cycle":
                 return Refutation(
@@ -325,12 +255,14 @@ def _weak_coloring(m: AttachednessGraph, s: Skeleton) -> WeakColoring | Refutati
             )
         f.update(res)
 
-    wc = WeakColoring(f=f, num_upper=l)
+    for a, b in m.edges.antipodal:
+        if f[a] == f[b]:
+            raise InvariantError(f"weak coloring is not proper at {a},{b}")
     conds = check_canonical_conditions(m, s, f)
     broken = [name for name, ok in conds.items() if not ok]
     if broken:
         raise InvariantError(f"weak coloring violates conditions {broken}")
-    return wc
+    return WeakColoring(f=f, num_upper=l)
 
 
 def check_canonical_conditions(
@@ -358,7 +290,11 @@ def check_canonical_conditions(
                 if any(m.is_antipodal(c, x) for x in dk) and f[c] != other:
                     ok_e = False
     out["e"] = ok_e
-    out["f"] = all(f[a] != f[b] for a, b in cross_intra_split(m, s)[1])
+    out["f"] = all(
+        f[a] != f[b]
+        for a, b in m.edges.antipodal
+        if s.member_of.get(a) == s.member_of.get(b)
+    )
     return out
 
 

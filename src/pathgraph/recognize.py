@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .attach import AttachednessGraph, quotient
-from .chordal import CliqueIndex, HoleCertificate, _index_or_hole
+from .chordal import CliqueIndex, HoleCertificate, _index_or_hole, _tree_adj
 from .coloring import (
     Refutation,
     Skeleton,
@@ -115,7 +115,8 @@ def _first_odd_cycle(
     in separator order: refuted at the first odd cycle in an antipodal graph
     over classes."""
     for q, m in quotients:
-        res = _two_color_member(m, tuple(range(m.size)), {}, 0, 1)
+        adj = _tree_adj(m.size, m.edges.antipodal)
+        res = _two_color_member(adj, range(m.size), {}, 0, 1)
         if isinstance(res, tuple):
             return DirectedVerdict(
                 status=NOT_DIRECTED_PATH_GRAPH, hole=None, q=q, odd_cycle=res[1]

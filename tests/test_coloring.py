@@ -9,17 +9,14 @@ from pathgraph.coloring import (
     INTRA_NOT_2_COLORABLE,
     Refutation,
     WeakColoring,
-    base_coloring_hQ,
     check_canonical_conditions,
-    cross_intra_split,
-    find_bad_triple,
     full_antipodal_triple,
     is_strong_coloring,
     skeleton,
-    upper_bounds,
     weak_coloring,
 )
 from pathgraph.decompose import clique_separators, gamma_components
+from pathgraph.errors import InvariantError
 from pathgraph.generate import gen_chordal
 from pathgraph.graphs import Graph
 
@@ -41,16 +38,11 @@ def test_worked8_weak_coloring_both_separators(worked8):
 
 def test_worked8_skeleton(worked8):
     _, m = mq(worked8, (1, 2, 4))
-    assert upper_bounds(m) == (0, 1, 2)
     s = skeleton(m)
     assert s.upper == (0, 1, 2)
     assert s.d_single == ((0,), (1,), (2,))
     assert s.d_pair == {}
     assert s.unassigned == ()
-    cross, intra = cross_intra_split(m, s)
-    assert cross == frozenset({(0, 1), (0, 2), (1, 2)})
-    assert intra == frozenset()
-    assert base_coloring_hQ(m, s) == {0: 1, 1: 2, 2: 3}
 
 
 def test_worked8_canonical_conditions_hold(worked8):
@@ -88,6 +80,19 @@ def test_full_antipodal_triple_restriction(k4hub):
     assert full_antipodal_triple(m, restrict_to=(0, 2)) is None
 
 
+def test_full_antipodal_triple_is_the_first_witnessed_one():
+    # triangle {0, 1, 4} comes first but no vertex neighbors all three;
+    # triangle {0, 2, 3} has witness 3
+    m = _hosts.fake_m(
+        5,
+        anti={(0, 1), (0, 4), (1, 4), (0, 2), (0, 3), (2, 3)},
+        neighbor_map={0: (0, 1), 1: (1, 4), 2: (0, 4), 3: (0, 2, 3)},
+    )
+    assert full_antipodal_triple(m) == ((0, 2, 3), 3)
+    assert full_antipodal_triple(m, restrict_to=(0, 1, 4)) is None
+    assert full_antipodal_triple(m, restrict_to=(3, 2, 0)) == ((0, 2, 3), 3)
+
+
 def test_triple_needs_a_common_witness(worked8):
     # pairwise antipodal, but no separator vertex neighbors all three parts
     _, m = mq(worked8, (1, 2, 4))
@@ -100,12 +105,31 @@ def test_bad_triple_detection_and_refutation():
     assert s.upper == (3, 4)
     assert s.d_single == ((0, 3), (2, 4))
     assert s.d_pair == {(1, 2): (1,)}
-    assert find_bad_triple(m, s) == ((1, 0, 2), (1, 2))
     r = weak_coloring(m)
     assert isinstance(r, Refutation)
     assert r.kind == BAD_TRIPLE
     assert r.classes == (1, 0, 2)
     assert r.pair == (1, 2)
+
+
+def test_cross_edge_leaving_a_pair_member_raises():
+    # uppers 4, 5, 6; class 1 in D_12 is a bad triple with 0 in D_1 and 2 in
+    # D_2, but class 3 in D_23 is antipodal to 0 in D_1, which no path graph
+    # allows; the edge is reported although the bad triple comes first
+    order = {(0, 4), (1, 4), (1, 5), (2, 5), (3, 5), (3, 6)}
+    r = weak_coloring(_hosts.fake_m(7, {(0, 1), (1, 2)}, order))
+    assert (r.kind, r.classes, r.pair) == (BAD_TRIPLE, (1, 0, 2), (1, 2))
+    with pytest.raises(InvariantError, match="leaves pair member"):
+        weak_coloring(_hosts.fake_m(7, {(0, 1), (1, 2), (0, 3)}, order))
+
+
+def test_three_upper_bounds_without_a_full_triple_raise():
+    # class 3 lies under the pairwise antipodal uppers 0, 1, 2, but no Q
+    # vertex neighbors all three
+    m = _hosts.fake_m(4, {(0, 1), (0, 2), (1, 2)}, {(3, 0), (3, 1), (3, 2)})
+    assert full_antipodal_triple(m) is None
+    with pytest.raises(InvariantError, match="3\\+ upper bounds"):
+        weak_coloring(m)
 
 
 def test_odd_cycle_refutation():
