@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-import json
+import re
+from json.encoder import encode_basestring_ascii as _quote
 
 from .attach import AttachednessGraph
 from .chordal import CliqueTree
@@ -20,6 +21,7 @@ from .recognize import (
 )
 
 GRAPH6_HEADER = ">>graph6<<"
+_DECIMAL = re.compile(r"-?[0-9]+").fullmatch
 
 _FAMILY_JSON = {
     "W0": "w0",
@@ -40,46 +42,49 @@ def parse_graph(text: str, fmt: str = "edgelist") -> Graph:
 
 
 def parse_edgelist(text: str) -> Graph:
-    """Lines "u v" with 0-based ids, optional "p <n>" header, "#" comments."""
+    """Lines "u v", an optional "p <n>" header first, "#" comments. Ids and n are
+    ASCII -?[0-9]+, ids 0-based; with no header n is the largest id plus one."""
     n: int | None = None
     edges: list[tuple[int, int]] = []
-    max_seen = -1
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    plain = text.isascii()  # then str.isdigit accepts exactly [0-9]+
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line[:line.index("#")]
         parts = line.split()
+        if not parts:
+            continue
         if parts[0] == "p":
             if n is not None or edges:
                 raise InputError(f"line {lineno}: header after data")
             if len(parts) != 2:
                 raise InputError(f"line {lineno}: header must be 'p <n>'")
-            try:
-                n = int(parts[1])
-            except ValueError:
+            if not _DECIMAL(parts[1]):
                 raise InputError(f"line {lineno}: bad vertex count {parts[1]!r}")
+            n = int(parts[1])
             if n < 0:
                 raise InputError(f"line {lineno}: negative vertex count")
             continue
+        line = line.strip()
         if len(parts) != 2:
             raise InputError(f"line {lineno}: expected 'u v', got {line!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
+        a, b = parts
+        if not (plain and a.isdigit() and b.isdigit() or _DECIMAL(a) and _DECIMAL(b)):
             raise InputError(f"line {lineno}: non-integer vertex id in {line!r}")
-        if u < 0 or v < 0:
+        u, v = int(a), int(b)
+        if u > v:
+            u, v = v, u
+        if u < 0:
             raise InputError(f"line {lineno}: negative vertex id")
         if u == v:
             raise InputError(f"line {lineno}: self-loop on {u}")
-        if n is not None and (u >= n or v >= n):
+        if n is not None and v >= n:
             raise InputError(f"line {lineno}: vertex id beyond declared count {n}")
-        edges.append((u, v) if u < v else (v, u))
-        max_seen = max(max_seen, u, v)
+        edges.append((u, v))
     if n is None:
-        if max_seen < 0:
+        if not edges:
             raise InputError("empty graph input (no header, no edges)")
-        n = max_seen + 1
-    return Graph.from_edges(n, sorted(set(edges)))
+        n = max(v for _, v in edges) + 1
+    return Graph.from_edges(n, edges)
 
 
 def emit_edgelist(g: Graph) -> str:
@@ -118,10 +123,7 @@ def parse_graph6(text: str) -> Graph:
     need = (n * (n - 1) // 2 + 5) // 6
     if len(vals) - pos < need:
         raise InputError("graph6: truncated edge bits")
-    bits = []
-    for v in vals[pos:pos + need]:
-        for k in range(5, -1, -1):
-            bits.append((v >> k) & 1)
+    bits = [(v >> k) & 1 for v in vals[pos:pos + need] for k in range(5, -1, -1)]
     edges = []
     idx = 0
     for j in range(1, n):
@@ -144,10 +146,7 @@ def emit_graph6(g: Graph) -> str:
         head = chr(126) * 2 + "".join(
             chr(((n >> k) & 63) + 63) for k in (30, 24, 18, 12, 6, 0)
         )
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(1 if g.has_edge(i, j) else 0)
+    bits = [int(g.has_edge(i, j)) for j in range(1, n) for i in range(j)]
     while len(bits) % 6:
         bits.append(0)
     body = "".join(
@@ -276,7 +275,33 @@ def verdict_document(
 
 
 def emit_verdict(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Byte-identical to ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` on
+    dicts with str keys, lists, strs, ints, bools and None; others: TypeError."""
+    return _json(doc, "\n") + "\n"
+
+
+_LITERALS = {True: "true", False: "false", None: "null"}
+
+
+def _json(x, nl: str) -> str:
+    """x as JSON; nl is a newline plus the indent of the line x starts on."""
+    t = type(x)
+    if t is list:
+        inner = nl + "  "
+        ints = {*map(type, x)} == {int}
+        items = map(str, x) if ints else [_json(v, inner) for v in x]
+        return "[" + inner + ("," + inner).join(items) + nl + "]" if x else "[]"
+    if t is dict:
+        inner = nl + "  "
+        items = [_quote(k) + ": " + _json(x[k], inner) for k in sorted(x)]
+        return "{" + inner + ("," + inner).join(items) + nl + "}" if x else "{}"
+    if t is str:
+        return _quote(x)
+    if t is int:
+        return str(x)
+    if t is bool or x is None:
+        return _LITERALS[x]
+    raise TypeError(f"cannot emit {t.__name__} as JSON")
 
 
 def _dot_colored(name: str, ecg: EdgeColoredGraph, node_labels=None) -> str:

@@ -4,6 +4,10 @@ These are deliberately naive and independent of the library internals.
 """
 
 import itertools
+import json
+
+from pathgraph.errors import InputError
+from pathgraph.graphs import Graph
 
 
 def chordal_by_elimination(g) -> bool:
@@ -318,3 +322,51 @@ def quotient_by_pairs(dec):
         dominance_order=frozenset(order),
         neighbor_map=nmap,
     )
+
+
+def emit_verdict_reference(doc) -> str:
+    """The verdict document text as the json module writes it."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def parse_edgelist_reference(text: str) -> Graph:
+    """Lines "u v" with 0-based ids, optional "p <n>" header, "#" comments."""
+    n: int | None = None
+    edges: list[tuple[int, int]] = []
+    max_seen = -1
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if parts[0] == "p":
+            if n is not None or edges:
+                raise InputError(f"line {lineno}: header after data")
+            if len(parts) != 2:
+                raise InputError(f"line {lineno}: header must be 'p <n>'")
+            try:
+                n = int(parts[1])
+            except ValueError:
+                raise InputError(f"line {lineno}: bad vertex count {parts[1]!r}")
+            if n < 0:
+                raise InputError(f"line {lineno}: negative vertex count")
+            continue
+        if len(parts) != 2:
+            raise InputError(f"line {lineno}: expected 'u v', got {line!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise InputError(f"line {lineno}: non-integer vertex id in {line!r}")
+        if u < 0 or v < 0:
+            raise InputError(f"line {lineno}: negative vertex id")
+        if u == v:
+            raise InputError(f"line {lineno}: self-loop on {u}")
+        if n is not None and (u >= n or v >= n):
+            raise InputError(f"line {lineno}: vertex id beyond declared count {n}")
+        edges.append((u, v) if u < v else (v, u))
+        max_seen = max(max_seen, u, v)
+    if n is None:
+        if max_seen < 0:
+            raise InputError("empty graph input (no header, no edges)")
+        n = max_seen + 1
+    return Graph.from_edges(n, sorted(set(edges)))

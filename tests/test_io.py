@@ -1,8 +1,15 @@
+import contextlib
+import io
 import json
+import re
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import pathgraph.io as gio
 from pathgraph.attach import quotient
+from pathgraph.cli import main
 from pathgraph.decompose import gamma_components
 from pathgraph.errors import InputError
 from pathgraph.generate import gen_chordal, k4_hub
@@ -23,7 +30,9 @@ from pathgraph.obstructions import W0, build_family
 from pathgraph.realize import clique_path_tree_to_host, realize
 from pathgraph.recognize import recognize_directed_path_graph, recognize_path_graph
 
+from _brute import emit_verdict_reference, parse_edgelist_reference
 from conftest import WORKED8_EDGES
+from make_certify_golden import corpus
 
 K3 = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
 P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -53,6 +62,16 @@ def test_parse_edgelist_basics():
         ("p x", "line 1"),
         ("0 1 2", "line 1"),
         ("", "empty"),
+        # ids and counts are ASCII -?[0-9]+, not whatever int() accepts
+        ("1_0 2", "line 1: non-integer vertex id"),
+        ("\u0661 2", "line 1: non-integer vertex id"),
+        ("+1 2", "line 1: non-integer vertex id"),
+        ("0 1\n2 \uff13", "line 2: non-integer vertex id"),
+        ("p 1_0", "line 1: bad vertex count"),
+        ("p +3", "line 1: bad vertex count"),
+        ("p \u0663", "line 1: bad vertex count"),
+        ("2 -3", "line 1: negative vertex id"),
+        ("p -3", "line 1: negative vertex count"),
     ],
 )
 def test_parse_edgelist_errors(text, fragment):
@@ -214,3 +233,212 @@ def test_realization_doc_without_host(worked8):
     doc = realization_doc(realize(worked8))
     assert "host" not in doc
     assert len(doc["cliques"]) == 6
+
+
+def _cli_json(argv, text="") -> tuple[int, str]:
+    """Exit code and stdout of the CLI run in-process on text as stdin."""
+    out = io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(argv + ["--json"])
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue()
+
+
+def test_emit_verdict_matches_json_on_every_cli_document(monkeypatch):
+    docs = []
+    emit = gio.emit_verdict
+
+    def recording(doc):
+        docs.append(doc)
+        return emit(doc)
+
+    monkeypatch.setattr(gio, "emit_verdict", recording)
+    for _, g, _ in corpus():
+        text = emit_edgelist(g)
+        for argv in (
+            ["certify", "-"],
+            ["certify", "-", "--realize"],
+            ["recognize", "-"],
+            ["realize", "-"],
+            ["attachedness", "-"],
+        ):
+            _cli_json(argv, text)
+        if g.n <= 12:
+            _cli_json(["oracle", "-"], text)
+    for kind in ("path", "chordal", "k4hub"):
+        for n in (4, 9):
+            _cli_json(["gen", "--kind", kind, "--n", str(n), "--seed", "3"])
+    for family in ("w0", "w1", "f", "ftilde", "df"):
+        _cli_json(["obstruction", "--family", family, "--size", "2"])
+    shapes = {json.dumps(sorted(d)) for d in docs}
+    assert '["path_graph"]' in shapes  # the rejection document
+    assert len(shapes) >= 8
+    assert [d for d in docs if emit(d) != emit_verdict_reference(d)] == []
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {},
+        {"a": {}, "b": [], "c": [{}, [], [[]], {"d": []}]},
+        {"mixed": [True, 1, False, 0, None], "bools": [True, 1, False], "f": [0]},
+        {"ints": [-1, 0, -(10**39), 10**39, 1234567890123456789012345678901234567890]},
+        {"10": 1, "2": 2, "1": {"b": 0, "a": 1}, "": None, "B": 3, "a": 4},
+        {"s": ['say "hi"', "back\\slash", "\x00\x1f\t\n\r\x7f", "café π \U0001f600"]},
+        {"q\"\\é": [" ", "/"], "nested": [[1, [2, [3, []]]], [[{"x": [4]}]]]},
+    ],
+)
+def test_emit_verdict_matches_json_on_hand_cases(doc):
+    assert emit_verdict(doc) == emit_verdict_reference(doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"x": 1.5},
+        {"x": (1, 2)},
+        {"x": {1, 2}},
+        {"x": [0, 1, 2.0]},
+        {"x": [[0, (1,)]]},
+        {1: 2},
+    ],
+)
+def test_emit_verdict_rejects_other_types(doc):
+    with pytest.raises(TypeError):
+        emit_verdict(doc)
+
+
+def test_json_commands_do_not_use_json_dumps(monkeypatch, worked8, k4hub):
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.dumps called")
+
+    monkeypatch.setattr(json, "dumps", refuse)
+    member, other = emit_edgelist(worked8), emit_edgelist(k4hub)
+    runs = [
+        (["certify", "-", "--realize"], member),
+        (["certify", "-"], other),
+        (["recognize", "-"], member),
+        (["realize", "-"], member),
+        (["realize", "-"], other),
+        (["oracle", "-"], member),
+        (["oracle", "-"], other),
+        (["attachedness", "-"], member),
+        (["gen", "--kind", "path"], ""),
+        (["obstruction", "--family", "w0"], ""),
+    ]
+    for argv, text in runs:
+        code, out = _cli_json(argv, text)
+        assert code in (0, 1), argv
+        assert isinstance(json.loads(out), dict), argv
+
+
+def _parsed(parse, text):
+    """The graph parse makes of text, or the message of its InputError."""
+    try:
+        return parse(text)
+    except InputError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "p 3\n0 1\n1 2\n",
+        "p 0\n",
+        "p 4\n",
+        "# only a comment\n\n   \n",
+        "# c\np 3 # header comment\n\n0 1 # edge\n#0 2\n",
+        "0 1\r\n1 2\r\n",
+        "p\t3\r\n0\t1\r\n\t2   1\t\n",
+        "0 1\n1 0\n0 1\n2 1\n",
+        "5 2\n2 5\n",
+        "0 1\n\n\n1 2\n#\n2 0",
+        "-0 1",
+        "p -0",
+        "p 007\n006 000",
+        "0 1\np 3",
+        "p 3\np 3",
+        "p",
+        "p 3 4",
+        "p x",
+        "p --1",
+        "p -2",
+        "0",
+        "0 1 2",
+        "0 1\n1 x",
+        "0 --1",
+        "- 1",
+        "-1 2",
+        "1 -2",
+        "-1 x",
+        "3 3",
+        "-1 -1",
+        "p 3\n0 3",
+        "p 3\n3 0",
+        "p 3\n0 0",
+        "",
+        "\n\n",
+        "p0 1",
+        "0#1",
+        "0 1#2 3",
+        "0 1 # caf\u00e9\n1 2",
+        "0\u30001\n1\u00a02",
+        "0 \u00b2",
+    ],
+)
+def test_parse_edgelist_matches_reference(text):
+    assert _parsed(parse_edgelist, text) == _parsed(parse_edgelist_reference, text)
+
+
+def _capped(text: str) -> str:
+    """text with every digit run cut to two digits: a header 'p N' makes
+    Graph.from_edges allocate N sets, so drawn counts stay below 100."""
+    return re.sub(r"[0-9]{3,}", lambda m: m.group()[:2], text)
+
+
+_EDGELIST_TEXT = st.one_of(
+    st.text(alphabet="0123456789p#-\t\r\n ", max_size=40),
+    # non-ASCII text that int() rejects too: a letter, two spaces, a superscript
+    st.text(alphabet="0123456789p#-\n \u00e9\u3000\u00a0\u00b2", max_size=40),
+    st.lists(
+        st.lists(
+            st.sampled_from(["p", "#", "-", "0", "1", "2", "7", "12", "-1", "-0"]),
+            max_size=4,
+        ).flatmap(
+            lambda toks: st.lists(
+                st.sampled_from([" ", "\t", "  "]),
+                min_size=len(toks),
+                max_size=len(toks),
+            ).map(lambda seps: "".join(s + t for s, t in zip(seps, toks)))
+        ),
+        max_size=8,
+    ).flatmap(
+        lambda lines: st.sampled_from(["\n", "\r\n", "\r"]).map(
+            lambda eol: eol.join(lines)
+        )
+    ),
+).map(_capped)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_EDGELIST_TEXT)
+def test_parse_edgelist_agrees_with_reference_on_drawn_text(text):
+    got = _parsed(parse_edgelist, text)
+    assert isinstance(got, (Graph, str))
+    assert got == _parsed(parse_edgelist_reference, text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(
+        st.text(max_size=30),
+        st.text(alphabet=st.characters(max_codepoint=130), max_size=30),
+        st.text(alphabet="?@ABC_~\n ", max_size=12).map(lambda s: ">>graph6<<" + s),
+    )
+)
+def test_parse_graph6_returns_a_graph_or_input_error(text):
+    assert isinstance(_parsed(parse_graph6, text), (Graph, str))
