@@ -58,9 +58,10 @@ def parse_edgelist(text: str) -> Graph:
                 raise InputError(f"line {lineno}: header after data")
             if len(parts) != 2:
                 raise InputError(f"line {lineno}: header must be 'p <n>'")
-            if not _DECIMAL(parts[1]):
+            try:
+                n = _decimal(parts[1])
+            except ValueError:
                 raise InputError(f"line {lineno}: bad vertex count {parts[1]!r}")
-            n = int(parts[1])
             if n < 0:
                 raise InputError(f"line {lineno}: negative vertex count")
             continue
@@ -68,9 +69,13 @@ def parse_edgelist(text: str) -> Graph:
         if len(parts) != 2:
             raise InputError(f"line {lineno}: expected 'u v', got {line!r}")
         a, b = parts
-        if not (plain and a.isdigit() and b.isdigit() or _DECIMAL(a) and _DECIMAL(b)):
+        try:
+            if plain and a.isdigit() and b.isdigit():
+                u, v = int(a), int(b)
+            else:
+                u, v = _decimal(a), _decimal(b)
+        except ValueError:
             raise InputError(f"line {lineno}: non-integer vertex id in {line!r}")
-        u, v = int(a), int(b)
         if u > v:
             u, v = v, u
         if u < 0:
@@ -85,6 +90,13 @@ def parse_edgelist(text: str) -> Graph:
             raise InputError("empty graph input (no header, no edges)")
         n = max(v for _, v in edges) + 1
     return Graph.from_edges(n, edges)
+
+
+def _decimal(s: str) -> int:
+    """s as an int if it is ASCII -?[0-9]+ and int() reads it; else ValueError."""
+    if not _DECIMAL(s):
+        raise ValueError(s)
+    return int(s)
 
 
 def emit_edgelist(g: Graph) -> str:
@@ -123,7 +135,10 @@ def parse_graph6(text: str) -> Graph:
     need = (n * (n - 1) // 2 + 5) // 6
     if len(vals) - pos < need:
         raise InputError("graph6: truncated edge bits")
-    bits = [(v >> k) & 1 for v in vals[pos:pos + need] for k in range(5, -1, -1)]
+    bits = []
+    for v in vals[pos:pos + need]:
+        for k in range(5, -1, -1):
+            bits.append((v >> k) & 1)
     edges = []
     idx = 0
     for j in range(1, n):
@@ -146,7 +161,10 @@ def emit_graph6(g: Graph) -> str:
         head = chr(126) * 2 + "".join(
             chr(((n >> k) & 63) + 63) for k in (30, 24, 18, 12, 6, 0)
         )
-    bits = [int(g.has_edge(i, j)) for j in range(1, n) for i in range(j)]
+    bits = []
+    for j in range(1, n):
+        for i in range(j):
+            bits.append(1 if g.has_edge(i, j) else 0)
     while len(bits) % 6:
         bits.append(0)
     body = "".join(
@@ -287,14 +305,20 @@ def _json(x, nl: str) -> str:
     """x as JSON; nl is a newline plus the indent of the line x starts on."""
     t = type(x)
     if t is list:
+        if not x:
+            return "[]"
         inner = nl + "  "
-        ints = {*map(type, x)} == {int}
-        items = map(str, x) if ints else [_json(v, inner) for v in x]
-        return "[" + inner + ("," + inner).join(items) + nl + "]" if x else "[]"
+        if {*map(type, x)} == {int}:
+            items = map(str, x)
+        else:
+            items = [_json(v, inner) for v in x]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
     if t is dict:
+        if not x:
+            return "{}"
         inner = nl + "  "
         items = [_quote(k) + ": " + _json(x[k], inner) for k in sorted(x)]
-        return "{" + inner + ("," + inner).join(items) + nl + "}" if x else "{}"
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
     if t is str:
         return _quote(x)
     if t is int:

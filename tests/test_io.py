@@ -51,6 +51,15 @@ def test_parse_edgelist_basics():
     assert g.n == 5
 
 
+_LONG = "1" * 5000
+# Where int() reads _LONG, a text holding it is a valid graph with over 10**4999
+# vertices, which Graph.from_edges would try to allocate.
+_INT_LIMIT = pytest.mark.skipif(
+    not 0 < sys.get_int_max_str_digits() < len(_LONG),
+    reason="int() reads 5000-digit strings",
+)
+
+
 @pytest.mark.parametrize(
     "text,fragment",
     [
@@ -72,6 +81,13 @@ def test_parse_edgelist_basics():
         ("p \u0663", "line 1: bad vertex count"),
         ("2 -3", "line 1: negative vertex id"),
         ("p -3", "line 1: negative vertex count"),
+        # well-formed, but more digits than int() reads
+        pytest.param(
+            _LONG + " 2", "line 1: non-integer vertex id", marks=_INT_LIMIT, id="long id"
+        ),
+        pytest.param(
+            "p " + _LONG, "line 1: bad vertex count", marks=_INT_LIMIT, id="long count"
+        ),
     ],
 )
 def test_parse_edgelist_errors(text, fragment):
@@ -388,10 +404,18 @@ def _parsed(parse, text):
         "0 1 # caf\u00e9\n1 2",
         "0\u30001\n1\u00a02",
         "0 \u00b2",
+        pytest.param(_LONG + " 2", marks=_INT_LIMIT, id="long id"),
+        pytest.param("p " + _LONG, marks=_INT_LIMIT, id="long count"),
     ],
 )
 def test_parse_edgelist_matches_reference(text):
     assert _parsed(parse_edgelist, text) == _parsed(parse_edgelist_reference, text)
+
+
+@_INT_LIMIT
+def test_overlong_id_is_an_input_error_on_the_cli():
+    code, out = _cli_json(["certify"], _LONG + " 2\n")
+    assert (code, out) == (2, "")
 
 
 def _capped(text: str) -> str:
