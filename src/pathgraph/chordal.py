@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import Iterable, Iterator
+from itertools import chain
+from typing import AbstractSet, Iterable, Iterator, Sequence
 
 from .errors import InputError, InvariantError, PreconditionError
 from .graphs import Graph, VertexSet, _norm_edge, vset
@@ -313,7 +314,7 @@ def clique_tree(g: Graph) -> CliqueTree:
         index.cliques,
         frozenset(_norm_edge(i, p) for i, p in enumerate(index.parent) if p >= 0),
     )
-    if not _has_subtree_property(index, tree.edges):
+    if _separator_sizes(index.cliques, index.occurrences, tree.edges, path=False) is None:
         raise InvariantError("the search's clique tree lacks the induced-subtree property")
     return tree
 
@@ -332,8 +333,14 @@ def _tree_adj(c: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
 def _is_tree(c: int, edges: frozenset[tuple[int, int]]) -> bool:
     """Whether edges form a tree on nodes 0..c-1.
 
-    Raises InputError on an endpoint outside 0..c-1.
+    Raises InputError on an edge that is not a pair of ints, or on an
+    endpoint outside 0..c-1.
     """
+    if not all(
+        isinstance(e, tuple) and len(e) == 2 and isinstance(e[0], int) and isinstance(e[1], int)
+        for e in edges
+    ):
+        raise InputError("tree edge is not a pair of ints")
     if any(not 0 <= x < c for e in edges for x in e):
         raise InputError(f"tree edge endpoint out of range for {c} cliques")
     if len(edges) != max(c - 1, 0):
@@ -349,36 +356,156 @@ def _is_tree(c: int, edges: frozenset[tuple[int, int]]) -> bool:
     return len(reached) == c
 
 
-def _clique_degrees(
-    index: CliqueIndex, edges: frozenset[tuple[int, int]]
-) -> list[list[int]]:
-    """Per vertex, the degree of each of its cliques within the part of the tree
-    its cliques induce. In a tree, that part is connected exactly when the
-    degrees sum to 2 * (count - 1), and a path when none also exceeds 2."""
-    adj = _tree_adj(len(index.cliques), edges)
-    degrees = []
-    for nodes in index.occurrences:
-        inside = set(nodes)
-        degrees.append([sum(1 for w in adj[u] if w in inside) for u in nodes])
-    return degrees
+def _separator_links(
+    cliques: Sequence[VertexSet], edges: Iterable[tuple[int, int]]
+) -> tuple[Counter[int], set[int], dict[tuple[int, int], int]]:
+    """One pass over the separators S = C_i & C_j of the tree edges (i, j).
+
+    Returns each vertex's links (the separators that hold it), the vertices
+    that some node has in three of its incident separators, and each edge's
+    separator size. In a tree, a vertex's links are the edges of the forest
+    its cliques induce, so they number one less than its cliques exactly when
+    that forest is a subtree, and the subtree is a path exactly when no node
+    has the vertex in three incident separators. Work: the cliques' sizes
+    plus the separators' sizes.
+    """
+    sets = [set(c) for c in cliques]
+    links: Counter[int] = Counter()
+    incident: list[list[set[int]]] = [[] for _ in cliques]
+    sizes: dict[tuple[int, int], int] = {}
+    for e in edges:
+        i, j = e
+        s = sets[i] & sets[j]
+        links.update(s)
+        incident[i].append(s)
+        incident[j].append(s)
+        sizes[e] = len(s)
+    branching: set[int] = set()
+    for seps in incident:
+        if len(seps) > 2:
+            seen = Counter(chain.from_iterable(seps))
+            branching.update(v for v, k in seen.items() if k > 2)
+    return links, branching, sizes
 
 
-def _has_subtree_property(index: CliqueIndex, edges: frozenset[tuple[int, int]]) -> bool:
-    """Every vertex's cliques induce a connected subtree."""
-    return all(sum(d) == 2 * len(d) - 2 for d in _clique_degrees(index, edges))
+def _separator_sizes(
+    cliques: Sequence[VertexSet],
+    occurrences: Sequence[Sequence[int]],
+    edges: frozenset[tuple[int, int]],
+    path: bool,
+) -> dict[tuple[int, int], int] | None:
+    """Each tree edge's separator size when edges form a tree on the cliques
+    in which every vertex's cliques (its occurrences) induce a subtree, and a
+    path when path is set; else None.
+
+    Raises InputError on an edge that is not a pair of ints in range.
+    """
+    if not _is_tree(len(cliques), edges):
+        return None
+    links, branching, sizes = _separator_links(cliques, edges)
+    if path and branching:
+        return None
+    if any(links[v] != len(occ) - 1 for v, occ in enumerate(occurrences)):
+        return None
+    return sizes
 
 
 def _is_path_tree(index: CliqueIndex, edges: frozenset[tuple[int, int]]) -> bool:
     """Whether edges form a tree on the indexed cliques in which every vertex's
     cliques induce a path."""
-    return _is_tree(len(index.cliques), edges) and all(
-        max(d) <= 2 and sum(d) == 2 * len(d) - 2 for d in _clique_degrees(index, edges)
+    return _separator_sizes(index.cliques, index.occurrences, edges, path=True) is not None
+
+
+def _meet_exactly(
+    g: Graph,
+    node_loads: Iterable[int],
+    edge_loads: Iterable[int],
+    nodes_of: Sequence[AbstractSet[int]],
+) -> bool:
+    """Whether subtrees of a tree, one per vertex of g with node set
+    nodes_of[v], meet pairwise exactly on g's edges, given how many of them
+    pass through each tree node and each tree edge.
+
+    Two subtrees of a tree meet in a subtree or not at all, so a meeting pair
+    shares one node more than it shares edges: the meeting pairs number the
+    sum over nodes of C(k, 2) minus the sum over edges of C(k, 2), k the
+    loads. That count must be m, with every edge's two subtrees meeting.
+    """
+    meets = sum(k * (k - 1) // 2 for k in node_loads) - sum(
+        k * (k - 1) // 2 for k in edge_loads
+    )
+    return meets == g.num_edges and not any(
+        any(map(nodes_of[u].isdisjoint, map(nodes_of.__getitem__, g.adj[u])))
+        for u in range(g.n)
+    )
+
+
+def _tree_occurrences(n: int, cliques: Sequence[VertexSet]) -> list[list[int]] | None:
+    """Each vertex's cliques, increasing, read off a clique list in canonical
+    form over vertices 0..n-1: nonempty, strictly increasing int tuples, in
+    strictly increasing order, that hold every vertex. None otherwise."""
+    occurrences: list[list[int]] = [[] for _ in range(n)]
+    prev: tuple[int, ...] = ()
+    for i, c in enumerate(cliques):
+        if type(c) is not tuple or not c or (i and c <= prev):
+            return None
+        last = -1
+        for v in c:
+            if type(v) is not int or not last < v < n:
+                return None
+            occurrences[v].append(i)
+            last = v
+        prev = c
+    return occurrences if all(occurrences) else None
+
+
+def _proven_separators(
+    g: Graph, tree: CliqueTree, path: bool
+) -> tuple[list[list[int]], dict[tuple[int, int], int]] | None:
+    """The occurrences and separator sizes of a tree that shows, with no
+    search, that it is a clique tree of g over g's canonical maximal cliques
+    (a clique path tree when path is set), but for the facts that its
+    cliques are cliques of g and hold every edge; else None.
+
+    Those two facts, which the caller proves by _meet_exactly, complete the
+    proof: every vertex's cliques form a subtree, so by the Helly property
+    each maximal clique of g lies in, and so is, some tree clique; and a
+    tree clique inside another lies inside its neighbour toward it, which
+    is checked not to happen. So the canonically listed tree cliques are
+    g's canonical maximal cliques, and g is chordal. A None only means the
+    caller's search must decide.
+    """
+    cliques = tree.cliques
+    occurrences = _tree_occurrences(g.n, cliques)
+    if occurrences is None:
+        return None
+    try:
+        sizes = _separator_sizes(cliques, occurrences, tree.edges, path)
+    except InputError:
+        return None
+    if sizes is None or any(
+        k in (len(cliques[i]), len(cliques[j])) for (i, j), k in sizes.items()
+    ):
+        return None
+    return occurrences, sizes
+
+
+def _proves_clique_tree(g: Graph, tree: CliqueTree, path: bool) -> bool:
+    """Whether the tree alone proves itself a clique tree (a clique path tree
+    when path is set) of g over its canonical maximal cliques."""
+    proof = _proven_separators(g, tree, path)
+    if proof is None:
+        return False
+    occurrences, sizes = proof
+    return _meet_exactly(
+        g, map(len, tree.cliques), sizes.values(), [set(occ) for occ in occurrences]
     )
 
 
 def _path_tree_index(g: Graph, tree: CliqueTree, caller: str) -> CliqueIndex:
-    """The boundary of the path-tree checks: g's clique index, once the tree is
-    known to be over exactly its canonical maximal cliques."""
+    """The boundary of the path-tree checks when the tree does not prove
+    itself: g's clique index, once the tree is known to be over exactly its
+    canonical maximal cliques."""
     index = _checked_index(g, caller)
     if tuple(tree.cliques) != index.cliques:
         raise InputError("tree is not over the canonical maximal clique list")
@@ -386,18 +513,27 @@ def _path_tree_index(g: Graph, tree: CliqueTree, caller: str) -> CliqueIndex:
 
 
 def is_valid_clique_tree(g: Graph, tree: CliqueTree) -> bool:
-    """Tree on the maximal cliques satisfying the induced-subtree property."""
+    """Tree on the maximal cliques satisfying the induced-subtree property.
+
+    A tree that proves itself (see _proven_separators) is accepted with no
+    search; any other is decided on g's clique index.
+    """
+    if _proves_clique_tree(g, tree, path=False):
+        return True
     index = _checked_index(g, "is_valid_clique_tree")
     return (
         tuple(tree.cliques) == index.cliques
-        and _is_tree(len(index.cliques), tree.edges)
-        and _has_subtree_property(index, tree.edges)
+        and _separator_sizes(index.cliques, index.occurrences, tree.edges, path=False) is not None
     )
 
 
 def is_clique_path_tree(g: Graph, tree: CliqueTree) -> bool:
     """True when every vertex's cliques induce a path in the tree.
 
-    The tree must be over exactly maximal_cliques(g) in canonical order.
+    The tree must be over exactly maximal_cliques(g) in canonical order. A
+    tree that proves itself (see _proven_separators) is accepted with no
+    search; any other is decided on g's clique index.
     """
+    if _proves_clique_tree(g, tree, path=True):
+        return True
     return _is_path_tree(_path_tree_index(g, tree, "is_clique_path_tree"), tree.edges)

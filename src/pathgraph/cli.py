@@ -85,7 +85,7 @@ def _cmd_certify(args) -> int:
     realization = None
     if args.realize and verdict.is_path_graph:
         t = _tree_from(verdict, index)
-        realization = gio.realization_doc(t, _host_from(g, index, t))
+        realization = gio.realization_doc(t, _host_from(g, index.occurrences, t))
     doc = gio.verdict_document(
         g, verdict, gplus=args.gplus, directed=directed, realization=realization
     )
@@ -99,7 +99,7 @@ def _cmd_realize(args) -> int:
     if not verdict.is_path_graph:
         return _reject(args, "not a path graph; nothing to realize")
     t = _tree_from(verdict, index)
-    host = _host_from(g, index, t)
+    host = _host_from(g, index.occurrences, t)
     if args.dot:
         _say(args, gio.emit_dot(t, g))
     elif args.json:

@@ -88,16 +88,20 @@ def _full_triple(
 
 def skeleton(m: AttachednessGraph) -> Skeleton:
     # the upper bounds are the classes with no strict dominator, by smallest
-    # original part index
+    # original part index; a class's upper bounds are itself when it is one,
+    # else its dominators among them, read off the dominance pairs
     dominated = {a for a, _ in m.dominance_order}
     upper = tuple(c for c in range(m.size) if c not in dominated)
     pos = {u: i for i, u in enumerate(upper, start=1)}
+    above: list[list[int]] = [[c] if c in pos else [] for c in range(m.size)]
+    for a, b in m.dominance_order:
+        if b in pos:
+            above[a].append(b)
     d_single: list[list[int]] = [[] for _ in upper]
     d_pair: dict[tuple[int, int], list[int]] = {}
     unassigned: list[int] = []
     member_of: dict[int, MemberKey] = {}
-    for c in range(m.size):
-        ups = [u for u in upper if u == c or m.dominated_by(c, u)]
+    for c, ups in enumerate(above):
         if not ups:
             raise InvariantError(f"class {c} has no upper bound")
         if len(ups) == 1:
@@ -258,7 +262,7 @@ def _weak_coloring(m: AttachednessGraph, s: Skeleton) -> WeakColoring | Refutati
     for a, b in m.edges.antipodal:
         if f[a] == f[b]:
             raise InvariantError(f"weak coloring is not proper at {a},{b}")
-    conds = check_canonical_conditions(m, s, f)
+    conds = _canonical_conditions(m, s, f, adj)
     broken = [name for name, ok in conds.items() if not ok]
     if broken:
         raise InvariantError(f"weak coloring violates conditions {broken}")
@@ -269,7 +273,17 @@ def check_canonical_conditions(
     m: AttachednessGraph, s: Skeleton, f: dict[int, int]
 ) -> dict[str, bool]:
     """The six structural conditions of the canonical coloring, individually."""
+    return _canonical_conditions(m, s, f, _tree_adj(m.size, m.edges.antipodal))
+
+
+def _canonical_conditions(
+    m: AttachednessGraph, s: Skeleton, f: dict[int, int], adj: list[list[int]]
+) -> dict[str, bool]:
+    """check_canonical_conditions on the antipodal adjacency adj of m: each
+    class's antipodal neighbors are read once, so conditions d and e cost
+    the classes plus the antipodal pairs."""
     l = len(s.upper)
+    upper = set(s.upper)
     out: dict[str, bool] = {}
     out["a"] = all(f[u] == i for i, u in enumerate(s.upper, start=1))
     out["b"] = all(
@@ -280,15 +294,14 @@ def check_canonical_conditions(
         f[c] == i
         for i, d in enumerate(s.d_single, start=1)
         for c in d
-        if any(m.is_antipodal(c, u) for u in s.upper)
+        if not upper.isdisjoint(adj[c])
     )
     ok_e = True
     for (i, j), d in s.d_pair.items():
         for c in d:
-            for k, other in ((i, j), (j, i)):
-                dk = s.d_single[k - 1]
-                if any(m.is_antipodal(c, x) for x in dk) and f[c] != other:
-                    ok_e = False
+            sides = {s.member_of.get(x) for x in adj[c]}
+            if (("D", i) in sides and f[c] != j) or (("D", j) in sides and f[c] != i):
+                ok_e = False
     out["e"] = ok_e
     out["f"] = all(
         f[a] != f[b]

@@ -11,10 +11,12 @@ from .chordal import (
     CliqueTree,
     _is_path_tree,
     _is_tree,
+    _meet_exactly,
     _path_tree_index,
+    _proven_separators,
     _tree_adj,
 )
-from .errors import InvariantError, PreconditionError
+from .errors import InputError, InvariantError, PreconditionError
 from .graphs import Graph, _norm_edge
 from .recognize import SeparatorReport, Verdict, _recognize
 
@@ -180,66 +182,85 @@ def _hang(
 
 def clique_path_tree_to_host(g: Graph, t: CliqueTree) -> HostRealization:
     """Read the host tree off a clique path tree: one node per clique, and the
-    path of a vertex is the path of cliques containing it."""
+    path of a vertex is the path of cliques containing it.
+
+    A tree that proves itself, its shape by _proven_separators and its
+    cliques by verify_realization, needs no search; any other is checked on
+    g's clique index, which raises the error that explains the rejection.
+    """
+    proof = _proven_separators(g, t, path=True)
+    if proof is not None:
+        host = _host_paths(proof[0], t)
+        if verify_realization(g, host):
+            return host
     index = _path_tree_index(g, t, "clique_path_tree_to_host")
     if not _is_path_tree(index, t.edges):
         raise PreconditionError("clique_path_tree_to_host requires a clique path tree")
-    return _host_from(g, index, t)
+    return _host_from(g, index.occurrences, t)
 
 
-def _host_from(g: Graph, index: CliqueIndex, t: CliqueTree) -> HostRealization:
-    """clique_path_tree_to_host for a clique path tree over index's cliques."""
-    c = len(t.cliques)
-    adj = _tree_adj(c, t.edges)
-    paths = []
-    for nodes in index.occurrences:
-        inside = set(nodes)
-        # start from the smaller end: at most one neighbor on the vertex's path
-        seq = [min(u for u in nodes if sum(1 for w in adj[u] if w in inside) <= 1)]
-        prev = -1
-        while len(seq) < len(nodes):
-            nxt = [w for w in adj[seq[-1]] if w in inside and w != prev]
-            prev = seq[-1]
-            seq.append(nxt[0])
-        paths.append(tuple(seq))
-    host = HostRealization(
-        host_n=max(c, 1), host_edges=frozenset(t.edges), paths=tuple(paths)
-    )
+def _host_from(
+    g: Graph, occurrences: Sequence[Sequence[int]], t: CliqueTree
+) -> HostRealization:
+    """clique_path_tree_to_host for a clique path tree whose cliques hold
+    each vertex v at the nodes occurrences[v], checked by verify_realization."""
+    host = _host_paths(occurrences, t)
     if not verify_realization(g, host):
         raise InvariantError("host realization does not reproduce the graph")
     return host
 
 
+def _host_paths(occurrences: Sequence[Sequence[int]], t: CliqueTree) -> HostRealization:
+    """The host of a clique path tree, each vertex's path read off its
+    occurrences, unchecked."""
+    c = len(t.cliques)
+    adj = _tree_adj(c, t.edges)
+    paths = []
+    for nodes in occurrences:
+        if len(nodes) == 1:
+            paths.append(tuple(nodes))
+            continue
+        inside = set(nodes)
+        # start from the smaller end, the first node with one neighbor on the
+        # path, and step to the one neighbor not yet walked
+        at = next(u for u in nodes if len(inside.intersection(adj[u])) == 1)
+        seq = [at]
+        inside.discard(at)
+        while inside:
+            (at,) = inside.intersection(adj[at])
+            inside.discard(at)
+            seq.append(at)
+        paths.append(tuple(seq))
+    return HostRealization(host_n=max(c, 1), host_edges=frozenset(t.edges), paths=tuple(paths))
+
+
 def verify_realization(g: Graph, host: HostRealization) -> bool:
     """The host is a tree, each path is a nonempty path of it, and the paths
-    pairwise intersect exactly where the graph has edges.
-
-    Two paths of a tree meet in a path or not at all, so a meeting pair
-    shares one node more than it shares edges: the meeting pairs number the
-    sum over host nodes of C(k, 2) minus the sum over host edges of C(k, 2),
-    k the paths through each. That count must be m, with every edge's two
-    paths meeting. Linear in the path lengths plus m times a path length.
+    pairwise intersect exactly where the graph has edges (_meet_exactly,
+    counting the paths through each host node and edge): linear in the path
+    lengths plus m times a path length. A malformed host is rejected too.
     """
-    nodes = range(host.host_n)
+    if not isinstance(host.host_n, int) or not isinstance(host.paths, (tuple, list)):
+        return False
     if len(host.paths) != g.n:
         return False
-    if any(x not in nodes for e in host.host_edges for x in e):
+    try:
+        if not _is_tree(host.host_n, host.host_edges):
+            return False
+    except InputError:
         return False
-    if not _is_tree(host.host_n, host.host_edges):
-        return False
+    nodes = range(host.host_n)
     adj = _tree_adj(host.host_n, host.host_edges)
-    sets = [frozenset(p) for p in host.paths]
-    for p, s in zip(host.paths, sets):
-        if not p or len(s) != len(p) or any(x not in nodes for x in p):
+    for p in host.paths:
+        if not isinstance(p, (tuple, list)) or not p:
+            return False
+        if any(not isinstance(x, int) or x not in nodes for x in p) or len(set(p)) != len(p):
             return False
         for a, b in zip(p, p[1:]):
             if b not in adj[a]:
                 return False
     through_node = Counter(x for p in host.paths for x in p)
     through_edge = Counter(_norm_edge(a, b) for p in host.paths for a, b in zip(p, p[1:]))
-    meets = sum(k * (k - 1) // 2 for k in through_node.values()) - sum(
-        k * (k - 1) // 2 for k in through_edge.values()
-    )
-    return meets == g.num_edges and all(
-        not sets[u].isdisjoint(sets[v]) for u in range(g.n) for v in g.adj[u] if u < v
+    return _meet_exactly(
+        g, through_node.values(), through_edge.values(), [frozenset(p) for p in host.paths]
     )

@@ -370,3 +370,139 @@ def parse_edgelist_reference(text: str) -> Graph:
             raise InputError("empty graph input (no header, no edges)")
         n = max_seen + 1
     return Graph.from_edges(n, sorted(set(edges)))
+
+
+def clique_degrees_reference(index, edges):
+    """Per vertex, the degree of each of its cliques within the part of the tree
+    its cliques induce: each (vertex, clique) pair walks the clique's tree
+    neighbours. In a tree, that part is connected exactly when the degrees
+    sum to 2 * (count - 1), and a path when none also exceeds 2."""
+    from pathgraph.chordal import _tree_adj
+
+    adj = _tree_adj(len(index.cliques), edges)
+    degrees = []
+    for nodes in index.occurrences:
+        inside = set(nodes)
+        degrees.append([sum(1 for w in adj[u] if w in inside) for u in nodes])
+    return degrees
+
+
+def tree_by_degrees(index, edges, path):
+    """Whether edges form a clique tree of the indexed graph (a clique path
+    tree when path is set), by the per-vertex degrees."""
+    from pathgraph.chordal import _is_tree
+
+    return _is_tree(len(index.cliques), edges) and all(
+        (not path or max(d) <= 2) and sum(d) == 2 * len(d) - 2
+        for d in clique_degrees_reference(index, edges)
+    )
+
+
+def _index_over(g, tree, caller):
+    from pathgraph.chordal import _checked_index
+
+    index = _checked_index(g, caller)
+    if tuple(tree.cliques) != index.cliques:
+        raise InputError("tree is not over the canonical maximal clique list")
+    return index
+
+
+def is_valid_clique_tree_by_search(g, tree):
+    """is_valid_clique_tree by a search of g and the per-vertex degrees."""
+    from pathgraph.chordal import _checked_index
+
+    index = _checked_index(g, "is_valid_clique_tree")
+    return tuple(tree.cliques) == index.cliques and tree_by_degrees(index, tree.edges, False)
+
+
+def is_clique_path_tree_by_search(g, tree):
+    """is_clique_path_tree by a search of g and the per-vertex degrees."""
+    return tree_by_degrees(_index_over(g, tree, "is_clique_path_tree"), tree.edges, True)
+
+
+def host_by_search(g, t):
+    """clique_path_tree_to_host by a search of g, the per-vertex degrees, and
+    a walk along each vertex's cliques from its smaller end."""
+    from pathgraph.chordal import _tree_adj
+    from pathgraph.errors import InvariantError, PreconditionError
+    from pathgraph.realize import HostRealization, verify_realization
+
+    index = _index_over(g, t, "clique_path_tree_to_host")
+    if not tree_by_degrees(index, t.edges, True):
+        raise PreconditionError("clique_path_tree_to_host requires a clique path tree")
+    c = len(t.cliques)
+    adj = _tree_adj(c, t.edges)
+    paths = []
+    for nodes in index.occurrences:
+        inside = set(nodes)
+        seq = [min(u for u in nodes if sum(1 for w in adj[u] if w in inside) <= 1)]
+        prev = -1
+        while len(seq) < len(nodes):
+            nxt = [w for w in adj[seq[-1]] if w in inside and w != prev]
+            prev = seq[-1]
+            seq.append(nxt[0])
+        paths.append(tuple(seq))
+    host = HostRealization(max(c, 1), frozenset(t.edges), tuple(paths))
+    if not verify_realization(g, host):
+        raise InvariantError("host realization does not reproduce the graph")
+    return host
+
+
+def skeleton_by_pairs(m):
+    """coloring.skeleton testing every class against every upper bound."""
+    from pathgraph.coloring import Skeleton
+    from pathgraph.errors import InvariantError
+
+    dominated = {a for a, _ in m.dominance_order}
+    upper = tuple(c for c in range(m.size) if c not in dominated)
+    pos = {u: i for i, u in enumerate(upper, start=1)}
+    d_single = [[] for _ in upper]
+    d_pair, unassigned, member_of = {}, [], {}
+    for c in range(m.size):
+        ups = [u for u in upper if u == c or m.dominated_by(c, u)]
+        if not ups:
+            raise InvariantError(f"class {c} has no upper bound")
+        if len(ups) == 1:
+            d_single[pos[ups[0]] - 1].append(c)
+            member_of[c] = ("D", pos[ups[0]])
+        elif len(ups) == 2:
+            i, j = sorted(pos[u] for u in ups)
+            d_pair.setdefault((i, j), []).append(c)
+            member_of[c] = ("DIJ", i, j)
+        else:
+            unassigned.append(c)
+    return Skeleton(
+        upper=upper,
+        d_single=tuple(tuple(d) for d in d_single),
+        d_pair={k: tuple(v) for k, v in sorted(d_pair.items())},
+        unassigned=tuple(unassigned),
+        member_of=member_of,
+    )
+
+
+def canonical_conditions_by_pairs(m, s, f):
+    """coloring.check_canonical_conditions testing classes pair by pair:
+    condition d every class of every D_i against every upper bound, and
+    condition e every D_ij class against all of D_i and D_j."""
+    l = len(s.upper)
+    out = {}
+    out["a"] = all(f[u] == i for i, u in enumerate(s.upper, start=1))
+    out["b"] = all(f[c] in (i, l + 1) for i, d in enumerate(s.d_single, start=1) for c in d)
+    out["c"] = all(f[c] in key for key, d in s.d_pair.items() for c in d)
+    out["d"] = all(
+        f[c] == i
+        for i, d in enumerate(s.d_single, start=1)
+        for c in d
+        if any(m.is_antipodal(c, u) for u in s.upper)
+    )
+    ok_e = True
+    for (i, j), d in s.d_pair.items():
+        for c in d:
+            for k, other in ((i, j), (j, i)):
+                if any(m.is_antipodal(c, x) for x in s.d_single[k - 1]) and f[c] != other:
+                    ok_e = False
+    out["e"] = ok_e
+    out["f"] = all(
+        f[a] != f[b] for a, b in m.edges.antipodal if s.member_of.get(a) == s.member_of.get(b)
+    )
+    return out

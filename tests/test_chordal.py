@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +20,7 @@ from pathgraph.chordal import (
     maximal_cliques,
     peo_or_hole,
 )
-from pathgraph.errors import InputError, PreconditionError
+from pathgraph.errors import InputError, PathgraphError, PreconditionError
 from pathgraph.generate import gen_chordal
 from pathgraph.graphs import Graph, connected_components, induced_subgraph
 
@@ -135,15 +136,28 @@ def test_is_clique_path_tree_wants_canonical_cliques(worked8):
 
 
 def test_tree_checks_reject_out_of_range_edges():
-    from pathgraph.realize import clique_path_tree_to_host
+    from pathgraph.realize import HostRealization, clique_path_tree_to_host, verify_realization
 
     p3 = Graph.from_edges(3, [(0, 1), (1, 2)])
     cliques = tuple(maximal_cliques(p3))
-    for edges in ({(0, 5)}, {(0, -1)}):
+    # out of range, then not a pair of ints
+    for edges in ({(0, 5)}, {(0, -1)}, {(0, "1")}, {(0, 1.0)}, {(0,)}, {(0, 1, 1)}):
         t = CliqueTree(cliques, frozenset(edges))
         for check in (is_clique_path_tree, is_valid_clique_tree, clique_path_tree_to_host):
             with pytest.raises(InputError):
                 check(p3, t)
+    # a malformed host is rejected, not raised on
+    good = clique_path_tree_to_host(p3, CliqueTree(cliques, frozenset({(0, 1)})))
+    assert verify_realization(p3, good)
+    for host in (
+        HostRealization(2, good.host_edges, None),
+        HostRealization(2, good.host_edges, (None, (0,), (1,))),
+        HostRealization(2, good.host_edges, ((0,), (0, 1.0), (1,))),
+        HostRealization(2, frozenset({(0, "1")}), good.paths),
+        HostRealization(2, frozenset({(0,)}), good.paths),
+        HostRealization(2.0, good.host_edges, good.paths),
+    ):
+        assert not verify_realization(p3, host)
 
 
 def test_single_clique_graph():
@@ -245,3 +259,142 @@ def test_search_tree_is_a_clique_tree_of_each_component(mixed_graphs):
             assert is_valid_clique_tree(sub, clique_tree(sub)), name
         unions += name.startswith("union-")
     assert unions == 30
+
+
+def _realized_or_searched_tree(g):
+    """realize's tree of a path graph, the search's clique tree of a connected
+    chordal graph that is not one, else None."""
+    from pathgraph.realize import realize
+    from pathgraph.recognize import recognize_path_graph
+
+    if not is_chordal(g):
+        return None
+    if recognize_path_graph(g).is_path_graph:
+        return realize(g)
+    return clique_tree(g) if len(connected_components(g)) == 1 else None
+
+
+def _tree_mutations(g, t, rng):
+    """(name, graph, tree) cases around a clique tree t of g: t itself and
+    one each of the ways a claimed tree can go wrong."""
+    cliques, edges = list(t.cliques), sorted(t.edges)
+    c = len(cliques)
+
+    def swap(k, clique):
+        return CliqueTree(tuple(cliques[:k] + [clique] + cliques[k + 1 :]), t.edges)
+
+    yield "as given", g, t
+    yield "reversed", g, CliqueTree(tuple(cliques[::-1]), t.edges)
+    yield "vertex in no clique", Graph.from_edges(g.n + 1, g.edges()), t
+    if edges:
+        e = rng.choice(edges)
+        rest = t.edges - {e}
+        yield "edge dropped", g, CliqueTree(t.cliques, rest)
+        # reconnect the two sides of e elsewhere
+        adj = chordal._tree_adj(c, rest)
+        side, stack = {e[0]}, [e[0]]
+        while stack:
+            for y in adj[stack.pop()]:
+                if y not in side:
+                    side.add(y)
+                    stack.append(y)
+        moves = [
+            tuple(sorted((i, j))) for i in sorted(side) for j in range(c) if j not in side
+        ]
+        moves.remove(e)
+        if moves:
+            yield "edge moved", g, CliqueTree(t.cliques, rest | {rng.choice(moves)})
+    extra = [(i, j) for i in range(c) for j in range(i + 1, c) if (i, j) not in t.edges]
+    if extra:
+        yield "edge added", g, CliqueTree(t.cliques, t.edges | {rng.choice(extra)})
+    big = [k for k in range(c) if len(cliques[k]) >= 2]
+    if big:
+        k = rng.choice(big)
+        dropped = rng.choice(cliques[k])
+        sub = tuple(v for v in cliques[k] if v != dropped)
+        yield "proper subset", g, swap(k, sub)
+        yield "clique as a list", g, swap(k, list(cliques[k]))
+        grown = sorted(cliques + [sub])
+        at = {cl: i for i, cl in enumerate(grown)}
+        leaf = [(cliques[a], cliques[b]) for a, b in edges] + [(sub, cliques[k])]
+        leaf_edges = frozenset(tuple(sorted((at[x], at[y]))) for x, y in leaf)
+        yield "non-maximal leaf", g, CliqueTree(tuple(grown), leaf_edges)
+    outside = [(k, v) for k in range(c) for v in range(g.n) if v not in cliques[k]]
+    if outside:
+        k, v = rng.choice(outside)
+        yield "proper superset", g, swap(k, tuple(sorted(cliques[k] + (v,))))
+    for k, cl in enumerate(cliques):
+        if cl[0] in (0, 1):
+            yield "bool id", g, swap(k, (bool(cl[0]),) + cl[1:])
+            break
+
+
+def _outcome(check, g, tree):
+    try:
+        return check(g, tree)
+    except PathgraphError as exc:
+        return type(exc), str(exc)
+
+
+def test_search_free_tree_checks_match_the_search(mixed_graphs):
+    # a tree the checks accept with no search is one the search accepts, and
+    # any other gets the search's own answer or error
+    from pathgraph.realize import clique_path_tree_to_host
+
+    pairs = [
+        (is_valid_clique_tree, _brute.is_valid_clique_tree_by_search),
+        (is_clique_path_tree, _brute.is_clique_path_tree_by_search),
+        (clique_path_tree_to_host, _brute.host_by_search),
+    ]
+    rng = random.Random(20261018)
+    c5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+    claimed = CliqueTree(
+        ((0, 1), (0, 4), (1, 2), (2, 3), (3, 4)), frozenset({(0, 1), (0, 2), (2, 3), (3, 4)})
+    )
+    cases = [("C_5", "claimed tree", c5, claimed)]
+    for name, g in mixed_graphs:
+        t = _realized_or_searched_tree(g)
+        if t is not None:
+            mutated = _tree_mutations(g, t, rng) if g.n <= 40 else [("as given", g, t)]
+            cases += [(name, kind, h, m) for kind, h, m in mutated]
+    seen = {}
+    for name, kind, g, t in cases:
+        for check, reference in pairs:
+            got = _outcome(check, g, t)
+            assert got == _outcome(reference, g, t), (name, kind, check.__name__)
+            label = got[0].__name__ if isinstance(got, tuple) else type(got).__name__ + str(got)[:4]
+            seen.setdefault(kind, set()).add(label)
+    # both answers and every error of the search came up
+    accepted = {"boolTrue", "HostRealizationHost", "boolFals", "PreconditionError"}
+    assert seen["as given"] == seen["bool id"] == accepted
+    assert accepted <= seen["edge moved"]
+    assert seen["claimed tree"] == {"PreconditionError"}
+    wrong = {"boolFals", "InputError"}
+    for kind in ("vertex in no clique", "proper subset", "proper superset", "clique as a list"):
+        assert seen[kind] == wrong, kind
+    assert seen["non-maximal leaf"] == wrong
+    assert wrong <= seen["reversed"]  # a one-clique tree reversed is itself
+    for kind in ("edge dropped", "edge added"):
+        assert {"boolFals", "PreconditionError"} <= seen[kind], kind
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 299), st.data())
+def test_separator_links_match_clique_degrees(seed, data):
+    # on any tree over the cliques: a vertex's links are half its cliques'
+    # degree sum inside its part of the tree, and it branches exactly when
+    # one of those degrees exceeds 2
+    index = _index_or_hole(gen_chordal(4 + seed % 9, seed))
+    c = len(index.cliques)
+    if c < 2:
+        return
+    seq = data.draw(st.lists(st.integers(0, c - 1), min_size=c - 2, max_size=c - 2))
+    edges = frozenset(_brute.pruefer_decode_reference(seq, c))
+    links, branching, sizes = chordal._separator_links(index.cliques, edges)
+    degrees = _brute.clique_degrees_reference(index, edges)
+    assert [2 * links[v] for v in range(len(degrees))] == [sum(d) for d in degrees]
+    assert branching == {v for v, d in enumerate(degrees) if max(d) > 2}
+    assert sum(sizes.values()) == sum(links.values())
+    for path in (False, True):
+        sizes = chordal._separator_sizes(index.cliques, index.occurrences, edges, path)
+        assert (sizes is not None) == _brute.tree_by_degrees(index, edges, path)

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 import _brute
@@ -17,8 +19,8 @@ from pathgraph.coloring import (
 )
 from pathgraph.decompose import clique_separators, gamma_components
 from pathgraph.errors import InvariantError
-from pathgraph.generate import gen_chordal
-from pathgraph.graphs import Graph
+from pathgraph.generate import gen_chordal, k4_hub
+from pathgraph.graphs import Graph, graph_plus
 
 CHAIN = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (1, 4)])
 
@@ -275,3 +277,62 @@ def test_each_condition_fails_in_isolation():
     assert cond_after_tamper(ff, {1: 1}) == dict(
         a=True, b=True, c=True, d=True, e=True, f=False
     )
+
+
+def _pendants_on_clique(q, traces):
+    """The clique {0..q-1} with one vertex per trace, adjacent to exactly it:
+    one separator whose parts have the given traces."""
+    edges = list(itertools.combinations(range(q), 2))
+    edges += [(v, q + i) for i, trace in enumerate(traces) for v in trace]
+    return Graph.from_edges(q + len(traces), edges)
+
+
+# upper bounds with traces 0124 and 123; the class 12 lies under both and is
+# antipodal to 01, which lies under the first alone, as does 04, antipodal
+# to 01 inside that member
+CROSSED_MEMBERS = _pendants_on_clique(5, [(0, 1, 2, 4), (1, 2, 3), (1, 2), (0, 1), (0, 4)])
+
+
+def _separator_quotients(graphs):
+    for g in graphs:
+        for q in clique_separators(g):
+            yield mq(g, q)[1]
+
+
+def test_linear_scans_match_the_pairwise_references(chordal_corpus):
+    # the skeleton and the canonical conditions read the dominance pairs and
+    # the antipodal adjacency; each condition is seen to fail on a coloring
+    # with one class recolored
+    from test_attach import chain, star
+
+    graphs = [g for _, g in chordal_corpus] + [k4_hub(t) for t in range(4, 7)]
+    graphs += [star(n) for n in (2, 3, 5, 12)] + [chain(q) for q in (3, 5, 8)]
+    graphs.append(CROSSED_MEMBERS)
+    failed = set()
+    for m in _separator_quotients(graphs):
+        s = skeleton(m)
+        assert s == _brute.skeleton_by_pairs(m)
+        wc = weak_coloring(m)
+        if not isinstance(wc, WeakColoring):
+            continue
+        colorings = [wc.f] + [
+            {**wc.f, c: color}
+            for c in range(m.size)
+            for color in range(1, wc.num_upper + 2)
+            if color != wc.f[c]
+        ]
+        for f in colorings:
+            conds = check_canonical_conditions(m, s, f)
+            assert conds == _brute.canonical_conditions_by_pairs(m, s, f)
+            failed.update(name for name, ok in conds.items() if not ok)
+    assert failed == set("abcdef")
+
+
+def test_k500_with_pendants_scans_match_the_pairwise_references():
+    # one separator of 500 classes, each its own upper bound
+    k500 = Graph.from_edges(500, list(itertools.combinations(range(500), 2)))
+    (m,) = _separator_quotients([graph_plus(k500)])
+    s = skeleton(m)
+    assert len(s.upper) == 500 and s == _brute.skeleton_by_pairs(m)
+    f = weak_coloring(m).f
+    assert check_canonical_conditions(m, s, f) == _brute.canonical_conditions_by_pairs(m, s, f)

@@ -4,7 +4,12 @@ from collections import Counter
 import pytest
 
 from pathgraph import attach, chordal, cli, coloring, decompose, graphs, recognize
-from pathgraph.chordal import is_clique_path_tree, maximal_cliques
+from pathgraph.chordal import (
+    clique_tree,
+    is_clique_path_tree,
+    is_valid_clique_tree,
+    maximal_cliques,
+)
 from pathgraph.coloring import FULL_ANTIPODAL_TRIPLE
 from pathgraph.decompose import clique_separators
 from pathgraph.errors import GuardRefusal, InvariantError
@@ -172,9 +177,12 @@ def _direct(call):
     return lambda g, tmp_path: lambda: call(g)
 
 
-def _host_of_realized(g, tmp_path):
-    t = realize(g)
-    return lambda: clique_path_tree_to_host(g, t)
+def _on_realized(check):
+    def prepare(g, tmp_path):
+        t = realize(g)
+        return lambda: check(g, t)
+
+    return prepare
 
 
 def _cli(command, *flags):
@@ -199,9 +207,18 @@ _WORKED8_TRIANGLE = Graph.from_edges(11, WORKED8_EDGES + [(8, 9), (9, 10), (8, 1
         for f in (recognize_directed_path_graph, recognize_path_graph)
         for name, g in (("P_200", _P200), ("gen_path_graph_100_100_1", _GP100))
     ]
+    # a tree that carries its own cliques is checked with no search
+    + [
+        pytest.param(_GP80, _on_realized(f), 0, id=f"{name}-gen_path_graph_80_80_0")
+        for name, f in (
+            ("host", clique_path_tree_to_host),
+            ("is_clique_path_tree", is_clique_path_tree),
+            ("is_valid_clique_tree", is_valid_clique_tree),
+        )
+    ]
     + [
         pytest.param(_GP80, _direct(realize), 1, id="realize-gen_path_graph_80_80_0"),
-        pytest.param(_GP80, _host_of_realized, 1, id="host-gen_path_graph_80_80_0"),
+        pytest.param(_GP80, _direct(clique_tree), 1, id="clique_tree-gen_path_graph_80_80_0"),
         pytest.param(make_worked8(), _direct(oracle_clique_path_tree), 1, id="oracle-worked8"),
         pytest.param(_GP80, _cli("certify", "--realize", "--json"), 1, id="cli_certify_realize"),
         pytest.param(_GP80, _cli("certify", "--json"), 1, id="cli_certify"),
@@ -213,7 +230,8 @@ _WORKED8_TRIANGLE = Graph.from_edges(11, WORKED8_EDGES + [(8, 9), (9, 10), (8, 1
 )
 def test_one_search_per_public_call(monkeypatch, tmp_path, g, prepare, searches):
     # the chordal structure comes from the entry check's order, not per
-    # separator, recursion node or validation; a CLI command searches once
+    # separator, recursion node or validation; a CLI command searches once,
+    # and checking a given tree needs no search
     call = prepare(g, tmp_path)
     calls = []
     search = chordal._mcs
@@ -305,7 +323,7 @@ def test_disconnected_input_is_never_rebuilt_per_component(monkeypatch, tmp_path
         _direct(recognize_path_graph),
         _direct(recognize_directed_path_graph),
         _direct(realize),
-        _host_of_realized,
+        _on_realized(clique_path_tree_to_host),
         _cli("certify", "--realize", "--json"),
     ],
     ids=["recognize", "recognize_directed", "realize", "host", "cli_certify_realize"],
