@@ -337,7 +337,7 @@ def _is_tree(c: int, edges: frozenset[tuple[int, int]]) -> bool:
     endpoint outside 0..c-1.
     """
     if not all(
-        isinstance(e, tuple) and len(e) == 2 and isinstance(e[0], int) and isinstance(e[1], int)
+        isinstance(e, tuple) and len(e) == 2 and type(e[0]) is int and type(e[1]) is int
         for e in edges
     ):
         raise InputError("tree edge is not a pair of ints")

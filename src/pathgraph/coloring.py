@@ -8,12 +8,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, count
 from typing import Iterable, Iterator
 
 from .attach import AttachednessGraph, antipodal as parts_antipodal, is_neighboring_set
 from .chordal import _tree_adj
-from .decompose import Decomposition
+from .decompose import Decomposition, _select
 from .errors import InvariantError
 
 FULL_ANTIPODAL_TRIPLE = "FULL_ANTIPODAL_TRIPLE"
@@ -66,7 +66,7 @@ def full_antipodal_triple(
 ) -> tuple[tuple[int, int, int], int] | None:
     """Lexicographically first pairwise-antipodal triple sharing a witness vertex."""
     cands = range(m.size) if restrict_to is None else restrict_to
-    return _full_triple(m, _tree_adj(m.size, m.edges.antipodal), cands)
+    return _full_triple(m, _tree_adj(m.size, m.antipodal), cands)
 
 
 def _full_triple(
@@ -89,14 +89,11 @@ def _full_triple(
 def skeleton(m: AttachednessGraph) -> Skeleton:
     # the upper bounds are the classes with no strict dominator, by smallest
     # original part index; a class's upper bounds are itself when it is one,
-    # else its dominators among them, read off the dominance pairs
-    dominated = {a for a, _ in m.dominance_order}
-    upper = tuple(c for c in range(m.size) if c not in dominated)
+    # else its dominators among them, read off its dominance row
+    upper = tuple(c for c, x in enumerate(m.up) if not x)
     pos = {u: i for i, u in enumerate(upper, start=1)}
-    above: list[list[int]] = [[c] if c in pos else [] for c in range(m.size)]
-    for a, b in m.dominance_order:
-        if b in pos:
-            above[a].append(b)
+    tops = sum(1 << u for u in upper)
+    above = [list(_select(count(), x & tops)) if x else [c] for c, x in enumerate(m.up)]
     d_single: list[list[int]] = [[] for _ in upper]
     d_pair: dict[tuple[int, int], list[int]] = {}
     unassigned: list[int] = []
@@ -223,7 +220,7 @@ def weak_coloring(m: AttachednessGraph) -> WeakColoring | Refutation:
 
 def _weak_coloring(m: AttachednessGraph, s: Skeleton) -> WeakColoring | Refutation:
     """weak_coloring on the skeleton of m, which the caller has built."""
-    adj = _tree_adj(m.size, m.edges.antipodal)  # sorted antipodal neighbors
+    adj = _tree_adj(m.size, m.antipodal)  # sorted antipodal neighbors
     ft = _full_triple(m, adj, s.upper)
     if ft is not None:
         return Refutation(kind=FULL_ANTIPODAL_TRIPLE, classes=ft[0], witness=ft[1])
@@ -259,7 +256,7 @@ def _weak_coloring(m: AttachednessGraph, s: Skeleton) -> WeakColoring | Refutati
             )
         f.update(res)
 
-    for a, b in m.edges.antipodal:
+    for a, b in m.antipodal:
         if f[a] == f[b]:
             raise InvariantError(f"weak coloring is not proper at {a},{b}")
     conds = _canonical_conditions(m, s, f, adj)
@@ -273,7 +270,7 @@ def check_canonical_conditions(
     m: AttachednessGraph, s: Skeleton, f: dict[int, int]
 ) -> dict[str, bool]:
     """The six structural conditions of the canonical coloring, individually."""
-    return _canonical_conditions(m, s, f, _tree_adj(m.size, m.edges.antipodal))
+    return _canonical_conditions(m, s, f, _tree_adj(m.size, m.antipodal))
 
 
 def _canonical_conditions(
@@ -305,7 +302,7 @@ def _canonical_conditions(
     out["e"] = ok_e
     out["f"] = all(
         f[a] != f[b]
-        for a, b in m.edges.antipodal
+        for a, b in m.antipodal
         if s.member_of.get(a) == s.member_of.get(b)
     )
     return out

@@ -3,10 +3,12 @@ the clique forest of its search."""
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import chain, filterfalse
-from typing import Callable, Iterator
+from functools import cached_property, reduce
+from itertools import chain, compress, filterfalse, repeat
+from operator import or_
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .chordal import CliqueIndex, _connected_index
 from .errors import PreconditionError
@@ -17,12 +19,17 @@ class GammaComponent:
     """One separated part: a component C of G - Q.
 
     relevant_cliques are the maximal cliques of G[C + Q] which meet the
-    separator but do not equal it; traces are their intersections with the
-    separator, deduplicated; smallest is C's smallest vertex. The vertex set
-    C itself, component, is either given or derived on first read by
-    expand(index) from the clique forest: io's full documents read it,
-    recognition and realization never do.
+    separator but do not equal it; masks are their traces, their
+    intersections with the separator q, deduplicated, with bit i set for
+    q[i]. A part built by hand gives its traces, and its q is their union.
+    smallest is C's smallest vertex. The sorted vertex tuples traces and C
+    itself, component, are derived on first read, C by expand(index) from
+    the clique forest: io's full documents read both, recognition and
+    realization neither.
     """
+
+    __slots__ = ("index", "relevant_cliques", "smallest", "q", "masks")
+    __slots__ += ("_traces", "_component", "_expand")
 
     def __init__(
         self,
@@ -32,19 +39,42 @@ class GammaComponent:
         traces: tuple[VertexSet, ...] = (),
         smallest: int | None = None,
         expand: Callable[[int], VertexSet] | None = None,
+        q: VertexSet = (),
+        masks: tuple[int, ...] = (),
     ) -> None:
+        if traces:
+            q = vset(chain.from_iterable(traces))
+            masks = tuple(sum(1 << bisect_left(q, v) for v in t) for t in traces)
         self.index = index
         self.relevant_cliques = relevant_cliques
-        self.traces = traces
         self.smallest = smallest
+        self.q = q
+        self.masks = masks
+        self._traces = traces or None
         self._component = component
         self._expand = expand
+
+    @property
+    def traces(self) -> tuple[VertexSet, ...]:
+        if self._traces is None:
+            self._traces = tuple(sorted(tuple(_select(self.q, s)) for s in self.masks))
+        return self._traces
 
     @property
     def component(self) -> VertexSet:
         if self._component is None:
             self._component = self._expand(self.index)
         return self._component
+
+
+def _select(items: Iterable, mask: int) -> Iterator:
+    """The items at the positions of the set bits of mask, in order."""
+    return compress(items, map("1".__eq__, reversed(f"{mask:b}")))
+
+
+def _neighbor_map(q: VertexSet, masks: Sequence[int]) -> dict[int, tuple[int, ...]]:
+    """v in q -> the positions k, ascending, with q's bit of v set in masks[k]."""
+    return {v: tuple(k for k, s in enumerate(masks) if s >> i & 1) for i, v in enumerate(q)}
 
 
 @dataclass(frozen=True)
@@ -56,12 +86,16 @@ class Decomposition:
 
     q: VertexSet
     gammas: tuple[GammaComponent, ...]
-    neighbor_map: dict[int, tuple[int, ...]]  # v in Q -> gammas with v in some trace
     part_of: Callable[[int], int] = field(repr=False, compare=False)
 
     @property
     def size(self) -> int:
         return len(self.gammas)
+
+    @cached_property
+    def neighbor_map(self) -> dict[int, tuple[int, ...]]:
+        """v in Q -> the parts with v in some trace."""
+        return _neighbor_map(self.q, [reduce(or_, p.masks, 0) for p in self.gammas])
 
 
 class _Tour:
@@ -188,10 +222,8 @@ def _decomposition(index: CliqueIndex, tour: _Tour, qi: int) -> Decomposition | 
     close(last)
     bounds = starts[1:] + [last]
 
-    low = [
-        min(filterfalse(qs.__contains__, chain.from_iterable(map(cliques.__getitem__, zs))))
-        for zs in held
-    ]
+    # a clique's first vertex outside Q is its smallest
+    low = [min(next(filterfalse(qs.__contains__, cliques[z])) for z in zs) for zs in held]
     runs = []  # the nonempty runs past the cliques in S
     for a, b, r in zip(starts, bounds, labels):
         if r >= 0 and a < b:
@@ -215,24 +247,15 @@ def _decomposition(index: CliqueIndex, tour: _Tour, qi: int) -> Decomposition | 
             parts.extend(tuple(sorted(found[r] - qs)) for r in order)
         return parts[k]
 
+    # a trace's mask is the sum of its vertices' bits, by position in q
+    bit = {v: 1 << i for i, v in enumerate(q)}.get
+    zeros = repeat(0)
     gammas = []
-    nmap: dict[int, list[int]] = {v: [] for v in q}
     for k, r in enumerate(order):
         rel = tuple(map(cliques.__getitem__, sorted(held[r])))
-        traces = tuple(sorted({tuple(filter(qs.__contains__, c)) for c in rel}))
-        gammas.append(
-            GammaComponent(
-                index=k, relevant_cliques=rel, traces=traces, smallest=low[r], expand=vertices
-            )
-        )
-        for v in set().union(*traces):
-            nmap[v].append(k)
-    return Decomposition(
-        q=q,
-        gammas=tuple(gammas),
-        neighbor_map={v: tuple(ix) for v, ix in nmap.items()},
-        part_of=part_of,
-    )
+        masks = tuple(dict.fromkeys([sum(map(bit, c, zeros)) for c in rel]))
+        gammas.append(GammaComponent(k, None, rel, (), low[r], vertices, q, masks))
+    return Decomposition(q, tuple(gammas), part_of)
 
 
 def gamma_components(g: Graph, q: VertexSet) -> Decomposition:

@@ -43,6 +43,8 @@ class Graph:
             raise InputError(f"vertex count must be nonnegative, got {n}")
         nbrs: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
+            if type(u) is not int or type(v) is not int:
+                raise InputError(f"edge ({u!r}, {v!r}) has an endpoint that is not an int")
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:

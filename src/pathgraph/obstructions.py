@@ -139,10 +139,7 @@ def verify_obstruction(
             if want is None and induced and have is not None:
                 return False
     if o.pattern.family == FULL_TRIANGLE:
-        if o.witness is None or o.witness not in m.neighbor_map:
-            return False
-        reach = set(m.neighbor_map[o.witness])
-        if not set(emb) <= reach:
+        if o.witness not in m.q or not all(m.masks[c] >> m.q.index(o.witness) & 1 for c in emb):
             return False
     return True
 

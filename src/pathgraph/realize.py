@@ -84,9 +84,9 @@ def _assemble(
     node_of = {c: i for i, c in enumerate(cliques)}
     report_at = {node_of[r.decomposition.q]: r for r in reports}
 
-    def frame(h, part=None, k=None, up=None):
+    def frame(h, part=None, k=None, up=None, trace=()):
         """Separator node h with its parts to realize, for the part of G - K
-        it heads (None at the root), whose result goes to up."""
+        it heads (None at the root), whose result goes to up, and its largest trace."""
         rep = report_at[h]
         hs = set(cliques[h])
         gammas = rep.decomposition.gammas
@@ -94,7 +94,7 @@ def _assemble(
         kpart = None
         if part is not None:
             kpart = rep.decomposition.part_of(next(v for v in cliques[k] if v not in hs))
-            results[kpart] = (k, dict.fromkeys(max(part.traces, key=len), k))
+            results[kpart] = (k, dict.fromkeys(trace, k))
             # the other parts of G - H avoid K, so each lies in one part of G - K
             above = report_at[k].decomposition
             gammas = [
@@ -112,14 +112,11 @@ def _assemble(
     frames = [frame(node_of[r.q]) for r in roots.values()]
     for h, _, hs, inside, results, _, _, _ in frames:  # the list grows while read
         for gm in inside:
-            trace = max(gm.traces, key=len)
-            head = next(
-                node_of[c]
-                for c in gm.relevant_cliques
-                if len(hs.intersection(c)) == len(trace)
-            )
+            size = max(s.bit_count() for s in gm.masks)
+            c = next(c for c in gm.relevant_cliques if len(hs.intersection(c)) == size)
+            head, trace = node_of[c], tuple(filter(hs.__contains__, c))
             if head in report_at:
-                frames.append(frame(head, gm, h, results))
+                frames.append(frame(head, gm, h, results, trace))
             else:
                 results[gm.index] = (head, dict.fromkeys(trace, head))
     edges: set[tuple[int, int]] = set()
@@ -153,11 +150,10 @@ def _hang(
     m = rep.attachedness
     color = rep.coloring.f
     cls_of = {gi: cid for cid, members in enumerate(m.class_members) for gi in members}
-    ndom = Counter(a for a, _ in m.dominance_order)
 
     def rank(i: int) -> tuple[int, int, int, int]:
         c = cls_of[i]
-        return (color[c], ndom[c], c, i)
+        return (color[c], m.up[c].bit_count(), c, i)
 
     ends: dict[int, dict[int, int]] = {}  # v -> color -> where v's path ends
     top = h
@@ -240,7 +236,7 @@ def verify_realization(g: Graph, host: HostRealization) -> bool:
     counting the paths through each host node and edge): linear in the path
     lengths plus m times a path length. A malformed host is rejected too.
     """
-    if not isinstance(host.host_n, int) or not isinstance(host.paths, (tuple, list)):
+    if type(host.host_n) is not int or not isinstance(host.paths, (tuple, list)):
         return False
     if len(host.paths) != g.n:
         return False
@@ -254,7 +250,7 @@ def verify_realization(g: Graph, host: HostRealization) -> bool:
     for p in host.paths:
         if not isinstance(p, (tuple, list)) or not p:
             return False
-        if any(not isinstance(x, int) or x not in nodes for x in p) or len(set(p)) != len(p):
+        if any(type(x) is not int or x not in nodes for x in p) or len(set(p)) != len(p):
             return False
         for a, b in zip(p, p[1:]):
             if b not in adj[a]:

@@ -115,7 +115,7 @@ def _first_odd_cycle(
     in separator order: refuted at the first odd cycle in an antipodal graph
     over classes."""
     for q, m in quotients:
-        adj = _tree_adj(m.size, m.edges.antipodal)
+        adj = _tree_adj(m.size, m.antipodal)
         res = _two_color_member(adj, range(m.size), {}, 0, 1)
         if isinstance(res, tuple):
             return DirectedVerdict(

@@ -241,7 +241,6 @@ def quotient_by_pairs(dec):
     neighboring checked to be a class property."""
     from pathgraph.attach import AttachednessGraph, attached
     from pathgraph.errors import InvariantError
-    from pathgraph.graphs import EdgeColoredGraph
 
     gammas = dec.gammas
     k = len(gammas)
@@ -276,7 +275,6 @@ def quotient_by_pairs(dec):
 
     # relations between classes, via representatives, checked member-invariant
     a_edges = set()
-    d_edges = set()
     order = set()
     for ci in range(s):
         for cj in range(ci + 1, s):
@@ -289,7 +287,6 @@ def quotient_by_pairs(dec):
                             f"relation between classes {ci},{cj} depends on members"
                         )
             if dom[ri][rj] or dom[rj][ri]:
-                d_edges.add((ci, cj))
                 order.add((ci, cj) if dom[ri][rj] else (cj, ci))
             elif att[ri][rj]:
                 a_edges.add((ci, cj))
@@ -313,14 +310,18 @@ def quotient_by_pairs(dec):
                     )
         nmap[v] = tuple(by_class)
 
-    ecg = EdgeColoredGraph(s, frozenset(a_edges), frozenset(d_edges))
+    up = [0] * s
+    for a, b in order:
+        up[a] |= 1 << b
     return AttachednessGraph(
         q=dec.q,
         gammas=tuple(gammas[r] for r in reps),
         class_members=tuple(tuple(cls) for cls in members),
-        edges=ecg,
-        dominance_order=frozenset(order),
-        neighbor_map=nmap,
+        antipodal=frozenset(a_edges),
+        up=tuple(up),
+        masks=tuple(
+            sum(1 << i for i, v in enumerate(dec.q) if c in nmap[v]) for c in range(s)
+        ),
     )
 
 

@@ -1,13 +1,12 @@
 """Hand-built attachedness structures that drive specific pipeline branches.
 
-The parts carry no vertices or traces; the relation edges and the dominance
-order are laid down directly, which is all the coloring and certificate code
-ever looks at.
+The parts carry no vertices or traces; the antipodal pairs, the dominance
+rows and the neighbor masks are laid down directly, which is all the coloring
+and certificate code ever looks at.
 """
 
 from pathgraph.attach import AttachednessGraph
 from pathgraph.decompose import GammaComponent
-from pathgraph.graphs import EdgeColoredGraph
 
 
 def fake_m(size, anti=(), order=(), neighbor_map=None):
@@ -17,17 +16,21 @@ def fake_m(size, anti=(), order=(), neighbor_map=None):
         )
         for i in range(size)
     )
-    anti = frozenset(tuple(sorted(e)) for e in anti)
-    order = frozenset(order)
-    dom = frozenset(tuple(sorted(e)) for e in order)
-    nm = dict(neighbor_map or {})
+    up = [0] * size
+    for a, b in order:
+        up[a] |= 1 << b
+    q = tuple(sorted(neighbor_map or {}))
+    masks = [0] * size
+    for i, v in enumerate(q):
+        for c in neighbor_map[v]:
+            masks[c] |= 1 << i
     return AttachednessGraph(
-        q=tuple(sorted(nm)),
+        q=q,
         gammas=gammas,
         class_members=tuple((i,) for i in range(size)),
-        edges=EdgeColoredGraph(size, anti, dom),
-        dominance_order=order,
-        neighbor_map=nm,
+        antipodal=frozenset(tuple(sorted(e)) for e in anti),
+        up=tuple(up),
+        masks=tuple(masks),
     )
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -69,3 +70,33 @@ def mixed_graphs(chordal_corpus):
         cases.append((f"union-{seed}", interleaved(pieces, seed)))
     cases += [("n=0", Graph(0, ())), ("n=1", Graph(1, (frozenset(),)))]
     return cases
+
+
+def star(n):
+    """K_{1,n}: every separator's parts share the one trace {0}."""
+    return Graph.from_edges(n + 1, [(0, i) for i in range(1, n + 1)])
+
+
+def chain(q):
+    """A clique {0..q-1} plus, for each i < q - 1, a pendant vertex q + i
+    adjacent to {0..i}: q - 1 separators of nested classes."""
+    edges = list(itertools.combinations(range(q), 2))
+    edges += [(q + i, j) for i in range(q - 1) for j in range(i + 1)]
+    return Graph.from_edges(2 * q - 1, edges)
+
+
+def relabeled(g, seed):
+    """g on shuffled ids from 70 up, after 70 isolated vertices: every
+    separator's ids exceed 64, so a vertex's position in Q differs from its
+    id, and Q's order is not the order of g's ids."""
+    ids = list(range(70, 70 + g.n))
+    random.Random(seed).shuffle(ids)
+    return Graph.from_edges(70 + g.n, [(ids[u], ids[v]) for u, v in g.edges()])
+
+
+@pytest.fixture(scope="session")
+def wider_graphs(mixed_graphs):
+    """chain(3..40), K_{1,2..60} and every mixed graph relabeled."""
+    cases = [(f"chain({q})", chain(q)) for q in range(3, 41)]
+    cases += [(f"K_1,{n}", star(n)) for n in range(2, 61)]
+    return cases + [(f"{name} relabeled", relabeled(g, i)) for i, (name, g) in enumerate(mixed_graphs)]

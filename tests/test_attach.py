@@ -24,6 +24,8 @@ from pathgraph.errors import InvariantError
 from pathgraph.generate import gen_chordal
 from pathgraph.graphs import ANTIPODAL, Graph, vset
 
+from conftest import chain, star
+
 
 def gm(index, *traces):
     """Bare part carrying only traces; enough for the relation functions."""
@@ -214,19 +216,6 @@ def test_quotient_strict_order_is_sane(chordal_corpus):
                     assert a == d or (a, d) in order
 
 
-def star(n):
-    """K_{1,n}: every separator's parts share the one trace {0}."""
-    return Graph.from_edges(n + 1, [(0, i) for i in range(1, n + 1)])
-
-
-def chain(q):
-    """A clique {0..q-1} plus, for each i < q - 1, a pendant vertex q + i
-    adjacent to {0..i}: q - 1 separators of nested classes."""
-    edges = list(itertools.combinations(range(q), 2))
-    edges += [(q + i, j) for i in range(q - 1) for j in range(i + 1)]
-    return Graph.from_edges(2 * q - 1, edges)
-
-
 def test_quotient_matches_the_pairwise_relations(mixed_graphs, worked8):
     """The quotient equals the pairwise reference, which checks member
     invariance, class antisymmetry and transitivity, and neighboring as a
@@ -239,14 +228,32 @@ def test_quotient_matches_the_pairwise_relations(mixed_graphs, worked8):
     graphs += [(f"K_1,{n}", star(n)) for n in range(2, 31)]
     graphs += [(f"chain({q})", chain(q)) for q in range(3, 21)]
     graphs += [(f"fans({t})", fans(t)) for t in range(2, 5)]
+    assert quotients_match_pairs(graphs) > 1500
+
+
+def test_quotient_matches_the_pairwise_relations_on_wider_graphs(wider_graphs):
+    # longer chains and larger stars, and ids past 64 that are not Q
+    # positions; a quotient reads only the parts' masks, so a separator whose
+    # parts have the masks of one already checked in its graph is skipped:
+    # a star's separators are all alike
+    assert quotients_match_pairs(wider_graphs, distinct=True) > 1200
+
+
+def quotients_match_pairs(graphs, distinct=False):
+    """Check every quotient of at most 60 parts in graphs against the
+    pairwise reference, or with distinct only the first of those whose parts
+    have the same masks in each graph; the number of separators checked."""
     separators = 0
     for name, g in graphs:
         index = _index_or_hole(g)
         if isinstance(index, HoleCertificate):
             continue
+        seen = set()
         for dec in _decompositions(index):
-            if dec.size > 60:
+            masks = tuple(p.masks for p in dec.gammas)
+            if dec.size > 60 or (distinct and masks in seen):
                 continue
+            seen.add(masks)
             m = quotient(dec)
             want = _brute.quotient_by_pairs(dec)
             assert m.class_members == want.class_members, name
@@ -265,15 +272,27 @@ def test_quotient_matches_the_pairwise_relations(mixed_graphs, worked8):
                 assert ((ca, cb) in m.dominance_order) == (ab and not ba)
                 assert ((cb, ca) in m.dominance_order) == (ba and not ab)
             separators += 1
-    assert separators > 1500
+    return separators
+
+
+def masked(q, *traces):
+    """Parts, one per trace, each with that single trace as a mask over q."""
+    return tuple(
+        GammaComponent(i, q=q, masks=tuple(masks_over(q, [t]))) for i, t in enumerate(traces)
+    )
+
+
+def masks_over(q, traces):
+    """Each trace as a mask over the positions of the sorted vertex tuple q."""
+    return [sum(1 << q.index(v) for v in t) for t in traces]
 
 
 def test_quotient_rejects_non_transitive_dominance(monkeypatch):
     # three parts with the single traces {0} < {0,1} < {0,1,2}, all sharing
     # 0; a nesting test with 0 <= 1 <= 2 but not 0 <= 2 must not pass unseen
-    parts = tuple(gm(i, tuple(range(i + 1))) for i in range(3))
-    dec = Decomposition((0, 1, 2), parts, {0: (0, 1, 2), 1: (1, 2), 2: (2,)}, None)
-    monkeypatch.setattr(attach, "_nests", lambda a, b: (a.index, b.index) in {(0, 1), (1, 2)})
+    dec = Decomposition((0, 1, 2), masked((0, 1, 2), (0,), (0, 1), (0, 1, 2)), None)
+    # the masks 1, 3, 7: 1 nests in 3, 3 in 7, and 1 not in 7
+    monkeypatch.setattr(attach, "_nests", lambda u, masks: (u, *masks) in {(1, 3), (3, 7)})
     with pytest.raises(InvariantError, match="dominance is not transitive"):
         quotient(dec)
 
@@ -281,9 +300,8 @@ def test_quotient_rejects_non_transitive_dominance(monkeypatch):
 def test_quotient_rejects_mutual_dominance_across_classes(monkeypatch):
     # parts {0} and {0,1} are distinct classes; a nesting test that holds both
     # ways between them contradicts the class lemma and must not pass unseen
-    parts = (gm(0, (0,)), gm(1, (0, 1)))
-    dec = Decomposition((0, 1), parts, {0: (0, 1), 1: (1,)}, None)
-    monkeypatch.setattr(attach, "_nests", lambda a, b: True)
+    dec = Decomposition((0, 1), masked((0, 1), (0,), (0, 1)), None)
+    monkeypatch.setattr(attach, "_nests", lambda u, masks: True)
     with pytest.raises(InvariantError, match="classes 0 and 1 dominate each other"):
         quotient(dec)
 
@@ -307,5 +325,22 @@ def test_mutual_dominance_is_one_shared_trace(ta, tb, twins):
     assert mutual == (a.traces == b.traces and len(a.traces) == 1)
     if a.traces == b.traces and len(a.traces) > 1:
         assert antipodal(a, b)
+    q = vset(v for t in ta + tb for v in t)
     for x, y in ((a, b), (b, a)):
-        assert attach._nests(x, y) == _brute.nests_by_trace(x, y)
+        union = sum(masks_over(q, [vset(v for t in x.traces for v in t)]))
+        assert attach._nests(union, masks_over(q, y.traces)) == _brute.nests_by_trace(x, y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mask_nesting_matches_nesting_by_trace(data):
+    """The int nesting test on masks over a Q of up to 70 vertices, whose
+    positions differ from its ids, against the trace-by-trace test."""
+    size = data.draw(st.integers(1, 70))
+    q = vset(data.draw(st.sets(st.integers(0, 300), min_size=size, max_size=size)))
+    trace = st.sets(st.sampled_from(q), min_size=1).map(vset)
+    family = st.sets(trace, min_size=1, max_size=5).map(sorted)
+    ta, tb = data.draw(family), data.draw(family)
+    a, b = gm(0, *ta), gm(1, *tb)
+    union = sum(masks_over(q, [vset(v for t in ta for v in t)]))
+    assert attach._nests(union, masks_over(q, tb)) == _brute.nests_by_trace(a, b)

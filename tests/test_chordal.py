@@ -135,6 +135,22 @@ def test_is_clique_path_tree_wants_canonical_cliques(worked8):
         is_clique_path_tree(worked8, CliqueTree(t.cliques[::-1], t.edges))
 
 
+_P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
+
+
+@pytest.mark.parametrize("bad", [True, 1.0], ids=["bool", "float"])
+def test_is_clique_path_tree_rejects_bool_and_float_edges(bad):
+    # True == 1.0 == 1 and all three hash alike, so only the type tells them apart
+    with pytest.raises(InputError, match="not a pair of ints"):
+        is_clique_path_tree(_P3, CliqueTree(((0, 1), (1, 2)), frozenset({(0, bad)})))
+
+
+@pytest.mark.parametrize("bad", [True, 1.0], ids=["bool", "float"])
+def test_is_valid_clique_tree_rejects_bool_and_float_edges(bad):
+    with pytest.raises(InputError, match="not a pair of ints"):
+        is_valid_clique_tree(_P3, CliqueTree(((0, 1), (1, 2)), frozenset({(0, bad)})))
+
+
 def test_tree_checks_reject_out_of_range_edges():
     from pathgraph.realize import HostRealization, clique_path_tree_to_host, verify_realization
 

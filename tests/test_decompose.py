@@ -119,8 +119,19 @@ def test_relevant_cliques_match_induced_parts(chordal_corpus):
 def test_tree_parts_match_traversal_reference(mixed_graphs):
     # separator order, part order, vertices, relevant cliques, traces and
     # neighbor map all agree with one traversal of G - Q per clique
+    assert parts_match_traversal(mixed_graphs) > 1000
+
+
+def test_tree_parts_match_traversal_reference_on_wider_graphs(wider_graphs):
+    # longer chains and larger stars, and ids past 64 that are not Q positions
+    assert parts_match_traversal(wider_graphs) > 2500
+
+
+def parts_match_traversal(graphs):
+    """Check every decomposition in graphs against the traversal reference;
+    the number of separators checked."""
     separators = 0
-    for name, g in mixed_graphs:
+    for name, g in graphs:
         index = _index_or_hole(g)
         if isinstance(index, HoleCertificate):
             continue
@@ -137,4 +148,4 @@ def test_tree_parts_match_traversal_reference(mixed_graphs):
             for k, (c, _, _) in enumerate(parts):
                 assert all(dec.part_of(v) == k for v in c), name
             separators += 1
-    assert separators > 1000
+    return separators

@@ -37,6 +37,12 @@ def test_from_edges_rejects_bad_input():
         Graph.from_edges(2, [], labels=("a",))
 
 
+@pytest.mark.parametrize("bad", [True, 1.0], ids=["bool", "float"])
+def test_from_edges_rejects_bool_and_float_ids(bad):
+    with pytest.raises(InputError, match="not an int"):
+        Graph.from_edges(3, [(0, bad), (1, 2)])
+
+
 def test_labels_default_to_vertex_ids():
     g = Graph.from_edges(2, [(0, 1)])
     assert g.label(1) == "1"

@@ -5,7 +5,7 @@ import pytest
 import _brute
 from pathgraph import oracle
 from pathgraph.chordal import CliqueTree, is_clique_path_tree
-from pathgraph.errors import PreconditionError
+from pathgraph.errors import InputError, PreconditionError
 from pathgraph.generate import gen_path_graph
 from pathgraph.graphs import Graph
 from pathgraph.realize import (
@@ -90,6 +90,22 @@ def test_host_requires_a_path_tree(k4hub):
     t = clique_tree(k4hub)
     with pytest.raises(PreconditionError):
         clique_path_tree_to_host(k4hub, t)
+
+
+@pytest.mark.parametrize("bad", [True, 1.0], ids=["bool", "float"])
+def test_clique_path_tree_to_host_rejects_bool_and_float_edges(bad):
+    p3 = Graph.from_edges(3, [(0, 1), (1, 2)])
+    with pytest.raises(InputError, match="not a pair of ints"):
+        clique_path_tree_to_host(p3, CliqueTree(((0, 1), (1, 2)), frozenset({(0, bad)})))
+
+
+@pytest.mark.parametrize("bad", [True, 1.0], ids=["bool", "float"])
+def test_verify_realization_rejects_bool_and_float_nodes(bad):
+    p3 = Graph.from_edges(3, [(0, 1), (1, 2)])
+    edges, paths = frozenset({(0, 1)}), ((0,), (0, 1), (1,))
+    assert verify_realization(p3, HostRealization(2, edges, paths))
+    assert not verify_realization(p3, HostRealization(2, edges, ((0,), (0, bad), (1,))))
+    assert not verify_realization(p3, HostRealization(2, frozenset({(0, bad)}), paths))
 
 
 def test_verify_realization_rejects_bad_hosts():

@@ -1,3 +1,4 @@
+import itertools
 import sys
 from collections import Counter
 
@@ -272,6 +273,35 @@ def test_separators_never_walk_the_graph_nor_expand_parts(monkeypatch, g):
     assert clique_separators(g)
 
 
+@pytest.mark.parametrize("g", [_GP80, _P200], ids=["gen_path_graph_80_80_0", "P_200"])
+def test_member_recognition_builds_no_neighbor_map_nor_trace_tuple(monkeypatch, g):
+    # traces stay masks over Q and the relations are read off them: no
+    # separator decodes a trace or builds a neighbor map, for a part or a class
+    built = Counter()
+    neighbor_map, traces = decompose._neighbor_map, decompose.GammaComponent.traces
+
+    def counted_map(q, masks):
+        built["neighbor_map"] += 1
+        return neighbor_map(q, masks)
+
+    def counted_traces(part):
+        built["traces"] += 1
+        return traces.fget(part)
+
+    for mod in (decompose, attach):
+        monkeypatch.setattr(mod, "_neighbor_map", counted_map)
+    monkeypatch.setattr(decompose.GammaComponent, "traces", property(counted_traces))
+    assert recognize_path_graph(g).is_path_graph
+    assert recognize_directed_path_graph(g).status in (DIRECTED_PATH_GRAPH, NOT_DIRECTED_PATH_GRAPH)
+    if g is _GP80:
+        assert is_clique_path_tree(g, realize(g))
+    assert built == Counter()
+    # the counters see a read when there is one
+    dec = recognize_path_graph(g).reports[0].decomposition
+    assert dec.neighbor_map and dec.gammas[0].traces
+    assert built == Counter(neighbor_map=1, traces=1)
+
+
 _GP80_TWICE = Graph.from_edges(160, _GP80.edges() + shift(_GP80.edges(), 80))
 
 
@@ -455,9 +485,9 @@ def test_one_skeleton_and_one_dominance_test_per_separator(monkeypatch, g, neste
         per_quotient[-1][0][a.index, b.index] += 1
         return attached(a, b)
 
-    def counted_nests(a, b):
-        per_quotient[-1][1][a.index, b.index] += 1
-        return nests(a, b)
+    def counted_nests(u, masks):
+        per_quotient[-1][1][u, tuple(masks)] += 1
+        return nests(u, masks)
 
     for mod in (coloring, recognize):
         monkeypatch.setattr(mod, "skeleton", counted_skeleton)
@@ -469,10 +499,15 @@ def test_one_skeleton_and_one_dominance_test_per_separator(monkeypatch, g, neste
     assert len(per_quotient) == len(verdict.reports)
     for r, (att, nest) in zip(verdict.reports, per_quotient):
         assert not att
-        assert set(nest.values()) <= {1}
-        parts = r.decomposition.gammas
-        reps = {p.index for p in r.attachedness.gammas}
-        assert all(i != j and {i, j} <= reps for i, j in nest)
-        assert all(attached(parts[i], parts[j]) for i, j in nest)
+        # a test is keyed by one class's trace union and another's trace
+        # masks; count the ordered pairs of distinct representatives that
+        # share a Q vertex under each key
+        m = r.attachedness
+        pairs = Counter(
+            (m.masks[a], m.gammas[b].masks)
+            for a, b in itertools.permutations(range(m.size), 2)
+            if m.masks[a] & m.masks[b]
+        )
+        assert all(count <= pairs[key] for key, count in nest.items())
     assert any(nest for _, nest in per_quotient) == nested
     assert skeletons == [id(r.attachedness) for r in verdict.reports]
