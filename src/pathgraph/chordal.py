@@ -472,8 +472,9 @@ def _proven_separators(
     each maximal clique of g lies in, and so is, some tree clique; and a
     tree clique inside another lies inside its neighbour toward it, which
     is checked not to happen. So the canonically listed tree cliques are
-    g's canonical maximal cliques, and g is chordal. A None only means the
-    caller's search must decide.
+    g's canonical maximal cliques, and g is chordal. Conversely every
+    clique (path) tree of g over them passes, so a None already rejects the
+    tree; _name_rejection only finds the error to raise.
     """
     cliques = tree.cliques
     occurrences = _tree_occurrences(g.n, cliques)
@@ -490,8 +491,20 @@ def _proven_separators(
     return occurrences, sizes
 
 
+def _name_rejection(g: Graph, tree: CliqueTree, caller: str, canonical: bool) -> None:
+    """The one search of g for a tree that failed its proof, to raise the
+    error the caller owes: a PreconditionError for a hole; an InputError,
+    when canonical is set, for cliques that are not g's canonical int
+    tuples; else an InputError for a malformed edge over g's cliques."""
+    index, cliques = _checked_index(g, caller), tree.cliques
+    if tuple(cliques) == index.cliques and _tree_occurrences(g.n, cliques) is not None:
+        _is_tree(len(cliques), tree.edges)
+    elif canonical:
+        raise InputError("tree is not over the canonical maximal clique list")
+
+
 def _proves_clique_tree(g: Graph, tree: CliqueTree, path: bool) -> bool:
-    """Whether the tree alone proves itself a clique tree (a clique path tree
+    """Whether the tree proves itself a clique tree (a clique path tree
     when path is set) of g over its canonical maximal cliques."""
     proof = _proven_separators(g, tree, path)
     if proof is None:
@@ -502,38 +515,27 @@ def _proves_clique_tree(g: Graph, tree: CliqueTree, path: bool) -> bool:
     )
 
 
-def _path_tree_index(g: Graph, tree: CliqueTree, caller: str) -> CliqueIndex:
-    """The boundary of the path-tree checks when the tree does not prove
-    itself: g's clique index, once the tree is known to be over exactly its
-    canonical maximal cliques."""
-    index = _checked_index(g, caller)
-    if tuple(tree.cliques) != index.cliques:
-        raise InputError("tree is not over the canonical maximal clique list")
-    return index
-
-
 def is_valid_clique_tree(g: Graph, tree: CliqueTree) -> bool:
     """Tree on the maximal cliques satisfying the induced-subtree property.
 
-    A tree that proves itself (see _proven_separators) is accepted with no
-    search; any other is decided on g's clique index.
+    Decided by the tree's own proof (see _proven_separators), with no
+    search; a rejected tree over other cliques is False, and g is searched
+    only for the error a hole or a malformed edge raises.
     """
     if _proves_clique_tree(g, tree, path=False):
         return True
-    index = _checked_index(g, "is_valid_clique_tree")
-    return (
-        tuple(tree.cliques) == index.cliques
-        and _separator_sizes(index.cliques, index.occurrences, tree.edges, path=False) is not None
-    )
+    _name_rejection(g, tree, "is_valid_clique_tree", canonical=False)
+    return False
 
 
 def is_clique_path_tree(g: Graph, tree: CliqueTree) -> bool:
     """True when every vertex's cliques induce a path in the tree.
 
-    The tree must be over exactly maximal_cliques(g) in canonical order. A
-    tree that proves itself (see _proven_separators) is accepted with no
-    search; any other is decided on g's clique index.
+    The tree must be over exactly maximal_cliques(g) in canonical order.
+    Decided by the tree's own proof (see _proven_separators), with no
+    search; g is searched only to raise the error a rejected tree owes.
     """
     if _proves_clique_tree(g, tree, path=True):
         return True
-    return _is_path_tree(_path_tree_index(g, tree, "is_clique_path_tree"), tree.edges)
+    _name_rejection(g, tree, "is_clique_path_tree", canonical=True)
+    return False

@@ -18,7 +18,7 @@ from .generate import gen_chordal, gen_path_graph, k4_hub
 from .graphs import Graph, graph_plus
 from .obstructions import DF, F, FTILDE, W0, W1, build_family
 from .oracle import _oracle_tree
-from .realize import _host_from, _tree_from
+from .realize import _tree_from, clique_path_tree_to_host
 from .recognize import (
     DIRECTED_PATH_GRAPH,
     NOT_CHORDAL,
@@ -85,7 +85,7 @@ def _cmd_certify(args) -> int:
     realization = None
     if args.realize and verdict.is_path_graph:
         t = _tree_from(verdict, index)
-        realization = gio.realization_doc(t, _host_from(g, index.occurrences, t))
+        realization = gio.realization_doc(t, clique_path_tree_to_host(g, t))
     doc = gio.verdict_document(
         g, verdict, gplus=args.gplus, directed=directed, realization=realization
     )
@@ -99,7 +99,7 @@ def _cmd_realize(args) -> int:
     if not verdict.is_path_graph:
         return _reject(args, "not a path graph; nothing to realize")
     t = _tree_from(verdict, index)
-    host = _host_from(g, index.occurrences, t)
+    host = clique_path_tree_to_host(g, t)
     if args.dot:
         _say(args, gio.emit_dot(t, g))
     elif args.json:

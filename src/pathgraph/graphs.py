@@ -5,6 +5,7 @@ Vertex sets are canonically represented as strictly increasing tuples of ints.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -39,9 +40,11 @@ class Graph:
         edges: Iterable[tuple[int, int]],
         labels: Iterable[str] | None = None,
     ) -> "Graph":
+        """Only the vertices an edge touches get a neighbor set; every
+        isolated vertex shares one empty frozenset."""
         if n < 0:
             raise InputError(f"vertex count must be nonnegative, got {n}")
-        nbrs: list[set[int]] = [set() for _ in range(n)]
+        nbrs: defaultdict[int, set[int]] = defaultdict(set)
         for u, v in edges:
             if type(u) is not int or type(v) is not int:
                 raise InputError(f"edge ({u!r}, {v!r}) has an endpoint that is not an int")
@@ -54,7 +57,10 @@ class Graph:
         lab = tuple(labels) if labels is not None else None
         if lab is not None and len(lab) != n:
             raise InputError(f"{len(lab)} labels for {n} vertices")
-        return Graph(n, tuple(frozenset(s) for s in nbrs), lab)
+        adj: list[frozenset[int]] = [frozenset()] * n
+        for v, s in nbrs.items():
+            adj[v] = frozenset(s)
+        return Graph(n, tuple(adj), lab)
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]

@@ -12,7 +12,7 @@ from .chordal import (
     _is_path_tree,
     _is_tree,
     _meet_exactly,
-    _path_tree_index,
+    _name_rejection,
     _proven_separators,
     _tree_adj,
 )
@@ -180,30 +180,17 @@ def clique_path_tree_to_host(g: Graph, t: CliqueTree) -> HostRealization:
     """Read the host tree off a clique path tree: one node per clique, and the
     path of a vertex is the path of cliques containing it.
 
-    A tree that proves itself, its shape by _proven_separators and its
-    cliques by verify_realization, needs no search; any other is checked on
-    g's clique index, which raises the error that explains the rejection.
+    Decided by the tree's own proof, its shape by _proven_separators and
+    its cliques by verify_realization on the host, with no search; g is
+    searched only to raise the error a rejected tree owes.
     """
     proof = _proven_separators(g, t, path=True)
     if proof is not None:
         host = _host_paths(proof[0], t)
         if verify_realization(g, host):
             return host
-    index = _path_tree_index(g, t, "clique_path_tree_to_host")
-    if not _is_path_tree(index, t.edges):
-        raise PreconditionError("clique_path_tree_to_host requires a clique path tree")
-    return _host_from(g, index.occurrences, t)
-
-
-def _host_from(
-    g: Graph, occurrences: Sequence[Sequence[int]], t: CliqueTree
-) -> HostRealization:
-    """clique_path_tree_to_host for a clique path tree whose cliques hold
-    each vertex v at the nodes occurrences[v], checked by verify_realization."""
-    host = _host_paths(occurrences, t)
-    if not verify_realization(g, host):
-        raise InvariantError("host realization does not reproduce the graph")
-    return host
+    _name_rejection(g, t, "clique_path_tree_to_host", canonical=True)
+    raise PreconditionError("clique_path_tree_to_host requires a clique path tree")
 
 
 def _host_paths(occurrences: Sequence[Sequence[int]], t: CliqueTree) -> HostRealization:

@@ -399,11 +399,19 @@ def tree_by_degrees(index, edges, path):
     )
 
 
+def _over_canonical(tree, index):
+    """Whether the tree's cliques are the index's, every id an int (a bool
+    equal to 0 or 1 is not)."""
+    return tuple(tree.cliques) == index.cliques and all(
+        type(v) is int for c in tree.cliques for v in c
+    )
+
+
 def _index_over(g, tree, caller):
     from pathgraph.chordal import _checked_index
 
     index = _checked_index(g, caller)
-    if tuple(tree.cliques) != index.cliques:
+    if not _over_canonical(tree, index):
         raise InputError("tree is not over the canonical maximal clique list")
     return index
 
@@ -413,7 +421,7 @@ def is_valid_clique_tree_by_search(g, tree):
     from pathgraph.chordal import _checked_index
 
     index = _checked_index(g, "is_valid_clique_tree")
-    return tuple(tree.cliques) == index.cliques and tree_by_degrees(index, tree.edges, False)
+    return _over_canonical(tree, index) and tree_by_degrees(index, tree.edges, False)
 
 
 def is_clique_path_tree_by_search(g, tree):

@@ -151,6 +151,18 @@ def test_is_valid_clique_tree_rejects_bool_and_float_edges(bad):
         is_valid_clique_tree(_P3, CliqueTree(((0, 1), (1, 2)), frozenset({(0, bad)})))
 
 
+@pytest.mark.parametrize("bad", [True, 1.0], ids=["bool", "float"])
+def test_is_clique_path_tree_rejects_bool_and_float_clique_ids(bad):
+    # the cliques equal P_3's canonical ones under ==, but 1 is not an int
+    with pytest.raises(InputError, match="canonical maximal clique list"):
+        is_clique_path_tree(_P3, CliqueTree(((0, bad), (bad, 2)), frozenset({(0, 1)})))
+
+
+@pytest.mark.parametrize("bad", [True, 1.0], ids=["bool", "float"])
+def test_is_valid_clique_tree_rejects_bool_and_float_clique_ids(bad):
+    assert not is_valid_clique_tree(_P3, CliqueTree(((0, bad), (bad, 2)), frozenset({(0, 1)})))
+
+
 def test_tree_checks_reject_out_of_range_edges():
     from pathgraph.realize import HostRealization, clique_path_tree_to_host, verify_realization
 
@@ -382,10 +394,11 @@ def test_search_free_tree_checks_match_the_search(mixed_graphs):
             seen.setdefault(kind, set()).add(label)
     # both answers and every error of the search came up
     accepted = {"boolTrue", "HostRealizationHost", "boolFals", "PreconditionError"}
-    assert seen["as given"] == seen["bool id"] == accepted
+    assert seen["as given"] == accepted
     assert accepted <= seen["edge moved"]
     assert seen["claimed tree"] == {"PreconditionError"}
     wrong = {"boolFals", "InputError"}
+    assert seen["bool id"] == wrong
     for kind in ("vertex in no clique", "proper subset", "proper superset", "clique as a list"):
         assert seen[kind] == wrong, kind
     assert seen["non-maximal leaf"] == wrong

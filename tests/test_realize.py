@@ -100,6 +100,13 @@ def test_clique_path_tree_to_host_rejects_bool_and_float_edges(bad):
 
 
 @pytest.mark.parametrize("bad", [True, 1.0], ids=["bool", "float"])
+def test_clique_path_tree_to_host_rejects_bool_and_float_clique_ids(bad):
+    p3 = Graph.from_edges(3, [(0, 1), (1, 2)])
+    with pytest.raises(InputError, match="canonical maximal clique list"):
+        clique_path_tree_to_host(p3, CliqueTree(((0, bad), (bad, 2)), frozenset({(0, 1)})))
+
+
+@pytest.mark.parametrize("bad", [True, 1.0], ids=["bool", "float"])
 def test_verify_realization_rejects_bool_and_float_nodes(bad):
     p3 = Graph.from_edges(3, [(0, 1), (1, 2)])
     edges, paths = frozenset({(0, 1)}), ((0,), (0, 1), (1,))

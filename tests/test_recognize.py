@@ -6,6 +6,7 @@ import pytest
 
 from pathgraph import attach, chordal, cli, coloring, decompose, graphs, recognize
 from pathgraph.chordal import (
+    CliqueTree,
     clique_tree,
     is_clique_path_tree,
     is_valid_clique_tree,
@@ -13,9 +14,9 @@ from pathgraph.chordal import (
 )
 from pathgraph.coloring import FULL_ANTIPODAL_TRIPLE
 from pathgraph.decompose import clique_separators
-from pathgraph.errors import GuardRefusal, InvariantError
+from pathgraph.errors import GuardRefusal, InputError, InvariantError, PreconditionError
 from pathgraph.generate import SplitMix64, gen_chordal, gen_path_graph, k4_hub
-from pathgraph.graphs import Graph, connected_components, induced_subgraph
+from pathgraph.graphs import Graph, _norm_edge, connected_components, induced_subgraph
 from pathgraph.io import emit_edgelist
 from pathgraph.obstructions import FULL_TRIANGLE
 from pathgraph.oracle import oracle_clique_path_tree
@@ -186,6 +187,44 @@ def _on_realized(check):
     return prepare
 
 
+def _on_rejected(check, claimed):
+    """check on the tree claimed(g), which is no clique path tree of g: it
+    answers False or raises the error that names why."""
+
+    def prepare(g, tmp_path):
+        t = claimed(g)
+
+        def call():
+            try:
+                assert check(g, t) is False
+            except (InputError, PreconditionError):
+                pass
+
+        return call
+
+    return prepare
+
+
+def _edge_moved(g):
+    """realize's tree of g with a leaf clique rehung at a clique that misses
+    part of its separator, whose vertices then lose their subtrees."""
+    t = realize(g)
+    adj = chordal._tree_adj(len(t.cliques), t.edges)
+    leaf = next(i for i, nbrs in enumerate(adj) if len(nbrs) == 1)
+    (up,) = adj[leaf]
+    sep = set(t.cliques[leaf]).intersection(t.cliques[up])
+    far = next(j for j, c in enumerate(t.cliques) if not sep.issubset(c))
+    moved = t.edges - {_norm_edge(leaf, up)} | {_norm_edge(leaf, far)}
+    return CliqueTree(t.cliques, moved)
+
+
+def _proper_subset(g):
+    """realize's tree of g with one clique short of a vertex."""
+    t = realize(g)
+    k = next(k for k, c in enumerate(t.cliques) if len(c) > 1)
+    return CliqueTree(t.cliques[:k] + (t.cliques[k][1:],) + t.cliques[k + 1 :], t.edges)
+
+
 def _cli(command, *flags):
     def prepare(g, tmp_path):
         path = tmp_path / "g.txt"
@@ -199,6 +238,15 @@ _P200 = Graph.from_edges(200, [(i, i + 1) for i in range(199)])
 _GP100 = gen_path_graph(100, 100, 1)[0]
 _GP80 = gen_path_graph(80, 80, 0)[0]
 _WORKED8_TRIANGLE = Graph.from_edges(11, WORKED8_EDGES + [(8, 9), (9, 10), (8, 10)])
+_C5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+_C5_CLAIMED = CliqueTree(
+    ((0, 1), (0, 4), (1, 2), (2, 3), (3, 4)), frozenset({(0, 1), (0, 2), (2, 3), (3, 4)})
+)
+_TREE_CHECKS = (
+    ("host", clique_path_tree_to_host),
+    ("is_clique_path_tree", is_clique_path_tree),
+    ("is_valid_clique_tree", is_valid_clique_tree),
+)
 
 
 @pytest.mark.parametrize(
@@ -211,10 +259,16 @@ _WORKED8_TRIANGLE = Graph.from_edges(11, WORKED8_EDGES + [(8, 9), (9, 10), (8, 1
     # a tree that carries its own cliques is checked with no search
     + [
         pytest.param(_GP80, _on_realized(f), 0, id=f"{name}-gen_path_graph_80_80_0")
-        for name, f in (
-            ("host", clique_path_tree_to_host),
-            ("is_clique_path_tree", is_clique_path_tree),
-            ("is_valid_clique_tree", is_valid_clique_tree),
+        for name, f in _TREE_CHECKS
+    ]
+    # one that fails its proof is searched once, to name the error
+    + [
+        pytest.param(g, _on_rejected(f, claimed), 1, id=f"{name}-{kind}")
+        for name, f in _TREE_CHECKS
+        for kind, g, claimed in (
+            ("C_5_claimed_tree", _C5, lambda g: _C5_CLAIMED),
+            ("edge_moved", _GP80, _edge_moved),
+            ("proper_subset", _GP80, _proper_subset),
         )
     ]
     + [
@@ -232,7 +286,7 @@ _WORKED8_TRIANGLE = Graph.from_edges(11, WORKED8_EDGES + [(8, 9), (9, 10), (8, 1
 def test_one_search_per_public_call(monkeypatch, tmp_path, g, prepare, searches):
     # the chordal structure comes from the entry check's order, not per
     # separator, recursion node or validation; a CLI command searches once,
-    # and checking a given tree needs no search
+    # and checking a given tree searches only to name why it is rejected
     call = prepare(g, tmp_path)
     calls = []
     search = chordal._mcs
