@@ -12,7 +12,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .chordal import CliqueIndex, _connected_index
 from .errors import PreconditionError
-from .graphs import Graph, VertexSet, is_clique, vset
+from .graphs import Graph, VertexSet, _int_vset, is_clique, vset
 
 
 class GammaComponent:
@@ -261,7 +261,7 @@ def _decomposition(index: CliqueIndex, tour: _Tour, qi: int) -> Decomposition | 
 def gamma_components(g: Graph, q: VertexSet) -> Decomposition:
     """Decompose a connected chordal graph along the maximal clique separator q."""
     index = _connected_index(g, "gamma_components")
-    q = vset(q)
+    q = _int_vset(q, "separator vertex")
     if q not in index.cliques:
         kind = "maximal clique" if is_clique(g, q) else "clique"
         raise PreconditionError(f"{q} is not a {kind}")

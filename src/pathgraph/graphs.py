@@ -22,6 +22,16 @@ def vset(vertices: Iterable[int]) -> VertexSet:
     return tuple(sorted(set(vertices)))
 
 
+def _int_vset(vertices: Iterable[int], what: str) -> VertexSet:
+    """vset of vertex ids that must each be an int: a bool or a float equal
+    to an id is an InputError, not that id."""
+    ids = list(vertices)
+    for v in ids:
+        if type(v) is not int:
+            raise InputError(f"{what} {v!r} is not an int")
+    return vset(ids)
+
+
 def _norm_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
@@ -42,8 +52,8 @@ class Graph:
     ) -> "Graph":
         """Only the vertices an edge touches get a neighbor set; every
         isolated vertex shares one empty frozenset."""
-        if n < 0:
-            raise InputError(f"vertex count must be nonnegative, got {n}")
+        if type(n) is not int or n < 0:
+            raise InputError(f"vertex count must be a nonnegative int, got {n!r}")
         nbrs: defaultdict[int, set[int]] = defaultdict(set)
         for u, v in edges:
             if type(u) is not int or type(v) is not int:
@@ -92,7 +102,7 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, VertexSe
     Returns the new graph together with the id map: position k of the returned
     tuple is the original id of new vertex k.
     """
-    idmap = vset(vertices)
+    idmap = _int_vset(vertices, "vertex")
     if idmap and not (0 <= idmap[0] and idmap[-1] < g.n):
         raise InputError(f"vertices {idmap} out of range for n={g.n}")
     back = {old: new for new, old in enumerate(idmap)}

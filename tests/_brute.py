@@ -3,6 +3,7 @@
 These are deliberately naive and independent of the library internals.
 """
 
+import heapq
 import itertools
 import json
 
@@ -82,7 +83,8 @@ def maximal_cliques_by_containment(g, order):
 
 
 def pruefer_decode_reference(seq, c):
-    """Textbook decoding: repeatedly join the smallest remaining leaf."""
+    """Textbook decoding: repeatedly join the smallest remaining leaf. The
+    edges come in the order they are made, each as (low, high)."""
     degree = [1] * c
     for x in seq:
         degree[x] += 1
@@ -94,7 +96,63 @@ def pruefer_decode_reference(seq, c):
         degree[x] -= 1
     u, v = [w for w in range(c) if degree[w] == 1]
     edges.append((u, v))
-    return sorted(edges)
+    return edges
+
+
+def pruefer_decode_by_heap(seq, c):
+    """The smallest-leaf decoding with the leaves kept in a heap."""
+    degree = [1] * c
+    for x in seq:
+        degree[x] += 1
+    leaves = [v for v in range(c) if degree[v] == 1]
+    heapq.heapify(leaves)
+    edges = []
+    for x in seq:
+        leaf = heapq.heappop(leaves)
+        edges.append((leaf, x) if leaf < x else (x, leaf))
+        degree[x] -= 1
+        if degree[x] == 1:
+            heapq.heappush(leaves, x)
+    u = heapq.heappop(leaves)
+    v = heapq.heappop(leaves)
+    edges.append((u, v) if u < v else (v, u))
+    return edges
+
+
+def all_paths_by_walk(edges, masks):
+    """Does every mask induce a path (connected, max degree 2) in the tree?
+    Walks every edge for every mask."""
+    for mask in masks:
+        k = mask.bit_count()
+        if k <= 1:
+            continue
+        cnt = 0
+        deg = {}
+        for a, b in edges:
+            if (mask >> a) & 1 and (mask >> b) & 1:
+                cnt += 1
+                deg[a] = deg.get(a, 0) + 1
+                deg[b] = deg.get(b, 0) + 1
+                if deg[a] > 2 or deg[b] > 2:
+                    return False
+        if cnt != k - 1:
+            return False
+    return True
+
+
+def first_path_tree_by_sweep(c, masks):
+    """First labeled tree on c nodes, in Pruefer lexicographic order, where
+    every mask induces a path, or None: each sequence decoded by the heap and
+    every mask walked over its edges."""
+    if c <= 1:
+        return []
+    if c == 2:
+        return [(0, 1)]
+    for seq in itertools.product(range(c), repeat=c - 2):
+        edges = pruefer_decode_by_heap(seq, c)
+        if all_paths_by_walk(edges, masks):
+            return edges
+    return None
 
 
 def strong_colorable_by_enumeration(dec) -> bool:

@@ -3,7 +3,7 @@ import pytest
 import _brute
 from pathgraph.chordal import HoleCertificate, _index_or_hole
 from pathgraph.decompose import _decompositions, clique_separators, gamma_components
-from pathgraph.errors import PreconditionError
+from pathgraph.errors import InputError, PreconditionError
 from pathgraph.generate import gen_chordal
 from pathgraph.graphs import Graph, induced_subgraph
 
@@ -74,6 +74,15 @@ def test_preconditions():
         gamma_components(triangle, (0, 1, 2, 3))  # not a clique
     with pytest.raises(PreconditionError):
         gamma_components(triangle, (2, 3))  # does not separate
+
+
+@pytest.mark.parametrize("bad", [True, 1.0], ids=["bool", "float"])
+def test_gamma_components_rejects_bool_and_float_ids(bad):
+    # (1, 2) is a maximal clique separator of P_4, and True == 1.0 == 1
+    p4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    assert gamma_components(p4, (1, 2)).q == (1, 2)
+    with pytest.raises(InputError, match="not an int"):
+        gamma_components(p4, (bad, 2))
 
 
 def test_traces_are_deduplicated():

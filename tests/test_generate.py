@@ -87,7 +87,7 @@ def test_k4_hub_grows():
 def test_decode_pruefer_exhaustive_small():
     c = 5
     for seq in itertools.product(range(c), repeat=c - 2):
-        assert sorted(_decode_pruefer(list(seq), c)) == _brute.pruefer_decode_reference(seq, c)
+        assert _decode_pruefer(list(seq), c) == _brute.pruefer_decode_reference(seq, c)
 
 
 def test_decode_pruefer_random_larger():
@@ -95,4 +95,16 @@ def test_decode_pruefer_random_larger():
     for _ in range(200):
         c = 8
         seq = [rng.next_u64() % c for _ in range(c - 2)]
-        assert sorted(_decode_pruefer(seq, c)) == _brute.pruefer_decode_reference(seq, c)
+        assert _decode_pruefer(seq, c) == _brute.pruefer_decode_reference(seq, c)
+
+
+def test_decode_pruefer_matches_the_heap_decoder():
+    # every sequence for c <= 7, then random ones up to c = 59, edge order included
+    for c in range(2, 8):
+        for seq in itertools.product(range(c), repeat=c - 2):
+            assert _decode_pruefer(list(seq), c) == _brute.pruefer_decode_by_heap(seq, c)
+    rng = SplitMix64(59)
+    for _ in range(500):
+        c = 2 + rng.randrange(58)
+        seq = [rng.randrange(c) for _ in range(c - 2)]
+        assert _decode_pruefer(seq, c) == _brute.pruefer_decode_by_heap(seq, c)

@@ -43,6 +43,19 @@ def test_from_edges_rejects_bool_and_float_ids(bad):
         Graph.from_edges(3, [(0, bad), (1, 2)])
 
 
+@pytest.mark.parametrize("n", [2.0, True], ids=["float", "bool"])
+def test_from_edges_rejects_a_vertex_count_that_is_not_an_int(n):
+    with pytest.raises(InputError, match="nonnegative int"):
+        Graph.from_edges(n, [(0, 1)] if n == 2 else [])
+
+
+@pytest.mark.parametrize("bad", [True, 1.0], ids=["bool", "float"])
+def test_induced_subgraph_rejects_bool_and_float_ids(bad):
+    g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(InputError, match="not an int"):
+        induced_subgraph(g, [bad, 2])
+
+
 def test_labels_default_to_vertex_ids():
     g = Graph.from_edges(2, [(0, 1)])
     assert g.label(1) == "1"

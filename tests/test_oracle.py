@@ -1,15 +1,19 @@
+import random
+
 import pytest
 
+import _brute
 from pathgraph.attach import quotient
-from pathgraph.chordal import is_clique_path_tree, maximal_cliques
+from pathgraph.chordal import _connected_index, is_clique_path_tree, maximal_cliques
 from pathgraph.coloring import WeakColoring, is_strong_coloring, weak_coloring
 from pathgraph.decompose import clique_separators, gamma_components
 from pathgraph.errors import GuardRefusal, PreconditionError
-from pathgraph.generate import gen_chordal
+from pathgraph.generate import gen_chordal, k4_hub
 from pathgraph.graphs import Graph, graph_plus
 from pathgraph.oracle import (
     STRONG_COLORING_MAX_CLASSES,
     TREE_SWEEP_MAX_CLIQUES,
+    _first_path_tree,
     oracle_clique_path_tree,
     oracle_strong_coloring,
 )
@@ -23,6 +27,37 @@ def test_worked8_tree(worked8):
     )
     assert sorted(tree.edges) == [(0, 1), (1, 2), (1, 4), (2, 3), (2, 5)]
     assert is_clique_path_tree(worked8, tree)
+
+
+def _mask_family(g):
+    index = _connected_index(g, "test")
+    masks = {sum(1 << i for i in occ) for occ in index.occurrences if len(occ) >= 2}
+    return len(index.cliques), tuple(sorted(masks))
+
+
+def _mask_families(chordal_corpus):
+    """Every clique count and occurrence-mask family with at most 8 cliques
+    in the chordal corpus, k4_hub(4..8), and seeded random families of up to
+    2c masks over c = 3..7 nodes, single nodes and the empty mask included."""
+    found = {_mask_family(g) for _, g in chordal_corpus}
+    cases = sorted(case for case in found if case[0] <= 8)
+    cases += [_mask_family(k4_hub(t)) for t in range(4, 9)]
+    rng = random.Random(18)
+    for c in range(3, 8):
+        for _ in range(40 if c < 7 else 10):  # an exhausted c = 7 sweeps 16,807 trees
+            cases.append((c, [rng.randrange(1 << c) for _ in range(rng.randrange(2 * c + 1))]))
+    return cases
+
+
+def test_first_path_tree_matches_the_sweep_reference(chordal_corpus):
+    found = exhausted = 0
+    for c, masks in _mask_families(chordal_corpus):
+        tree = _first_path_tree(c, masks)
+        assert tree == _brute.first_path_tree_by_sweep(c, masks), (c, masks)
+        found += tree is not None
+        exhausted += tree is None
+    # both outcomes are exercised
+    assert found > 50 and exhausted > 30
 
 
 def test_k4hub_has_no_path_tree(k4hub):
