@@ -18,7 +18,6 @@ from .coloring import (
     Skeleton,
     WeakColoring,
     check_canonical_conditions,
-    is_strong_coloring,
     skeleton,
     weak_coloring,
 )
@@ -42,7 +41,6 @@ from .graphs import (
     Graph,
     connected_components,
     graph_plus,
-    induced_subgraph,
 )
 from .obstructions import (
     FAMILY_ALL,
@@ -50,11 +48,10 @@ from .obstructions import (
     Obstruction,
     ObstructionPattern,
     build_family,
-    find_induced_colored,
     refutation_to_obstruction,
     verify_obstruction,
 )
-from .oracle import oracle_clique_path_tree, oracle_strong_coloring
+from .oracle import oracle_clique_path_tree
 from .realize import (
     HostRealization,
     clique_path_tree_to_host,
@@ -104,20 +101,16 @@ __all__ = [
     "clique_separators",
     "clique_tree",
     "connected_components",
-    "find_induced_colored",
     "gamma_components",
     "gen_chordal",
     "gen_path_graph",
     "graph_plus",
-    "induced_subgraph",
     "is_chordal",
     "is_clique_path_tree",
-    "is_strong_coloring",
     "is_valid_clique_tree",
     "k4_hub",
     "maximal_cliques",
     "oracle_clique_path_tree",
-    "oracle_strong_coloring",
     "peo_or_hole",
     "quotient",
     "realize",

@@ -9,21 +9,9 @@ from itertools import compress, count
 from operator import and_, or_
 from typing import Iterable
 
-from .decompose import Decomposition, GammaComponent, _neighbor_map, _select
+from .decompose import Decomposition, _neighbor_map, _select
 from .errors import InvariantError
 from .graphs import EdgeColoredGraph, VertexSet, _norm_edge
-
-
-def attached(a: GammaComponent, b: GammaComponent) -> bool:
-    """Some trace of one part intersects some trace of the other."""
-    return any(set(t) & set(s) for t in a.traces for s in b.traces)
-
-
-def dominates(a: GammaComponent, b: GammaComponent) -> bool:
-    """a <= b: attached, and every trace of b either contains all traces of a
-    or is disjoint from all of them."""
-    union = sum(1 << v for v in set().union(*a.traces))  # bits by vertex id
-    return attached(a, b) and _nests(union, [sum(1 << v for v in s) for s in b.traces])
 
 
 def _nests(u: int, masks: Iterable[int]) -> bool:
@@ -33,19 +21,6 @@ def _nests(u: int, masks: Iterable[int]) -> bool:
         if s & u not in (0, u):
             return False
     return True
-
-
-def antipodal(a: GammaComponent, b: GammaComponent) -> bool:
-    """Attached, but neither part dominates the other.
-
-    Whenever some trace of a and some trace of b intersect without nesting
-    the pair is antipodal; the converse can fail for parts whose trace sets
-    interleave (a single trace strictly between two nested traces of the
-    other part), which are antipodal despite all trace pairs nesting.
-    """
-    if a.index == b.index:
-        return False
-    return attached(a, b) and not dominates(a, b) and not dominates(b, a)
 
 
 @dataclass(frozen=True)
@@ -86,9 +61,6 @@ class AttachednessGraph:
         """v in Q -> the classes with v in some trace."""
         return _neighbor_map(self.q, self.masks)
 
-    def attached(self, a: int, b: int) -> bool:
-        return a != b and self.masks[a] & self.masks[b] != 0
-
     def is_antipodal(self, a: int, b: int) -> bool:
         return _norm_edge(a, b) in self.antipodal
 
@@ -114,8 +86,8 @@ def quotient(dec: Decomposition) -> AttachednessGraph:
     more traces is a class of its own. Classes are related through their
     first members, and only when their trace unions share a Q vertex, which
     makes them attached; an attached pair that nests neither way is
-    antipodal, as `antipodal` defines it. A nesting both ways across two
-    classes, or a dominance that is not transitive, raises InvariantError.
+    antipodal. A nesting both ways across two classes, or a dominance that
+    is not transitive, raises InvariantError.
     """
     classes: dict[int, list[int]] = {}
     for p in dec.gammas:

@@ -1,12 +1,13 @@
 """Command line surface.
 
-Exit codes: 0 member, 1 non-member, 2 input error, 3 guard refusal.
+Exit codes: 0 member, 1 non-member, 2 input or output error, 3 guard refusal.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 from . import io as gio
@@ -16,7 +17,7 @@ from .decompose import _decompositions
 from .errors import GenerationError, GuardRefusal, InputError, PreconditionError
 from .generate import gen_chordal, gen_path_graph, k4_hub
 from .graphs import Graph, graph_plus
-from .obstructions import DF, F, FTILDE, W0, W1, build_family
+from .obstructions import FAMILY_ALL, build_family
 from .oracle import _oracle_tree
 from .realize import _tree_from, clique_path_tree_to_host
 from .recognize import (
@@ -27,7 +28,7 @@ from .recognize import (
     recognize_path_graph,
 )
 
-_FAMILIES = {"w0": W0, "w1": W1, "f": F, "ftilde": FTILDE, "df": DF}
+_FAMILIES = {gio._FAMILY_JSON[f]: f for f in FAMILY_ALL}
 
 
 def _read_graph(args) -> Graph:
@@ -45,9 +46,27 @@ def _read_graph(args) -> Graph:
     return g
 
 
+class _WriteError(Exception):
+    """Standard output could not be written; no verdict reached the reader."""
+
+
 def _say(args, text: str) -> None:
-    if not args.quiet:
-        print(text, end="" if text.endswith("\n") else "\n")
+    if args.quiet:
+        return
+    try:
+        print(text, end="" if text.endswith("\n") else "\n", flush=True)
+    except OSError as exc:
+        # what is left in stdout's buffer would fail again when the
+        # interpreter flushes it at exit; send it to the null device
+        try:
+            fd = sys.stdout.fileno()
+        except (OSError, ValueError):
+            pass  # a stream with no descriptor, as when called in-process
+        else:
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, fd)
+            os.close(null)
+        raise _WriteError(f"cannot write output: {exc}") from None
 
 
 def _reject(args, text: str) -> int:
@@ -298,7 +317,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, PreconditionError, GenerationError) as exc:
+    except (InputError, PreconditionError, GenerationError, _WriteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GuardRefusal as exc:

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 from itertools import chain, count
 from typing import Iterable, Iterator
 
-from .attach import AttachednessGraph, antipodal as parts_antipodal, is_neighboring_set
+from .attach import AttachednessGraph, is_neighboring_set
 from .chordal import _tree_adj
-from .decompose import Decomposition, _select
+from .decompose import _select
 from .errors import InvariantError
 
 FULL_ANTIPODAL_TRIPLE = "FULL_ANTIPODAL_TRIPLE"
@@ -306,25 +306,3 @@ def _canonical_conditions(
         if s.member_of.get(a) == s.member_of.get(b)
     )
     return out
-
-
-def is_strong_coloring(dec: Decomposition, m: AttachednessGraph, f: dict[int, int]) -> bool:
-    """Proper on antipodal pairs and at most two colors among each vertex's parts.
-
-    The class coloring is lifted back to the original parts and checked against
-    relations recomputed from the decomposition, independent of the quotient.
-    """
-    cls_of: dict[int, int] = {}
-    for cid, mem in enumerate(m.class_members):
-        for g in mem:
-            cls_of[g] = cid
-    k = len(dec.gammas)
-    lifted = {g: f[cls_of[g]] for g in range(k)}
-    for a in range(k):
-        for b in range(a + 1, k):
-            if parts_antipodal(dec.gammas[a], dec.gammas[b]) and lifted[a] == lifted[b]:
-                return False
-    for v in dec.q:
-        if len({lifted[g] for g in dec.neighbor_map[v]}) > 2:
-            return False
-    return True

@@ -3,16 +3,16 @@ the clique forest of its search."""
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import chain, compress, filterfalse, repeat
+from itertools import compress, filterfalse, repeat
 from operator import or_
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .chordal import CliqueIndex, _connected_index
 from .errors import PreconditionError
-from .graphs import Graph, VertexSet, _int_vset, is_clique, vset
+from .graphs import Graph, VertexSet, _int_vset, is_clique
 
 
 class GammaComponent:
@@ -21,10 +21,9 @@ class GammaComponent:
     relevant_cliques are the maximal cliques of G[C + Q] which meet the
     separator but do not equal it; masks are their traces, their
     intersections with the separator q, deduplicated, with bit i set for
-    q[i]. A part built by hand gives its traces, and its q is their union.
-    smallest is C's smallest vertex. The sorted vertex tuples traces and C
-    itself, component, are derived on first read, C by expand(index) from
-    the clique forest: io's full documents read both, recognition and
+    q[i]. smallest is C's smallest vertex. The sorted vertex tuples traces
+    and C itself, component, are derived on first read, C by expand(index)
+    from the clique forest: io's full documents read both, recognition and
     realization neither.
     """
 
@@ -36,21 +35,17 @@ class GammaComponent:
         index: int,
         component: VertexSet | None = None,
         relevant_cliques: tuple[VertexSet, ...] = (),
-        traces: tuple[VertexSet, ...] = (),
         smallest: int | None = None,
         expand: Callable[[int], VertexSet] | None = None,
         q: VertexSet = (),
         masks: tuple[int, ...] = (),
     ) -> None:
-        if traces:
-            q = vset(chain.from_iterable(traces))
-            masks = tuple(sum(1 << bisect_left(q, v) for v in t) for t in traces)
         self.index = index
         self.relevant_cliques = relevant_cliques
         self.smallest = smallest
         self.q = q
         self.masks = masks
-        self._traces = traces or None
+        self._traces = None
         self._component = component
         self._expand = expand
 
@@ -254,7 +249,7 @@ def _decomposition(index: CliqueIndex, tour: _Tour, qi: int) -> Decomposition | 
     for k, r in enumerate(order):
         rel = tuple(map(cliques.__getitem__, sorted(held[r])))
         masks = tuple(dict.fromkeys([sum(map(bit, c, zeros)) for c in rel]))
-        gammas.append(GammaComponent(k, None, rel, (), low[r], vertices, q, masks))
+        gammas.append(GammaComponent(k, None, rel, low[r], vertices, q, masks))
     return Decomposition(q, tuple(gammas), part_of)
 
 

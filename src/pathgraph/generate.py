@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from .chordal import _tree_adj
 from .errors import GenerationError, InputError
-from .graphs import Graph, _norm_edge, is_connected
+from .graphs import Graph, _int, _norm_edge, is_connected
 from .oracle import _decode_pruefer
 from .realize import HostRealization
 
@@ -18,7 +18,7 @@ class SplitMix64:
     everywhere, independent of interpreter version."""
 
     def __init__(self, seed: int):
-        self.state = seed & _MASK64
+        self.state = _int(seed, "seed") & _MASK64
 
     def next_u64(self) -> int:
         self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
@@ -78,7 +78,7 @@ def gen_path_graph(
     Returns the graph together with the realization that produced it.
     Resamples until the intersection graph is connected.
     """
-    if n_tree_nodes < 1 or n_paths < 1:
+    if _int(n_tree_nodes, "tree node count") < 1 or _int(n_paths, "path count") < 1:
         raise InputError("gen_path_graph needs at least one tree node and one path")
     rng = SplitMix64(seed)
     for _ in range(_MAX_RESAMPLES):
@@ -106,7 +106,7 @@ def gen_path_graph(
 def gen_chordal(n: int, seed: int) -> Graph:
     """A connected chordal graph on n vertices, sampled as subtrees of a
     random host tree."""
-    if n < 1:
+    if _int(n, "vertex count") < 1:
         raise InputError("gen_chordal needs n >= 1")
     rng = SplitMix64(seed)
     m = n
@@ -139,7 +139,7 @@ def gen_chordal(n: int, seed: int) -> Graph:
 def k4_hub(t: int = 4) -> Graph:
     """The complete graph on t hub vertices with a pendant triangle on each
     pair {first, i}; chordal but not a path graph for t >= 4."""
-    if t < 3:
+    if _int(t, "hub size") < 3:
         raise InputError("k4_hub needs t >= 3")
     n = t + (t - 1)
     edges = [(i, j) for i in range(t) for j in range(i + 1, t)]

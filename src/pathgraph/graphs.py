@@ -22,14 +22,17 @@ def vset(vertices: Iterable[int]) -> VertexSet:
     return tuple(sorted(set(vertices)))
 
 
+def _int(x: int, what: str) -> int:
+    """x, which must be an int: a bool or a float equal to an int is an
+    InputError, not that int."""
+    if type(x) is not int:
+        raise InputError(f"{what} {x!r} is not an int")
+    return x
+
+
 def _int_vset(vertices: Iterable[int], what: str) -> VertexSet:
-    """vset of vertex ids that must each be an int: a bool or a float equal
-    to an id is an InputError, not that id."""
-    ids = list(vertices)
-    for v in ids:
-        if type(v) is not int:
-            raise InputError(f"{what} {v!r} is not an int")
-    return vset(ids)
+    """vset of vertex ids that must each be an int."""
+    return vset(_int(v, what) for v in vertices)
 
 
 def _norm_edge(u: int, v: int) -> tuple[int, int]:
@@ -94,23 +97,6 @@ class Graph:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Graph(n={self.n}, m={self.num_edges})"
-
-
-def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, VertexSet]:
-    """Induced subgraph on the given vertices.
-
-    Returns the new graph together with the id map: position k of the returned
-    tuple is the original id of new vertex k.
-    """
-    idmap = _int_vset(vertices, "vertex")
-    if idmap and not (0 <= idmap[0] and idmap[-1] < g.n):
-        raise InputError(f"vertices {idmap} out of range for n={g.n}")
-    back = {old: new for new, old in enumerate(idmap)}
-    adj = tuple(
-        frozenset(back[u] for u in g.adj[old] if u in back) for old in idmap
-    )
-    labels = tuple(g.label(old) for old in idmap) if g.labels is not None else None
-    return Graph(len(idmap), adj, labels), idmap
 
 
 def components_without(g: Graph, removed: Iterable[int]) -> list[VertexSet]:

@@ -9,7 +9,7 @@ from .attach import AttachednessGraph
 from .chordal import CliqueTree
 from .errors import InputError
 from .graphs import ANTIPODAL, EdgeColoredGraph, Graph
-from .obstructions import Obstruction
+from .obstructions import FAMILY_ALL, FULL_TRIANGLE, Obstruction, ObstructionPattern
 from .realize import HostRealization
 from .recognize import (
     DIRECTED_PATH_GRAPH,
@@ -23,14 +23,7 @@ from .recognize import (
 GRAPH6_HEADER = ">>graph6<<"
 _DECIMAL = re.compile(r"-?[0-9]+").fullmatch
 
-_FAMILY_JSON = {
-    "W0": "w0",
-    "W1": "w1",
-    "F": "f",
-    "FTILDE": "ftilde",
-    "DF": "df",
-    "FULL_TRIANGLE": "full_antipodal_triangle",
-}
+_FAMILY_JSON = {f: f.lower() for f in FAMILY_ALL} | {FULL_TRIANGLE: "full_antipodal_triangle"}
 
 
 def parse_graph(text: str, fmt: str = "edgelist") -> Graph:
@@ -210,9 +203,7 @@ def attachedness_doc(m: AttachednessGraph) -> dict:
         "q": list(m.q),
         "classes": m.size,
         "class_members": [list(mem) for mem in m.class_members],
-        "antipodal_edges": [
-            [u, v] for u, v, c in m.edges.edges() if c == ANTIPODAL
-        ],
+        "antipodal_edges": [list(e) for e in sorted(m.antipodal)],
         "dominance_pairs": [list(p) for p in sorted(m.dominance_order)],
     }
 
@@ -343,8 +334,6 @@ def _dot_colored(name: str, ecg: EdgeColoredGraph, node_labels=None) -> str:
 def emit_dot(obj, graph: Graph | None = None) -> str:
     """DOT text for clique trees, attachedness graphs, and obstruction
     patterns. Antipodal edges are solid, dominance edges dotted."""
-    from .obstructions import ObstructionPattern
-
     if isinstance(obj, CliqueTree):
         lines = ["graph cliquetree {", "  node [shape=box];"]
         for i, c in enumerate(obj.cliques):

@@ -1,5 +1,5 @@
 """Two-edge-colored obstruction families, refutation-to-certificate constructions,
-certificate verification, and induced colored-subgraph search."""
+and certificate verification."""
 
 from __future__ import annotations
 
@@ -13,8 +13,8 @@ from .coloring import (
     Refutation,
     Skeleton,
 )
-from .errors import GuardRefusal, InputError, InvariantError
-from .graphs import ANTIPODAL, DOMINANCE, EdgeColoredGraph, VertexSet
+from .errors import InputError, InvariantError
+from .graphs import ANTIPODAL, DOMINANCE, EdgeColoredGraph, VertexSet, _int
 
 W0 = "W0"
 W1 = "W1"
@@ -25,8 +25,6 @@ FULL_TRIANGLE = "FULL_TRIANGLE"
 
 FAMILY_ALL = (W0, W1, F, FTILDE, DF)      # induced characterization
 FAMILY_BASE = (W0, W1, F)                 # subgraph characterization
-
-INDUCED_SEARCH_MAX_HOST = 12
 
 
 @dataclass(frozen=True)
@@ -56,6 +54,7 @@ def build_family(family: str, size: int) -> ObstructionPattern:
     adjacent hubs 2n-1, 2n closing the antipodal cycle, dominance chords from
     both hubs to their non-neighbors.
     """
+    _int(size, f"{family} size")
     anti: set[tuple[int, int]] = set()
     dom: set[tuple[int, int]] = set()
 
@@ -142,69 +141,6 @@ def verify_obstruction(
         if o.witness not in m.q or not all(m.masks[c] >> m.q.index(o.witness) & 1 for c in emb):
             return False
     return True
-
-
-def find_induced_colored(
-    m: EdgeColoredGraph,
-    p: ObstructionPattern,
-    induced: bool = True,
-    max_host: int = INDUCED_SEARCH_MAX_HOST,
-) -> tuple[int, ...] | None:
-    """Backtracking search for a color-preserving copy of the pattern.
-
-    Induced mode also forbids host edges across pattern non-edges. Hosts larger
-    than max_host are refused outright; pass a larger bound deliberately.
-    """
-    if m.n > max_host:
-        raise GuardRefusal(
-            f"induced search on {m.n} host vertices exceeds the guard of {max_host}"
-        )
-    pat = p.pattern
-    k = pat.n
-    if k > m.n:
-        return None
-
-    def cdeg(g: EdgeColoredGraph, v: int, store: frozenset) -> int:
-        return sum(1 for e in store if v in e)
-
-    p_adeg = [cdeg(pat, v, pat.antipodal) for v in range(k)]
-    p_ddeg = [cdeg(pat, v, pat.dominance) for v in range(k)]
-    h_adeg = [cdeg(m, v, m.antipodal) for v in range(m.n)]
-    h_ddeg = [cdeg(m, v, m.dominance) for v in range(m.n)]
-
-    order = sorted(range(k), key=lambda v: (-(p_adeg[v] + p_ddeg[v]), v))
-    assign: dict[int, int] = {}
-    used = [False] * m.n
-
-    def ok(pv: int, hv: int) -> bool:
-        if h_adeg[hv] < p_adeg[pv] or h_ddeg[hv] < p_ddeg[pv]:
-            return False
-        for qv, hq in assign.items():
-            want = pat.color_of(pv, qv)
-            have = m.color_of(hv, hq)
-            if want is not None and have != want:
-                return False
-            if want is None and induced and have is not None:
-                return False
-        return True
-
-    def rec(i: int) -> bool:
-        if i == k:
-            return True
-        pv = order[i]
-        for hv in range(m.n):
-            if not used[hv] and ok(pv, hv):
-                assign[pv] = hv
-                used[hv] = True
-                if rec(i + 1):
-                    return True
-                del assign[pv]
-                used[hv] = False
-        return False
-
-    if rec(0):
-        return tuple(assign[v] for v in range(k))
-    return None
 
 
 def _upper_attacker(m: AttachednessGraph, s: Skeleton, theta: int, skip: int) -> int:

@@ -1,19 +1,15 @@
-"""Independent brute-force oracles: exhaustive clique-path-tree search over all
-labeled trees, and exhaustive strong-coloring search. Both are guarded."""
+"""Independent brute-force oracle: exhaustive clique-path-tree search over all
+labeled trees, guarded. It reads only the clique index, never the pipeline."""
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .attach import AttachednessGraph
 from .chordal import CliqueIndex, CliqueTree, _connected_index, _is_path_tree
-from .coloring import is_strong_coloring
-from .decompose import Decomposition
 from .errors import GuardRefusal, InvariantError
 from .graphs import Graph
 
 TREE_SWEEP_MAX_CLIQUES = 9
-STRONG_COLORING_MAX_CLASSES = 8
 
 
 def _decode_pruefer(seq: list[int], c: int) -> list[tuple[int, int]]:
@@ -151,54 +147,3 @@ def _oracle_tree(index: CliqueIndex) -> CliqueTree | None:
     if not _is_path_tree(index, tree.edges):
         raise InvariantError("swept tree fails the clique path tree check")
     return tree
-
-
-def oracle_strong_coloring(
-    dec: Decomposition, m: AttachednessGraph
-) -> dict[int, int] | None:
-    """Lexicographically first strong coloring over the classes, or None.
-
-    Colors range over 1..s; properness on antipodal pairs plus the two-color
-    bound per separator vertex are enforced during the backtracking.
-    Guarded to at most 8 classes.
-    """
-    s = m.size
-    if s > STRONG_COLORING_MAX_CLASSES:
-        raise GuardRefusal(
-            f"{s} classes exceed the strong-coloring guard of "
-            f"{STRONG_COLORING_MAX_CLASSES}"
-        )
-    if s == 0:
-        return {}
-    earlier_antipodal = [
-        [b for b in range(a) if m.is_antipodal(a, b)] for a in range(s)
-    ]
-    vertex_groups = [m.neighbor_map[v] for v in m.q]
-    colors: dict[int, int] = {}
-
-    def feasible(c: int, col: int) -> bool:
-        if any(colors[b] == col for b in earlier_antipodal[c]):
-            return False
-        for group in vertex_groups:
-            if c in group:
-                used = {colors[x] for x in group if x in colors} | {col}
-                if len(used) > 2:
-                    return False
-        return True
-
-    def rec(c: int) -> bool:
-        if c == s:
-            return True
-        for col in range(1, s + 1):
-            if feasible(c, col):
-                colors[c] = col
-                if rec(c + 1):
-                    return True
-                del colors[c]
-        return False
-
-    if not rec(0):
-        return None
-    if not is_strong_coloring(dec, m, colors):
-        raise InvariantError("oracle produced a non-strong coloring")
-    return dict(colors)

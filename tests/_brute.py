@@ -3,12 +3,18 @@
 These are deliberately naive and independent of the library internals.
 """
 
+from __future__ import annotations
+
 import heapq
 import itertools
 import json
+from typing import Iterable
 
-from pathgraph.errors import InputError
-from pathgraph.graphs import Graph
+from pathgraph.attach import AttachednessGraph, _nests
+from pathgraph.decompose import Decomposition, GammaComponent
+from pathgraph.errors import GuardRefusal, InputError, InvariantError
+from pathgraph.graphs import EdgeColoredGraph, Graph, VertexSet, _int_vset
+from pathgraph.obstructions import ObstructionPattern
 
 
 def chordal_by_elimination(g) -> bool:
@@ -157,8 +163,6 @@ def first_path_tree_by_sweep(c, masks):
 
 def strong_colorable_by_enumeration(dec) -> bool:
     """Try every parts coloring directly against the two defining conditions."""
-    from pathgraph.attach import antipodal
-
     k = len(dec.gammas)
     pairs = [
         (i, j)
@@ -297,9 +301,6 @@ def quotient_by_pairs(dec):
     representatives and checked for every pair of members, strict dominance
     checked antisymmetric and transitive over every pair of order pairs, and
     neighboring checked to be a class property."""
-    from pathgraph.attach import AttachednessGraph, attached
-    from pathgraph.errors import InvariantError
-
     gammas = dec.gammas
     k = len(gammas)
     att = [[i != j and attached(a, b) for j, b in enumerate(gammas)]
@@ -491,7 +492,7 @@ def host_by_search(g, t):
     """clique_path_tree_to_host by a search of g, the per-vertex degrees, and
     a walk along each vertex's cliques from its smaller end."""
     from pathgraph.chordal import _tree_adj
-    from pathgraph.errors import InvariantError, PreconditionError
+    from pathgraph.errors import PreconditionError
     from pathgraph.realize import HostRealization, verify_realization
 
     index = _index_over(g, t, "clique_path_tree_to_host")
@@ -518,7 +519,6 @@ def host_by_search(g, t):
 def skeleton_by_pairs(m):
     """coloring.skeleton testing every class against every upper bound."""
     from pathgraph.coloring import Skeleton
-    from pathgraph.errors import InvariantError
 
     dominated = {a for a, _ in m.dominance_order}
     upper = tuple(c for c in range(m.size) if c not in dominated)
@@ -573,3 +573,189 @@ def canonical_conditions_by_pairs(m, s, f):
         f[a] != f[b] for a, b in m.edges.antipodal if s.member_of.get(a) == s.member_of.get(b)
     )
     return out
+
+
+# Cross-checks that only the tests call, each with its guard: the part-level
+# relations, the strong coloring of Monma and Wei with its exhaustive search,
+# the colored pattern search and induced subgraphs.
+
+INDUCED_SEARCH_MAX_HOST = 12
+STRONG_COLORING_MAX_CLASSES = 8
+
+
+def attached(a: GammaComponent, b: GammaComponent) -> bool:
+    """Some trace of one part intersects some trace of the other."""
+    return any(set(t) & set(s) for t in a.traces for s in b.traces)
+
+
+def dominates(a: GammaComponent, b: GammaComponent) -> bool:
+    """a <= b: attached, and every trace of b either contains all traces of a
+    or is disjoint from all of them."""
+    union = sum(1 << v for v in set().union(*a.traces))  # bits by vertex id
+    return attached(a, b) and _nests(union, [sum(1 << v for v in s) for s in b.traces])
+
+
+def antipodal(a: GammaComponent, b: GammaComponent) -> bool:
+    """Attached, but neither part dominates the other.
+
+    Whenever some trace of a and some trace of b intersect without nesting
+    the pair is antipodal; the converse can fail for parts whose trace sets
+    interleave (a single trace strictly between two nested traces of the
+    other part), which are antipodal despite all trace pairs nesting.
+    """
+    if a.index == b.index:
+        return False
+    return attached(a, b) and not dominates(a, b) and not dominates(b, a)
+
+
+def is_strong_coloring(dec: Decomposition, m: AttachednessGraph, f: dict[int, int]) -> bool:
+    """Proper on antipodal pairs and at most two colors among each vertex's parts.
+
+    The class coloring is lifted back to the original parts and checked against
+    relations recomputed from the decomposition, independent of the quotient.
+    """
+    cls_of: dict[int, int] = {}
+    for cid, mem in enumerate(m.class_members):
+        for g in mem:
+            cls_of[g] = cid
+    k = len(dec.gammas)
+    lifted = {g: f[cls_of[g]] for g in range(k)}
+    for a in range(k):
+        for b in range(a + 1, k):
+            if antipodal(dec.gammas[a], dec.gammas[b]) and lifted[a] == lifted[b]:
+                return False
+    for v in dec.q:
+        if len({lifted[g] for g in dec.neighbor_map[v]}) > 2:
+            return False
+    return True
+
+
+def oracle_strong_coloring(
+    dec: Decomposition, m: AttachednessGraph
+) -> dict[int, int] | None:
+    """Lexicographically first strong coloring over the classes, or None.
+
+    Colors range over 1..s; properness on antipodal pairs plus the two-color
+    bound per separator vertex are enforced during the backtracking.
+    Guarded to at most 8 classes.
+    """
+    s = m.size
+    if s > STRONG_COLORING_MAX_CLASSES:
+        raise GuardRefusal(
+            f"{s} classes exceed the strong-coloring guard of "
+            f"{STRONG_COLORING_MAX_CLASSES}"
+        )
+    if s == 0:
+        return {}
+    earlier_antipodal = [
+        [b for b in range(a) if m.is_antipodal(a, b)] for a in range(s)
+    ]
+    vertex_groups = [m.neighbor_map[v] for v in m.q]
+    colors: dict[int, int] = {}
+
+    def feasible(c: int, col: int) -> bool:
+        if any(colors[b] == col for b in earlier_antipodal[c]):
+            return False
+        for group in vertex_groups:
+            if c in group:
+                used = {colors[x] for x in group if x in colors} | {col}
+                if len(used) > 2:
+                    return False
+        return True
+
+    def rec(c: int) -> bool:
+        if c == s:
+            return True
+        for col in range(1, s + 1):
+            if feasible(c, col):
+                colors[c] = col
+                if rec(c + 1):
+                    return True
+                del colors[c]
+        return False
+
+    if not rec(0):
+        return None
+    if not is_strong_coloring(dec, m, colors):
+        raise InvariantError("oracle produced a non-strong coloring")
+    return dict(colors)
+
+
+def find_induced_colored(
+    m: EdgeColoredGraph,
+    p: ObstructionPattern,
+    induced: bool = True,
+    max_host: int = INDUCED_SEARCH_MAX_HOST,
+) -> tuple[int, ...] | None:
+    """Backtracking search for a color-preserving copy of the pattern.
+
+    Induced mode also forbids host edges across pattern non-edges. Hosts larger
+    than max_host are refused outright; pass a larger bound deliberately.
+    """
+    if m.n > max_host:
+        raise GuardRefusal(
+            f"induced search on {m.n} host vertices exceeds the guard of {max_host}"
+        )
+    pat = p.pattern
+    k = pat.n
+    if k > m.n:
+        return None
+
+    def cdeg(g: EdgeColoredGraph, v: int, store: frozenset) -> int:
+        return sum(1 for e in store if v in e)
+
+    p_adeg = [cdeg(pat, v, pat.antipodal) for v in range(k)]
+    p_ddeg = [cdeg(pat, v, pat.dominance) for v in range(k)]
+    h_adeg = [cdeg(m, v, m.antipodal) for v in range(m.n)]
+    h_ddeg = [cdeg(m, v, m.dominance) for v in range(m.n)]
+
+    order = sorted(range(k), key=lambda v: (-(p_adeg[v] + p_ddeg[v]), v))
+    assign: dict[int, int] = {}
+    used = [False] * m.n
+
+    def ok(pv: int, hv: int) -> bool:
+        if h_adeg[hv] < p_adeg[pv] or h_ddeg[hv] < p_ddeg[pv]:
+            return False
+        for qv, hq in assign.items():
+            want = pat.color_of(pv, qv)
+            have = m.color_of(hv, hq)
+            if want is not None and have != want:
+                return False
+            if want is None and induced and have is not None:
+                return False
+        return True
+
+    def rec(i: int) -> bool:
+        if i == k:
+            return True
+        pv = order[i]
+        for hv in range(m.n):
+            if not used[hv] and ok(pv, hv):
+                assign[pv] = hv
+                used[hv] = True
+                if rec(i + 1):
+                    return True
+                del assign[pv]
+                used[hv] = False
+        return False
+
+    if rec(0):
+        return tuple(assign[v] for v in range(k))
+    return None
+
+
+def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, VertexSet]:
+    """Induced subgraph on the given vertices.
+
+    Returns the new graph together with the id map: position k of the returned
+    tuple is the original id of new vertex k.
+    """
+    idmap = _int_vset(vertices, "vertex")
+    if idmap and not (0 <= idmap[0] and idmap[-1] < g.n):
+        raise InputError(f"vertices {idmap} out of range for n={g.n}")
+    back = {old: new for new, old in enumerate(idmap)}
+    adj = tuple(
+        frozenset(back[u] for u in g.adj[old] if u in back) for old in idmap
+    )
+    labels = tuple(g.label(old) for old in idmap) if g.labels is not None else None
+    return Graph(len(idmap), adj, labels), idmap

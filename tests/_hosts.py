@@ -10,12 +10,7 @@ from pathgraph.decompose import GammaComponent
 
 
 def fake_m(size, anti=(), order=(), neighbor_map=None):
-    gammas = tuple(
-        GammaComponent(
-            index=i, component=(), relevant_cliques=(), traces=()
-        )
-        for i in range(size)
-    )
+    gammas = tuple(GammaComponent(i) for i in range(size))
     up = [0] * size
     for a, b in order:
         up[a] |= 1 << b

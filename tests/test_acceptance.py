@@ -21,7 +21,6 @@ from pathgraph.coloring import (
     WeakColoring,
     check_canonical_conditions,
     full_antipodal_triple,
-    is_strong_coloring,
     skeleton,
     weak_coloring,
 )
@@ -32,13 +31,13 @@ from pathgraph.obstructions import (
     FAMILY_ALL,
     FAMILY_BASE,
     build_family,
-    find_induced_colored,
     verify_obstruction,
 )
-from pathgraph.oracle import oracle_clique_path_tree, oracle_strong_coloring
+from pathgraph.oracle import oracle_clique_path_tree
 from pathgraph.realize import clique_path_tree_to_host, realize, verify_realization
 from pathgraph.recognize import recognize_directed_path_graph, recognize_path_graph
 
+from _brute import find_induced_colored, is_strong_coloring, oracle_strong_coloring
 from conftest import make_worked8
 
 

@@ -4,14 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _brute
+from _brute import antipodal, attached, dominates
 from pathgraph import attach
-from pathgraph.attach import (
-    antipodal,
-    attached,
-    dominates,
-    is_neighboring_set,
-    quotient,
-)
+from pathgraph.attach import is_neighboring_set, quotient
 from pathgraph.chordal import HoleCertificate, _index_or_hole
 from pathgraph.decompose import (
     Decomposition,
@@ -28,11 +23,10 @@ from conftest import chain, star
 
 
 def gm(index, *traces):
-    """Bare part carrying only traces; enough for the relation functions."""
-    ts = tuple(sorted(vset(t) for t in traces))
-    return GammaComponent(
-        index=index, component=(), relevant_cliques=(), traces=ts
-    )
+    """Bare part carrying only traces, as masks over their union; enough for
+    the relation functions."""
+    q = vset(v for t in traces for v in t)
+    return GammaComponent(index, q=q, masks=tuple(masks_over(q, traces)))
 
 
 def test_attached_examples():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _brute
+from _brute import induced_subgraph
 from pathgraph import chordal
 from pathgraph.chordal import (
     CliqueTree,
@@ -22,7 +23,7 @@ from pathgraph.chordal import (
 )
 from pathgraph.errors import InputError, PathgraphError, PreconditionError
 from pathgraph.generate import gen_chordal
-from pathgraph.graphs import Graph, connected_components, induced_subgraph
+from pathgraph.graphs import Graph, connected_components
 
 
 @st.composite

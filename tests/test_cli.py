@@ -1,5 +1,7 @@
+import errno
 import io
 import json
+import sys
 
 import pytest
 
@@ -157,6 +159,32 @@ def test_oracle_guard_refusal(capsys, tmp_path):
     code, _, err = run(capsys, "oracle", str(p))
     assert code == 3
     assert "refused" in err
+
+
+class _FailingStdout(io.StringIO):
+    """A stdout whose every write fails as the given OSError."""
+
+    def __init__(self, error):
+        super().__init__()
+        self.error = error
+
+    def write(self, text):
+        raise self.error
+
+
+@pytest.mark.parametrize(
+    "error",
+    [OSError(errno.ENOSPC, "No space left on device"), BrokenPipeError(errno.EPIPE, "Broken pipe")],
+    ids=["full", "broken_pipe"],
+)
+def test_a_failed_write_is_an_output_error_not_a_verdict(capsys, monkeypatch, worked8_file,
+                                                         k4hub_file, error):
+    for argv in (["realize", worked8_file], ["certify", "--json", k4hub_file]):
+        monkeypatch.setattr(sys, "stdout", _FailingStdout(error))
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (2, f"error: cannot write output: {error}\n")
+        # --quiet writes nothing, so it still reports the verdict
+        assert run(capsys, *argv, "--quiet")[0] == (0 if argv[0] == "realize" else 1)
 
 
 def test_gen_round_trips(capsys):

@@ -1,11 +1,12 @@
 import pytest
 
 import _brute
+from _brute import induced_subgraph
 from pathgraph.chordal import HoleCertificate, _index_or_hole
 from pathgraph.decompose import _decompositions, clique_separators, gamma_components
 from pathgraph.errors import InputError, PreconditionError
 from pathgraph.generate import gen_chordal
-from pathgraph.graphs import Graph, induced_subgraph
+from pathgraph.graphs import Graph
 
 
 def test_worked8_separators(worked8):

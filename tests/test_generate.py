@@ -7,6 +7,7 @@ from pathgraph.chordal import is_chordal
 from pathgraph.errors import InputError
 from pathgraph.generate import SplitMix64, gen_chordal, gen_path_graph, k4_hub
 from pathgraph.graphs import is_connected
+from pathgraph.obstructions import build_family
 from pathgraph.oracle import _decode_pruefer
 from pathgraph.realize import verify_realization
 from pathgraph.recognize import recognize_path_graph
@@ -30,6 +31,33 @@ def test_splitmix64_seed_masking_and_ranges():
     assert set(draws) <= set(range(7))
     with pytest.raises(ValueError):
         rng.randrange(0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: k4_hub(4.0),
+        lambda: k4_hub("4"),
+        lambda: gen_chordal(5.5, 1),
+        lambda: gen_chordal(5, 1.5),
+        lambda: gen_chordal(5, True),
+        lambda: gen_path_graph(5.0, 4, 1),
+        lambda: gen_path_graph(5, 4, 2.5),
+        lambda: gen_path_graph(True, 3, 1),
+        lambda: build_family("W0", 1.5),
+        lambda: build_family("W0", True),
+        lambda: SplitMix64(1.5),
+    ],
+    ids=[
+        "k4_hub_float", "k4_hub_str", "gen_chordal_float_n", "gen_chordal_float_seed",
+        "gen_chordal_bool_seed", "gen_path_graph_float_nodes", "gen_path_graph_float_seed",
+        "gen_path_graph_bool_nodes", "build_family_float", "build_family_bool",
+        "splitmix_float_seed",
+    ],
+)
+def test_sizes_and_seeds_must_be_ints(make):
+    with pytest.raises(InputError, match="is not an int"):
+        make()
 
 
 def test_generators_are_deterministic():

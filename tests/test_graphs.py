@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from _brute import induced_subgraph
 from pathgraph.errors import InputError
 from pathgraph.graphs import (
     ANTIPODAL,
@@ -9,7 +10,6 @@ from pathgraph.graphs import (
     Graph,
     connected_components,
     graph_plus,
-    induced_subgraph,
     is_clique,
     is_connected,
     vset,

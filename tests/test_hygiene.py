@@ -1,3 +1,4 @@
+import ast
 import shutil
 import subprocess
 from pathlib import Path
@@ -16,3 +17,50 @@ def test_no_tracked_file_is_ignored():
         cwd=ROOT, capture_output=True, text=True, check=True,
     ).stdout
     assert out == ""
+
+
+PACKAGE = ROOT / "src" / "pathgraph"
+TEST_ONLY = {
+    "find_induced_colored", "oracle_strong_coloring", "is_strong_coloring",
+    "attached", "dominates", "antipodal", "induced_subgraph",
+    "INDUCED_SEARCH_MAX_HOST", "STRONG_COLORING_MAX_CLASSES",
+}
+
+
+def _read(module):
+    """Names a package module binds at its top level, names it imports
+    anywhere, and the package modules it imports from."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    defined, imported, modules = set(), set(), set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported |= {a.name for a in node.names} | {a.asname for a in node.names if a.asname}
+        if isinstance(node, ast.ImportFrom):
+            base = "pathgraph" if node.level else ""
+            full = ".".join(p for p in (base, node.module) if p)
+            if full == "pathgraph":
+                modules |= {a.name for a in node.names}
+            elif full.startswith("pathgraph."):
+                modules.add(full.removeprefix("pathgraph."))
+        elif isinstance(node, ast.Import):
+            modules |= {a.name.removeprefix("pathgraph.") for a in node.names
+                        if a.name.startswith("pathgraph.")}
+    return defined, imported, modules
+
+
+def test_the_package_holds_no_test_only_cross_check():
+    """The brute-force cross-checks live in tests/_brute.py; the package
+    neither defines nor imports them."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        defined, imported, _ = _read(path.stem)
+        assert not (defined | imported) & TEST_ONLY, path.name
+
+
+def test_the_oracle_imports_nothing_it_checks():
+    assert _read("oracle")[2] <= {"chordal", "errors", "graphs"}

@@ -1,6 +1,7 @@
 import pytest
 
 import _hosts
+from _brute import find_induced_colored
 from pathgraph.attach import quotient
 from pathgraph.coloring import Refutation, skeleton, weak_coloring
 from pathgraph.decompose import clique_separators, gamma_components
@@ -18,7 +19,6 @@ from pathgraph.obstructions import (
     W1,
     Obstruction,
     build_family,
-    find_induced_colored,
     refutation_to_obstruction,
     verify_obstruction,
 )

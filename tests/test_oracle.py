@@ -3,20 +3,15 @@ import random
 import pytest
 
 import _brute
+from _brute import STRONG_COLORING_MAX_CLASSES, is_strong_coloring, oracle_strong_coloring
 from pathgraph.attach import quotient
 from pathgraph.chordal import _connected_index, is_clique_path_tree, maximal_cliques
-from pathgraph.coloring import WeakColoring, is_strong_coloring, weak_coloring
+from pathgraph.coloring import WeakColoring, weak_coloring
 from pathgraph.decompose import clique_separators, gamma_components
 from pathgraph.errors import GuardRefusal, PreconditionError
 from pathgraph.generate import gen_chordal, k4_hub
 from pathgraph.graphs import Graph, graph_plus
-from pathgraph.oracle import (
-    STRONG_COLORING_MAX_CLASSES,
-    TREE_SWEEP_MAX_CLIQUES,
-    _first_path_tree,
-    oracle_clique_path_tree,
-    oracle_strong_coloring,
-)
+from pathgraph.oracle import TREE_SWEEP_MAX_CLIQUES, _first_path_tree, oracle_clique_path_tree
 
 
 def test_worked8_tree(worked8):

@@ -1,9 +1,12 @@
+import importlib
 import itertools
+import pkgutil
 import sys
 from collections import Counter
 
 import pytest
 
+import pathgraph
 from pathgraph import attach, chordal, cli, coloring, decompose, graphs, recognize
 from pathgraph.chordal import (
     CliqueTree,
@@ -16,7 +19,7 @@ from pathgraph.coloring import FULL_ANTIPODAL_TRIPLE
 from pathgraph.decompose import clique_separators
 from pathgraph.errors import GuardRefusal, InputError, InvariantError, PreconditionError
 from pathgraph.generate import SplitMix64, gen_chordal, gen_path_graph, k4_hub
-from pathgraph.graphs import Graph, _norm_edge, connected_components, induced_subgraph
+from pathgraph.graphs import Graph, _norm_edge, connected_components
 from pathgraph.io import emit_edgelist
 from pathgraph.obstructions import FULL_TRIANGLE
 from pathgraph.oracle import oracle_clique_path_tree
@@ -33,6 +36,7 @@ from pathgraph.recognize import (
     recognize_path_graph,
 )
 
+from _brute import induced_subgraph
 from conftest import WORKED8_EDGES, make_worked8
 from make_certify_golden import interleaved
 
@@ -389,16 +393,17 @@ _MEMBERS_INTERLEAVED = interleaved(
     [_direct(recognize_path_graph), _direct(realize), _cli("certify", "--realize", "--json")],
     ids=["recognize", "realize", "cli_certify_realize"],
 )
-def test_disconnected_input_is_never_rebuilt_per_component(monkeypatch, tmp_path, prepare):
+def test_disconnected_input_is_never_rebuilt_per_component(tmp_path, prepare):
     # a member, so realize and --realize build a tree
     assert recognize_path_graph(_MEMBERS_INTERLEAVED).is_path_graph
-    call = prepare(_MEMBERS_INTERLEAVED, tmp_path)
-
-    def refuse(*args):
-        raise AssertionError("a component was rebuilt on its own")
-
-    monkeypatch.setattr(graphs, "induced_subgraph", refuse)
-    call()
+    prepare(_MEMBERS_INTERLEAVED, tmp_path)()
+    # and no package module can rebuild a component on its own: none defines
+    # or imports induced_subgraph
+    modules = [pathgraph] + [
+        importlib.import_module(f"pathgraph.{info.name}")
+        for info in pkgutil.iter_modules(pathgraph.__path__)
+    ]
+    assert not [mod.__name__ for mod in modules if hasattr(mod, "induced_subgraph")]
 
 
 @pytest.mark.parametrize(
@@ -518,41 +523,33 @@ _STAR40 = Graph.from_edges(41, [(0, i) for i in range(1, 41)])
 )
 def test_one_skeleton_and_one_dominance_test_per_separator(monkeypatch, g, nested):
     # the report, the coloring and the obstruction share one skeleton;
-    # quotient never tests attachedness, and tests trace nesting at most once
-    # per ordered pair of distinct class representatives, and only on pairs
+    # quotient tests trace nesting at most once per ordered pair of distinct class representatives, and only on pairs
     # that share a Q vertex; the star's parts all share one trace, so they
     # form one class and nesting is never tested
     skeletons = []
-    per_quotient: list[tuple[Counter, Counter]] = []
-    skeleton, quotient = coloring.skeleton, recognize.quotient
-    attached, nests = attach.attached, attach._nests
+    per_quotient: list[Counter] = []
+    skeleton, quotient, nests = coloring.skeleton, recognize.quotient, attach._nests
 
     def counted_skeleton(m):
         skeletons.append(id(m))
         return skeleton(m)
 
     def counted_quotient(dec):
-        per_quotient.append((Counter(), Counter()))
+        per_quotient.append(Counter())
         return quotient(dec)
 
-    def counted_attached(a, b):
-        per_quotient[-1][0][a.index, b.index] += 1
-        return attached(a, b)
-
     def counted_nests(u, masks):
-        per_quotient[-1][1][u, tuple(masks)] += 1
+        per_quotient[-1][u, tuple(masks)] += 1
         return nests(u, masks)
 
     for mod in (coloring, recognize):
         monkeypatch.setattr(mod, "skeleton", counted_skeleton)
     monkeypatch.setattr(recognize, "quotient", counted_quotient)
-    monkeypatch.setattr(attach, "attached", counted_attached)
     monkeypatch.setattr(attach, "_nests", counted_nests)
     verdict = recognize_path_graph(g)
     assert verdict.reports
     assert len(per_quotient) == len(verdict.reports)
-    for r, (att, nest) in zip(verdict.reports, per_quotient):
-        assert not att
+    for r, nest in zip(verdict.reports, per_quotient):
         # a test is keyed by one class's trace union and another's trace
         # masks; count the ordered pairs of distinct representatives that
         # share a Q vertex under each key
@@ -563,5 +560,5 @@ def test_one_skeleton_and_one_dominance_test_per_separator(monkeypatch, g, neste
             if m.masks[a] & m.masks[b]
         )
         assert all(count <= pairs[key] for key, count in nest.items())
-    assert any(nest for _, nest in per_quotient) == nested
+    assert any(per_quotient) == nested
     assert skeletons == [id(r.attachedness) for r in verdict.reports]
