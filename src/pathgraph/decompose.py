@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import compress, filterfalse, repeat
 from operator import or_
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .chordal import CliqueIndex, _connected_index
 from .errors import PreconditionError
@@ -22,13 +22,13 @@ class GammaComponent:
     separator but do not equal it; masks are their traces, their
     intersections with the separator q, deduplicated, with bit i set for
     q[i]. smallest is C's smallest vertex. The sorted vertex tuples traces
-    and C itself, component, are derived on first read, C by expand(index)
-    from the clique forest: io's full documents read both, recognition and
-    realization neither.
+    and C itself, component, are derived on first read, C from the runs its
+    decomposition's parts share: io's full documents read both, recognition
+    and realization neither.
     """
 
     __slots__ = ("index", "relevant_cliques", "smallest", "q", "masks")
-    __slots__ += ("_traces", "_component", "_expand")
+    __slots__ += ("_traces", "_component", "_runs")
 
     def __init__(
         self,
@@ -36,7 +36,7 @@ class GammaComponent:
         component: VertexSet | None = None,
         relevant_cliques: tuple[VertexSet, ...] = (),
         smallest: int | None = None,
-        expand: Callable[[int], VertexSet] | None = None,
+        runs: _Runs | None = None,
         q: VertexSet = (),
         masks: tuple[int, ...] = (),
     ) -> None:
@@ -47,7 +47,7 @@ class GammaComponent:
         self.masks = masks
         self._traces = None
         self._component = component
-        self._expand = expand
+        self._runs = runs
 
     @property
     def traces(self) -> tuple[VertexSet, ...]:
@@ -58,7 +58,7 @@ class GammaComponent:
     @property
     def component(self) -> VertexSet:
         if self._component is None:
-            self._component = self._expand(self.index)
+            self._component = self._runs.vertices(self.index)
         return self._component
 
 
@@ -72,20 +72,44 @@ def _neighbor_map(q: VertexSet, masks: Sequence[int]) -> dict[int, tuple[int, ..
     return {v: tuple(k for k, s in enumerate(masks) if s >> i & 1) for i, v in enumerate(q)}
 
 
+class _Runs:
+    """What the parts of one decomposition share: the positions of the clique
+    forest's preorder nodes from starts[i] to starts[i + 1] - 1 lie in part
+    labels[i], or in no part for -1, up to the end of Q's tree, the last
+    start. nodes, pos, cliques and top are the forest's and the index's."""
+
+    __slots__ = ("q", "starts", "labels", "nodes", "pos", "cliques", "top", "_parts")
+
+    def __init__(self, q, starts, labels, nodes, pos, cliques, top) -> None:
+        self.q, self.starts, self.labels, self.nodes = q, starts, labels, nodes
+        self.pos, self.cliques, self.top, self._parts = pos, cliques, top, None
+
+    def vertices(self, k: int) -> VertexSet:
+        if self._parts is None:  # all parts at once
+            found = [set() for _ in range(max(self.labels) + 1)]
+            for a, b, r in zip(self.starts, self.starts[1:], self.labels):
+                if r >= 0:
+                    found[r].update(*map(self.cliques.__getitem__, self.nodes[a:b]))
+            self._parts = [tuple(sorted(f.difference(self.q))) for f in found]
+        return self._parts[k]
+
+
 @dataclass(frozen=True)
 class Decomposition:
-    """All parts of a graph relative to one maximal clique separator.
-
-    part_of(v) is the index of the part holding v, a vertex outside q.
-    """
+    """All parts of a graph relative to one maximal clique separator."""
 
     q: VertexSet
     gammas: tuple[GammaComponent, ...]
-    part_of: Callable[[int], int] = field(repr=False, compare=False)
+    runs: _Runs | None = field(repr=False, compare=False)
 
     @property
     def size(self) -> int:
         return len(self.gammas)
+
+    def part_of(self, v: int) -> int:
+        """The index of the part holding v, a vertex outside q."""
+        runs = self.runs
+        return runs.labels[bisect_right(runs.starts, runs.pos[runs.top[v]]) - 1]
 
     @cached_property
     def neighbor_map(self) -> dict[int, tuple[int, ...]]:
@@ -150,34 +174,40 @@ def clique_separators(g: Graph) -> list[VertexSet]:
     return [dec.q for dec in _decompositions(index)]
 
 
-def _decompositions(index: CliqueIndex) -> Iterator[Decomposition]:
-    """Decompositions of a chordal graph at its clique separators, component
-    by component (by smallest vertex) and in canonical order within each,
-    each computed only when the caller gets to it."""
-    tour = _Tour(index)
+def _decompositions(index: CliqueIndex, fewest: int = 2) -> Iterator[Decomposition]:
+    """Decompositions of a chordal graph at its clique separators of fewest
+    or more parts, component by component (by smallest vertex), canonically
+    within each, each computed when the caller gets to it. Q and fewest parts
+    take fewest + 1 cliques, so smaller components are passed over."""
+    tour = None
     for _, nodes in index.components:
-        for i in nodes:
-            dec = _decomposition(index, tour, i)
-            if dec is not None:
-                yield dec
+        if len(nodes) > fewest:
+            tour = tour or _Tour(index)
+            for i in nodes:
+                dec = _decomposition(index, tour, i, fewest)
+                if dec is not None:
+                    yield dec
 
 
-def _decomposition(index: CliqueIndex, tour: _Tour, qi: int) -> Decomposition | None:
+def _decomposition(
+    index: CliqueIndex, tour: _Tour, qi: int, fewest: int = 2
+) -> Decomposition | None:
     """The decomposition at the maximal clique Q = cliques[qi], or None when
-    Q separates nothing.
+    Q leaves fewer than fewest parts; two or more make Q a separator.
 
     A vertex outside Q has its cliques in one subtree that avoids Q, and two
     cliques adjacent in the tree share a vertex outside Q unless their
     separator lies inside Q. So the parts of G - Q are the regions of the
     tree cut at Q and at every edge whose separator lies inside Q. A
     separator is never empty, so every cut falls between cliques that meet
-    Q, which form a subtree S around Q. The maximal cliques of G[C + Q] other
-    than Q are G's cliques holding a vertex of C, so a region's relevant
-    cliques are its cliques in S. In preorder, each region is its cliques in
-    S, each followed by a run of cliques hanging below it, plus the cliques
-    above S when it holds S's top. The runs give each part's smallest vertex
-    and, by bisection, the part of any vertex outside Q. The work is the size
-    of the cliques that meet Q.
+    Q, which form a subtree S around Q. The regions are counted from S
+    alone, before anything else is built. The maximal cliques of G[C + Q]
+    other than Q are G's cliques holding a vertex of C, so a region's
+    relevant cliques are its cliques in S. In preorder, each region is its
+    cliques in S, each followed by a run of cliques hanging below it, plus
+    the cliques above S when it holds S's top. The runs give each part's
+    smallest vertex and, by bisection, the part of any vertex outside Q. The
+    work is the size of the cliques that meet Q.
     """
     cliques, parent, top = index.cliques, index.parent, index.top
     pos, end, nodes = tour.pos, tour.end, tour.nodes
@@ -194,7 +224,7 @@ def _decomposition(index: CliqueIndex, tour: _Tour, qi: int) -> Decomposition | 
                 held.append([])
             region[z] = r
             held[r].append(z)
-    if len(held) < 2:
+    if len(held) < fewest:
         return None
 
     # the runs: from starts[i] to the next start, positions are in region
@@ -215,32 +245,19 @@ def _decomposition(index: CliqueIndex, tour: _Tour, qi: int) -> Decomposition | 
         labels.append(region[z])
         enclosing.append(z)
     close(last)
-    bounds = starts[1:] + [last]
+    starts.append(last)
 
     # a clique's first vertex outside Q is its smallest
     low = [min(next(filterfalse(qs.__contains__, cliques[z])) for z in zs) for zs in held]
-    runs = []  # the nonempty runs past the cliques in S
-    for a, b, r in zip(starts, bounds, labels):
+    for a, b, r in zip(starts, starts[1:], labels):
         if r >= 0 and a < b:
             a += nodes[a] in region
             if a < b:
-                runs.append((a, b, r))
                 low[r] = min(low[r], tour.least(a, b))
     order = sorted(range(len(held)), key=low.__getitem__)  # part k is region order[k]
     rank = {r: k for k, r in enumerate(order)}
-
-    def part_of(v: int) -> int:
-        return rank[labels[bisect_right(starts, pos[top[v]]) - 1]]
-
-    parts: list[VertexSet] = []
-
-    def vertices(k: int) -> VertexSet:
-        if not parts:  # all parts at once
-            found = [set().union(*map(cliques.__getitem__, zs)) for zs in held]
-            for a, b, r in runs:
-                found[r].update(*map(cliques.__getitem__, nodes[a:b]))
-            parts.extend(tuple(sorted(found[r] - qs)) for r in order)
-        return parts[k]
+    labels = tuple(rank.get(r, -1) for r in labels)
+    runs = _Runs(q, tuple(starts), labels, nodes, pos, cliques, top)
 
     # a trace's mask is the sum of its vertices' bits, by position in q
     bit = {v: 1 << i for i, v in enumerate(q)}.get
@@ -249,8 +266,8 @@ def _decomposition(index: CliqueIndex, tour: _Tour, qi: int) -> Decomposition | 
     for k, r in enumerate(order):
         rel = tuple(map(cliques.__getitem__, sorted(held[r])))
         masks = tuple(dict.fromkeys([sum(map(bit, c, zeros)) for c in rel]))
-        gammas.append(GammaComponent(k, None, rel, low[r], vertices, q, masks))
-    return Decomposition(q, tuple(gammas), part_of)
+        gammas.append(GammaComponent(k, None, rel, low[r], runs, q, masks))
+    return Decomposition(q, tuple(gammas), runs)
 
 
 def gamma_components(g: Graph, q: VertexSet) -> Decomposition:

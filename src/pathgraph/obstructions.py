@@ -14,7 +14,7 @@ from .coloring import (
     Skeleton,
 )
 from .errors import InputError, InvariantError
-from .graphs import ANTIPODAL, DOMINANCE, EdgeColoredGraph, VertexSet, _int
+from .graphs import EdgeColoredGraph, VertexSet, _int
 
 W0 = "W0"
 W1 = "W1"

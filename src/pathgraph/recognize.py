@@ -126,11 +126,13 @@ def _first_odd_cycle(
 
 def recognize_directed_path_graph(g: Graph) -> DirectedVerdict:
     """A chordal graph is a directed path graph exactly when every separator's
-    antipodality structure is bipartite."""
+    antipodality structure is bipartite. A separator with two parts has at
+    most two classes and one antipodal pair, so only those with three or
+    more are decomposed in full."""
     index = _index_or_hole(g)
     if isinstance(index, HoleCertificate):
         return DirectedVerdict(status=NOT_CHORDAL, hole=index)
-    return _first_odd_cycle((dec.q, quotient(dec)) for dec in _decompositions(index))
+    return _first_odd_cycle((dec.q, quotient(dec)) for dec in _decompositions(index, 3))
 
 
 def _directed_verdict(verdict: Verdict) -> DirectedVerdict:

@@ -11,7 +11,6 @@ import pytest
 
 from pathgraph.attach import quotient
 from pathgraph.chordal import (
-    is_chordal,
     is_clique_path_tree,
     maximal_cliques,
     peo_or_hole,
@@ -21,11 +20,10 @@ from pathgraph.coloring import (
     WeakColoring,
     check_canonical_conditions,
     full_antipodal_triple,
-    skeleton,
     weak_coloring,
 )
 from pathgraph.decompose import clique_separators, gamma_components
-from pathgraph.generate import gen_chordal, gen_path_graph, k4_hub
+from pathgraph.generate import gen_chordal, gen_path_graph
 from pathgraph.graphs import graph_plus
 from pathgraph.obstructions import (
     FAMILY_ALL,
@@ -38,7 +36,6 @@ from pathgraph.realize import clique_path_tree_to_host, realize, verify_realizat
 from pathgraph.recognize import recognize_directed_path_graph, recognize_path_graph
 
 from _brute import find_induced_colored, is_strong_coloring, oracle_strong_coloring
-from conftest import make_worked8
 
 
 def line(num: int, ok: bool, text: str) -> bool:

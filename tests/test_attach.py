@@ -17,7 +17,7 @@ from pathgraph.decompose import (
 )
 from pathgraph.errors import InvariantError
 from pathgraph.generate import gen_chordal
-from pathgraph.graphs import ANTIPODAL, Graph, vset
+from pathgraph.graphs import Graph, vset
 
 from conftest import chain, star
 

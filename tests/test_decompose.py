@@ -1,12 +1,15 @@
+from collections import Counter
+
 import pytest
 
 import _brute
 from _brute import induced_subgraph
+from pathgraph import decompose
 from pathgraph.chordal import HoleCertificate, _index_or_hole
 from pathgraph.decompose import _decompositions, clique_separators, gamma_components
 from pathgraph.errors import InputError, PreconditionError
-from pathgraph.generate import gen_chordal
 from pathgraph.graphs import Graph
+from pathgraph.recognize import recognize_directed_path_graph, recognize_path_graph
 
 
 def test_worked8_separators(worked8):
@@ -159,3 +162,51 @@ def parts_match_traversal(graphs):
                 assert all(dec.part_of(v) == k for v in c), name
             separators += 1
     return separators
+
+
+def test_wide_decompositions_are_the_wide_separators(wider_graphs):
+    # asking for three or more parts skips the two-part separators and
+    # keeps the others as they are, in the same order
+    wide = 0
+    for name, g in wider_graphs:
+        index = _index_or_hole(g)
+        if isinstance(index, HoleCertificate):
+            continue
+        want = [parts(dec) for dec in _decompositions(index) if dec.size > 2]
+        got = [parts(dec) for dec in _decompositions(index, 3)]
+        assert got == want, name
+        wide += len(got)
+    assert wide > 500
+
+
+def parts(dec):
+    return dec.q, [(gm.component, gm.relevant_cliques, gm.smallest, gm.masks) for gm in dec.gammas]
+
+
+def test_components_too_small_to_separate_are_passed_over(monkeypatch):
+    # Q and two parts take three cliques: isolated vertices and edges have
+    # no separator, so no clique of theirs is tried and no tour is built;
+    # P_4 has three cliques and one separator of two parts
+    calls, tours = Counter(), Counter()
+    decomposition, tour = decompose._decomposition, decompose._Tour
+
+    def counted(index, t, qi, fewest=2):
+        calls[fewest] += 1
+        return decomposition(index, t, qi, fewest)
+
+    def counted_tour(index):
+        tours["built"] += 1
+        return tour(index)
+
+    monkeypatch.setattr(decompose, "_decomposition", counted)
+    monkeypatch.setattr(decompose, "_Tour", counted_tour)
+    small = Graph.from_edges(60, [(i, i + 1) for i in range(40, 60, 2)])
+    assert recognize_path_graph(small).reports == ()
+    assert recognize_directed_path_graph(small).is_directed_path_graph
+    assert calls == tours == Counter()
+
+    g = Graph.from_edges(64, [*small.edges(), (60, 61), (61, 62), (62, 63)])
+    assert [rep.q for rep in recognize_path_graph(g).reports] == [(61, 62)]
+    assert calls == Counter({2: 3}) and tours == Counter(built=1)
+    assert recognize_directed_path_graph(g).is_directed_path_graph
+    assert calls == Counter({2: 3}) and tours == Counter(built=1)

@@ -64,3 +64,22 @@ def test_the_package_holds_no_test_only_cross_check():
 
 def test_the_oracle_imports_nothing_it_checks():
     assert _read("oracle")[2] <= {"chordal", "errors", "graphs"}
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    """Every name a module imports is read somewhere in it; the package's
+    __init__.py imports to re-export and is exempt."""
+    paths = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    unread = {}
+    for path in paths + sorted((ROOT / "tests").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound |= {a.asname or a.name.partition(".")[0] for a in node.names}
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        if bound - read:
+            unread[path.name] = sorted(bound - read)
+    assert unread == {}

@@ -9,7 +9,7 @@ from pathgraph.chordal import _connected_index, is_clique_path_tree, maximal_cli
 from pathgraph.coloring import WeakColoring, weak_coloring
 from pathgraph.decompose import clique_separators, gamma_components
 from pathgraph.errors import GuardRefusal, PreconditionError
-from pathgraph.generate import gen_chordal, k4_hub
+from pathgraph.generate import k4_hub
 from pathgraph.graphs import Graph, graph_plus
 from pathgraph.oracle import TREE_SWEEP_MAX_CLIQUES, _first_path_tree, oracle_clique_path_tree
 

@@ -1,7 +1,9 @@
+import gc
 import importlib
 import itertools
 import pkgutil
 import sys
+import types
 from collections import Counter
 
 import pytest
@@ -17,7 +19,7 @@ from pathgraph.chordal import (
 )
 from pathgraph.coloring import FULL_ANTIPODAL_TRIPLE
 from pathgraph.decompose import clique_separators
-from pathgraph.errors import GuardRefusal, InputError, InvariantError, PreconditionError
+from pathgraph.errors import InputError, InvariantError, PreconditionError
 from pathgraph.generate import SplitMix64, gen_chordal, gen_path_graph, k4_hub
 from pathgraph.graphs import Graph, _norm_edge, connected_components
 from pathgraph.io import emit_edgelist
@@ -37,7 +39,7 @@ from pathgraph.recognize import (
 )
 
 from _brute import induced_subgraph
-from conftest import WORKED8_EDGES, make_worked8
+from conftest import WORKED8_EDGES, make_worked8, star
 from make_certify_golden import interleaved
 
 
@@ -169,6 +171,58 @@ def test_directed_verdict_from_path_reports(chordal_corpus, k4hub):
         assert _directed_verdict(recognize_path_graph(g)) == recognize_directed_path_graph(g)
     with pytest.raises(InvariantError):
         _directed_verdict(Verdict(NOT_PATH_GRAPH, None, ()))
+
+
+def bridged_hub(g):
+    """g plus a disjoint k4_hub(4) joined by the bridge (n - 1, n); for a
+    path graph g, the path verdict is refuted at the last separator only."""
+    hub = k4_hub(4)
+    edges = [*g.edges(), *shift(hub.edges(), g.n), (g.n - 1, g.n)]
+    return Graph.from_edges(g.n + hub.n, edges)
+
+
+def path(n):
+    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def test_standalone_directed_verdict_skips_nothing(wider_graphs):
+    # the standalone verdict passes over two-part separators; the one read
+    # off the path reports sees them all, and both agree in full
+    graphs = [g for _, g in wider_graphs] + [path(n) for n in (2, 3, 4, 50, 301)]
+    graphs += [k4_hub(t) for t in range(3, 10)]
+    graphs += [bridged_hub(gen_path_graph(n, n, 1)[0]) for n in (150, 200)]
+    refuted = 0
+    for g in graphs:
+        want = _directed_verdict(recognize_path_graph(g))
+        assert recognize_directed_path_graph(g) == want
+        refuted += want.status == NOT_DIRECTED_PATH_GRAPH
+    assert refuted > 40
+
+
+def net_with_tail(length):
+    """A triangle {0, 1, 2} with pendants 3, 4, 5 and a path from 5 through
+    6..length + 5: the triangle is the one separator with three parts."""
+    edges = [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4), (2, 5)]
+    return Graph.from_edges(length + 6, edges + [(i, i + 1) for i in range(5, length + 5)])
+
+
+@pytest.mark.parametrize(
+    "g, wide", [(path(300), 0), (net_with_tail(40), 1), (star(5), 5)], ids=["P_300", "net", "K_1,5"]
+)
+def test_directed_verdict_builds_quotients_only_at_three_parts(monkeypatch, g, wide):
+    # one quotient per separator of three or more parts, none for two
+    reports = recognize_path_graph(g).reports
+    built = []
+    build = recognize.quotient
+
+    def counted(dec):
+        built.append(dec.q)
+        return build(dec)
+
+    monkeypatch.setattr(recognize, "quotient", counted)
+    assert recognize_directed_path_graph(g).is_directed_path_graph
+    assert len(built) == wide
+    assert built == [rep.q for rep in reports if rep.decomposition.size > 2]
 
 
 def test_disconnected_directed(worked8):
@@ -329,6 +383,24 @@ def test_separators_never_walk_the_graph_nor_expand_parts(monkeypatch, g):
     assert recognize_directed_path_graph(g).status in (DIRECTED_PATH_GRAPH, NOT_DIRECTED_PATH_GRAPH)
     assert is_clique_path_tree(g, realize(g))
     assert clique_separators(g)
+
+
+def test_reports_pin_no_closure():
+    # a verdict holds data only, so the cyclic collector has few objects to
+    # rescan per separator: following references from the reports, short of
+    # the classes, meets no function and no closure cell
+    reports = recognize_path_graph(path(300)).reports
+    seen, todo, found = set(), list(reports), []
+    while todo:
+        obj = todo.pop()
+        if isinstance(obj, type) or id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, (types.FunctionType, types.CellType)):
+            found.append(obj)
+        else:
+            todo.extend(gc.get_referents(obj))
+    assert len(reports) == 297 and found == []
 
 
 @pytest.mark.parametrize("g", [_GP80, _P200], ids=["gen_path_graph_80_80_0", "P_200"])
