@@ -61,19 +61,12 @@ class WeakColoring:
     num_upper: int
 
 
-def full_antipodal_triple(
-    m: AttachednessGraph, restrict_to: tuple[int, ...] | None = None
-) -> tuple[tuple[int, int, int], int] | None:
-    """Lexicographically first pairwise-antipodal triple sharing a witness vertex."""
-    cands = range(m.size) if restrict_to is None else restrict_to
-    return _full_triple(m, _tree_adj(m.size, m.antipodal), cands)
-
-
 def _full_triple(
     m: AttachednessGraph, adj: list[list[int]], cands: Iterable[int]
 ) -> tuple[tuple[int, int, int], int] | None:
-    """full_antipodal_triple over the triangles a < b < c of adj among cands,
-    read as pairs b < c of a's later neighbors, in lexicographic order."""
+    """The lexicographically first pairwise-antipodal triple among cands
+    sharing a witness vertex, and the witness: the triangles a < b < c of
+    adj, read as pairs b < c of a's later neighbors."""
     inside = set(cands)
     for a in sorted(inside):
         later = [b for b in adj[a] if b > a and b in inside]
@@ -255,7 +248,13 @@ def _weak_coloring(m: AttachednessGraph, s: Skeleton) -> WeakColoring | Refutati
                 endpoint_colors=res[2],
             )
         f.update(res)
+    return _checked(m, s, f, adj)
 
+
+def _checked(
+    m: AttachednessGraph, s: Skeleton, f: dict[int, int], adj: list[list[int]]
+) -> WeakColoring:
+    """f as m's weak coloring if proper and canonical, else InvariantError."""
     for a, b in m.antipodal:
         if f[a] == f[b]:
             raise InvariantError(f"weak coloring is not proper at {a},{b}")
@@ -263,7 +262,7 @@ def _weak_coloring(m: AttachednessGraph, s: Skeleton) -> WeakColoring | Refutati
     broken = [name for name, ok in conds.items() if not ok]
     if broken:
         raise InvariantError(f"weak coloring violates conditions {broken}")
-    return WeakColoring(f=f, num_upper=l)
+    return WeakColoring(f=f, num_upper=len(s.upper))
 
 
 def check_canonical_conditions(

@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Iterable, Iterator
 
-from .attach import AttachednessGraph, quotient
+from .attach import AttachednessGraph, _nests, quotient
 from .chordal import CliqueIndex, HoleCertificate, _index_or_hole, _tree_adj
 from .coloring import (
     Refutation,
     Skeleton,
     WeakColoring,
+    _checked,
     _two_color_member,
     _weak_coloring,
     skeleton,
@@ -67,25 +70,42 @@ class DirectedVerdict:
         return self.status == DIRECTED_PATH_GRAPH
 
 
-def _reports(g: Graph, index: CliqueIndex) -> Iterator[SeparatorReport]:
+def _two_part_report(dec: Decomposition) -> SeparatorReport:
+    """The general path's report at a separator of two parts, read off their
+    traces (a refutation names three classes or more): one class if both have
+    the same single trace, else a class each, colored 1 if nested, else 1, 2."""
+    a, b = dec.gammas
+    if len(a.masks) == 1 and a.masks == b.masks:
+        m = AttachednessGraph(dec.q, (a,), ((0, 1),), frozenset(), (0,), a.masks)
+    else:
+        ua, ub = reduce(or_, a.masks), reduce(or_, b.masks)
+        ab, ba = ua & ub and _nests(ua, b.masks), ua & ub and _nests(ub, a.masks)
+        if ab and ba:
+            raise InvariantError("classes 0 and 1 dominate each other")
+        anti = frozenset({(0, 1)} if ua & ub and not (ab or ba) else ())
+        up = (2, 0) if ab else (0, 1) if ba else (0, 0)
+        m = AttachednessGraph(dec.q, (a, b), ((0,), (1,)), anti, up, (ua, ub))
+    upper = tuple(c for c, x in enumerate(m.up) if not x)
+    f = {c: min(c + 1, len(upper)) for c in range(m.size)}  # D_i in color i
+    d_single = (tuple(f),) if len(upper) == 1 else ((0,), (1,))
+    s = Skeleton(upper, d_single, {}, (), {c: ("D", i) for c, i in f.items()})
+    return SeparatorReport(dec.q, dec, m, s, _checked(m, s, f, _tree_adj(m.size, m.antipodal)))
+
+
+def _reports(index: CliqueIndex) -> Iterator[SeparatorReport]:
     """Per-separator reports of a chordal graph, up to and including the first
     refuted separator."""
     for dec in _decompositions(index):
+        if dec.size == 2:
+            yield _two_part_report(dec)
+            continue
         m = quotient(dec)
         s = skeleton(m)
         res = _weak_coloring(m, s)
-        refuted = isinstance(res, Refutation)
-        yield SeparatorReport(
-            q=dec.q,
-            decomposition=dec,
-            attachedness=m,
-            skeleton=s,
-            coloring=None if refuted else res,
-            refutation=res if refuted else None,
-            obstruction=refutation_to_obstruction(m, s, res) if refuted else None,
-        )
-        if refuted:
+        if isinstance(res, Refutation):
+            yield SeparatorReport(dec.q, dec, m, s, None, res, refutation_to_obstruction(m, s, res))
             return
+        yield SeparatorReport(dec.q, dec, m, s, res)
 
 
 def _recognize(g: Graph) -> tuple[Verdict, CliqueIndex | None]:
@@ -93,7 +113,7 @@ def _recognize(g: Graph) -> tuple[Verdict, CliqueIndex | None]:
     index = _index_or_hole(g)
     if isinstance(index, HoleCertificate):
         return Verdict(status=NOT_CHORDAL, hole=index, reports=()), None
-    reports = tuple(_reports(g, index))
+    reports = tuple(_reports(index))
     refuted = bool(reports) and reports[-1].refutation is not None
     return Verdict(NOT_PATH_GRAPH if refuted else PATH_GRAPH, None, reports), index
 
@@ -140,12 +160,13 @@ def _directed_verdict(verdict: Verdict) -> DirectedVerdict:
 
     A 2-coloring of the antipodal graph is a weak coloring, so a refuted
     separator is never bipartite: the first separator with an odd antipodal
-    cycle is at or before the last report, and the scan matches the
-    standalone one.
+    cycle is at or before the last report. Like the standalone scan, this
+    one passes over two parts, whose antipodal graph has one edge at most.
     """
     if verdict.status == NOT_CHORDAL:
         return DirectedVerdict(status=NOT_CHORDAL, hole=verdict.hole)
-    directed = _first_odd_cycle((r.q, r.attachedness) for r in verdict.reports)
+    wide = (r for r in verdict.reports if r.decomposition.size > 2)
+    directed = _first_odd_cycle((r.q, r.attachedness) for r in wide)
     if verdict.status == NOT_PATH_GRAPH and directed.q is None:
         raise InvariantError("refuted separator has a bipartite antipodal graph")
     return directed

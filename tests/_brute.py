@@ -11,6 +11,8 @@ import json
 from typing import Iterable
 
 from pathgraph.attach import AttachednessGraph, _nests
+from pathgraph.chordal import _tree_adj
+from pathgraph.coloring import _full_triple
 from pathgraph.decompose import Decomposition, GammaComponent
 from pathgraph.errors import GuardRefusal, InputError, InvariantError
 from pathgraph.graphs import EdgeColoredGraph, Graph, VertexSet, _int_vset
@@ -576,8 +578,9 @@ def canonical_conditions_by_pairs(m, s, f):
 
 
 # Cross-checks that only the tests call, each with its guard: the part-level
-# relations, the strong coloring of Monma and Wei with its exhaustive search,
-# the colored pattern search and induced subgraphs.
+# relations, the full antipodal triple over any classes, the strong coloring
+# of Monma and Wei with its exhaustive search, the colored pattern search and
+# induced subgraphs.
 
 INDUCED_SEARCH_MAX_HOST = 12
 STRONG_COLORING_MAX_CLASSES = 8
@@ -606,6 +609,14 @@ def antipodal(a: GammaComponent, b: GammaComponent) -> bool:
     if a.index == b.index:
         return False
     return attached(a, b) and not dominates(a, b) and not dominates(b, a)
+
+
+def full_antipodal_triple(
+    m: AttachednessGraph, restrict_to: tuple[int, ...] | None = None
+) -> tuple[tuple[int, int, int], int] | None:
+    """Lexicographically first pairwise-antipodal triple sharing a witness vertex."""
+    cands = range(m.size) if restrict_to is None else restrict_to
+    return _full_triple(m, _tree_adj(m.size, m.antipodal), cands)
 
 
 def is_strong_coloring(dec: Decomposition, m: AttachednessGraph, f: dict[int, int]) -> bool:

@@ -19,7 +19,6 @@ from pathgraph.chordal import (
 from pathgraph.coloring import (
     WeakColoring,
     check_canonical_conditions,
-    full_antipodal_triple,
     weak_coloring,
 )
 from pathgraph.decompose import clique_separators, gamma_components
@@ -35,7 +34,12 @@ from pathgraph.oracle import oracle_clique_path_tree
 from pathgraph.realize import clique_path_tree_to_host, realize, verify_realization
 from pathgraph.recognize import recognize_directed_path_graph, recognize_path_graph
 
-from _brute import find_induced_colored, is_strong_coloring, oracle_strong_coloring
+from _brute import (
+    find_induced_colored,
+    full_antipodal_triple,
+    is_strong_coloring,
+    oracle_strong_coloring,
+)
 
 
 def line(num: int, ok: bool, text: str) -> bool:

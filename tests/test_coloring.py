@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 import _brute
-from _brute import is_strong_coloring
+from _brute import full_antipodal_triple, is_strong_coloring
 import _hosts
 from pathgraph.attach import quotient
 from pathgraph.coloring import (
@@ -13,7 +13,6 @@ from pathgraph.coloring import (
     Refutation,
     WeakColoring,
     check_canonical_conditions,
-    full_antipodal_triple,
     skeleton,
     weak_coloring,
 )

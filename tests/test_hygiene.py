@@ -23,7 +23,7 @@ PACKAGE = ROOT / "src" / "pathgraph"
 TEST_ONLY = {
     "find_induced_colored", "oracle_strong_coloring", "is_strong_coloring",
     "attached", "dominates", "antipodal", "induced_subgraph",
-    "INDUCED_SEARCH_MAX_HOST", "STRONG_COLORING_MAX_CLASSES",
+    "INDUCED_SEARCH_MAX_HOST", "STRONG_COLORING_MAX_CLASSES", "full_antipodal_triple",
 }
 
 

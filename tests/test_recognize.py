@@ -225,6 +225,168 @@ def test_directed_verdict_builds_quotients_only_at_three_parts(monkeypatch, g, w
     assert built == [rep.q for rep in reports if rep.decomposition.size > 2]
 
 
+@pytest.mark.parametrize("call", [recognize_path_graph, realize], ids=["recognize", "realize"])
+@pytest.mark.parametrize(
+    "g, wide", [(path(300), 0), (net_with_tail(40), 1), (star(5), 5)], ids=["P_300", "net", "K_1,5"]
+)
+def test_path_verdict_searches_only_at_three_parts(monkeypatch, call, g, wide):
+    # a two-part report is read off the parts' traces: the quotient, its
+    # skeleton and the weak coloring run once per separator of three or
+    # more parts, and never for two
+    want = [rep.q for rep in recognize_path_graph(g).reports if rep.decomposition.size > 2]
+    built = {}
+    for mod, name in [(attach, "quotient"), (coloring, "skeleton"), (coloring, "_weak_coloring")]:
+        seen = built[name] = []
+
+        def counted(first, *rest, _run=getattr(mod, name), _seen=seen):
+            _seen.append(first.q)
+            return _run(first, *rest)
+
+        monkeypatch.setattr(mod, name, counted)
+        monkeypatch.setattr(recognize, name, counted)
+    call(g)
+    assert len(want) == wide
+    assert built == dict.fromkeys(["quotient", "skeleton", "_weak_coloring"], want)
+
+
+@pytest.mark.parametrize(
+    "g, wide", [(path(300), 0), (net_with_tail(40), 1), (star(5), 5)], ids=["P_300", "net", "K_1,5"]
+)
+def test_directed_verdict_from_reports_colors_only_three_parts(monkeypatch, g, wide):
+    # the scan of a path verdict's reports, like the standalone one, passes
+    # over the two-part separators
+    verdict = recognize_path_graph(g)
+    colored = []
+    two_color = recognize._two_color_member
+
+    def counted(adj, *rest):
+        colored.append(len(adj))
+        return two_color(adj, *rest)
+
+    monkeypatch.setattr(recognize, "_two_color_member", counted)
+    assert _directed_verdict(verdict).is_directed_path_graph
+    assert colored == [r.attachedness.size for r in verdict.reports if r.decomposition.size > 2]
+    assert len(colored) == wide
+
+
+def _general_report(dec):
+    """The attachedness graph, skeleton and weak coloring or refutation of
+    dec by the path that serves three or more parts."""
+    m = attach.quotient(dec)
+    s = coloring.skeleton(m)
+    return m, s, coloring._weak_coloring(m, s)
+
+
+def _same_report(rep, dec):
+    m, s, res = _general_report(dec)
+    assert rep.q == dec.q and rep.decomposition is dec
+    assert rep.attachedness == m and rep.skeleton == s and rep.coloring == res
+    # the dicts in the same order too
+    assert list(rep.skeleton.member_of.items()) == list(s.member_of.items())
+    assert list(rep.coloring.f.items()) == list(res.f.items())
+    assert rep.refutation is None and rep.obstruction is None and rep.vertex_map is None
+
+
+def test_two_part_reports_equal_the_general_ones(chordal_corpus, wider_graphs):
+    graphs = [g for _, g in chordal_corpus] + [g for _, g in wider_graphs]
+    graphs += [gen_path_graph(n, n, s)[0] for n in (40, 80) for s in range(10)]
+    graphs += [star(n) for n in (1, 2, 3, 10)] + [path(n) for n in (2, 3, 4, 50, 301)]
+    two = 0
+    for g in graphs:
+        for rep in recognize_path_graph(g).reports:
+            if rep.decomposition.size == 2:
+                _same_report(rep, rep.decomposition)
+                two += 1
+    assert two > 1000
+
+
+def _two_parts(*traces):
+    """A decomposition at Q = (0, 1, 2) with one part per set of trace masks."""
+    q = (0, 1, 2)
+    parts = tuple(decompose.GammaComponent(k, q=q, masks=t) for k, t in enumerate(traces))
+    return decompose.Decomposition(q, parts, None)
+
+
+@pytest.mark.parametrize(
+    "traces, classes, up, antipodal, upper, f",
+    [
+        (((0b011,), (0b011,)), ((0, 1),), (0,), set(), (0,), {0: 1}),
+        (((0b001,), (0b110,)), ((0,), (1,)), (0, 0), set(), (0, 1), {0: 1, 1: 2}),
+        (((0b001, 0b011), (0b011,)), ((0,), (1,)), (2, 0), set(), (1,), {0: 1, 1: 1}),
+        (((0b011,), (0b001, 0b011)), ((0,), (1,)), (0, 1), set(), (0,), {0: 1, 1: 1}),
+        (((0b011,), (0b110,)), ((0,), (1,)), (0, 0), {(0, 1)}, (0, 1), {0: 1, 1: 2}),
+    ],
+    ids=["one-trace", "disjoint", "nested", "nested-other-way", "antipodal"],
+)
+def test_two_part_report_cases(monkeypatch, traces, classes, up, antipodal, upper, f):
+    dec = _two_parts(*traces)
+    rep = recognize._two_part_report(dec)
+    m, s = rep.attachedness, rep.skeleton
+    assert (m.class_members, m.up, m.antipodal, s.upper) == (classes, up, antipodal, upper)
+    assert s.d_single == ((tuple(range(len(classes))),) if len(upper) == 1 else ((0,), (1,)))
+    assert s.d_pair == {} and s.unassigned == ()
+    assert rep.coloring.f == f and rep.coloring.num_upper == len(upper)
+    _same_report(rep, dec)
+    # the coloring goes through the general path's self-check
+    monkeypatch.setattr(coloring, "_canonical_conditions", lambda *args: {"f": False})
+    with pytest.raises(InvariantError, match=r"violates conditions \['f'\]"):
+        recognize._two_part_report(dec)
+
+
+def _trace_sets():
+    """Every set of one or two distinct nonempty traces over Q = (0, 1, 2)."""
+    masks = range(1, 8)
+    return [(a,) for a in masks] + list(itertools.combinations(masks, 2))
+
+
+def test_two_part_report_raises_where_the_general_path_does():
+    # every pair of trace sets over a three-vertex Q: the direct report
+    # equals the general one, or both raise the same InvariantError; a part
+    # that lists one trace twice, which a decomposition never builds, makes
+    # two classes that dominate each other, paired with itself or, either
+    # way round, with that one trace
+    raised = 0
+    listed = _trace_sets() + [(a, a) for a in range(1, 8)]
+    for traces in itertools.product(listed, repeat=2):
+        dec = _two_parts(*traces)
+        try:
+            _general_report(dec)
+        except InvariantError as exc:
+            with pytest.raises(InvariantError, match=str(exc)):
+                recognize._two_part_report(dec)
+            raised += 1
+        else:
+            _same_report(recognize._two_part_report(dec), dec)
+    assert raised == 7 * 3
+
+
+def test_weak_coloring_refutes_no_quotient_of_two_classes(chordal_corpus, wider_graphs):
+    # a full antipodal triple, a bad triple and an odd antipodal cycle each
+    # name three classes or more
+    small = 0
+    for traces in itertools.product(_trace_sets(), repeat=3):
+        try:
+            m = attach.quotient(_two_parts(*traces))
+        except InvariantError:
+            continue
+        if m.size <= 2:
+            assert isinstance(coloring.weak_coloring(m), coloring.WeakColoring)
+            small += 1
+    # the corpus, the chains and the stars
+    graphs = [g for _, g in chordal_corpus]
+    graphs += [g for name, g in wider_graphs if not name.endswith("relabeled")]
+    for g in graphs:
+        index = chordal._index_or_hole(g)
+        if isinstance(index, chordal.HoleCertificate):
+            continue
+        for dec in decompose._decompositions(index):
+            m = attach.quotient(dec)
+            if m.size <= 2:
+                assert isinstance(coloring.weak_coloring(m), coloring.WeakColoring)
+                small += 1
+    assert small > 1000, small
+
+
 def test_disconnected_directed(worked8):
     tri = [(8, 9), (9, 10), (8, 10)]
     g = Graph.from_edges(11, WORKED8_EDGES + tri)
@@ -446,9 +608,9 @@ def test_cli_analyzes_each_component_once(monkeypatch, tmp_path, g, pieces, comm
     calls = []
     reports = recognize._reports
 
-    def counted(graph, index):
-        calls.append(graph.n)
-        return reports(graph, index)
+    def counted(index):
+        calls.append(len(index.order))
+        return reports(index)
 
     monkeypatch.setattr(recognize, "_reports", counted)
     assert call() == 0
@@ -590,14 +752,17 @@ _STAR40 = Graph.from_edges(41, [(0, i) for i in range(1, 41)])
 
 @pytest.mark.parametrize(
     "g, nested",
-    [(_GP80, True), (k4_hub(5), True), (_STAR40, False)],
-    ids=["gen_path_graph_80_80_0", "k4_hub_5", "star_1_40"],
+    [(_GP80, False), (gen_path_graph(80, 80, 1)[0], True), (k4_hub(5), True), (_STAR40, False)],
+    ids=["gen_path_graph_80_80_0", "gen_path_graph_80_80_1", "k4_hub_5", "star_1_40"],
 )
 def test_one_skeleton_and_one_dominance_test_per_separator(monkeypatch, g, nested):
-    # the report, the coloring and the obstruction share one skeleton;
-    # quotient tests trace nesting at most once per ordered pair of distinct class representatives, and only on pairs
-    # that share a Q vertex; the star's parts all share one trace, so they
-    # form one class and nesting is never tested
+    # a separator of three or more parts gets one quotient, and its report,
+    # coloring and obstruction share one skeleton (two parts' reports build
+    # neither); quotient tests trace nesting at most once per ordered pair
+    # of distinct class representatives, and only on pairs that share a Q
+    # vertex; gen_path_graph(80, 80, 0) has two parts at every separator,
+    # and the star's parts all share one trace, so they form one class: in
+    # neither is nesting tested
     skeletons = []
     per_quotient: list[Counter] = []
     skeleton, quotient, nests = coloring.skeleton, recognize.quotient, attach._nests
@@ -618,10 +783,11 @@ def test_one_skeleton_and_one_dominance_test_per_separator(monkeypatch, g, neste
         monkeypatch.setattr(mod, "skeleton", counted_skeleton)
     monkeypatch.setattr(recognize, "quotient", counted_quotient)
     monkeypatch.setattr(attach, "_nests", counted_nests)
-    verdict = recognize_path_graph(g)
-    assert verdict.reports
-    assert len(per_quotient) == len(verdict.reports)
-    for r, nest in zip(verdict.reports, per_quotient):
+    reports = recognize_path_graph(g).reports
+    wide = [r for r in reports if r.decomposition.size > 2]
+    assert reports
+    assert len(per_quotient) == len(wide)
+    for r, nest in zip(wide, per_quotient):
         # a test is keyed by one class's trace union and another's trace
         # masks; count the ordered pairs of distinct representatives that
         # share a Q vertex under each key
@@ -633,4 +799,4 @@ def test_one_skeleton_and_one_dominance_test_per_separator(monkeypatch, g, neste
         )
         assert all(count <= pairs[key] for key, count in nest.items())
     assert any(per_quotient) == nested
-    assert skeletons == [id(r.attachedness) for r in verdict.reports]
+    assert skeletons == [id(r.attachedness) for r in wide]
