@@ -9,7 +9,7 @@ from itertools import chain
 from typing import AbstractSet, Iterable, Iterator, Sequence
 
 from .errors import InputError, InvariantError, PreconditionError
-from .graphs import Graph, VertexSet, _norm_edge, vset
+from .graphs import Graph, VertexSet, _graph, _norm_edge, vset
 
 
 @dataclass(frozen=True)
@@ -193,7 +193,7 @@ def _index_or_hole(g: Graph) -> CliqueIndex | HoleCertificate:
     Each vertex's first clique is the top of the subtree of its cliques.
     Linear in n + m up to sorting and the search's heaps.
     """
-    selection, later, comp = _mcs(g)
+    selection, later, comp = _mcs(_graph(g))
     order = selection[::-1]
     bad = _check_peo(g, order, later)
     if bad is not None:
@@ -477,7 +477,7 @@ def _proven_separators(
     tree; _name_rejection only finds the error to raise.
     """
     cliques = tree.cliques
-    occurrences = _tree_occurrences(g.n, cliques)
+    occurrences = _tree_occurrences(_graph(g).n, cliques)
     if occurrences is None:
         return None
     try:

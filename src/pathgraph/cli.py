@@ -24,7 +24,6 @@ from .recognize import (
     DIRECTED_PATH_GRAPH,
     NOT_CHORDAL,
     _directed_verdict,
-    _recognize,
     recognize_path_graph,
 )
 
@@ -99,11 +98,11 @@ def _cmd_recognize(args) -> int:
 
 def _cmd_certify(args) -> int:
     g = _read_graph(args)
-    verdict, index = _recognize(g)
+    verdict = recognize_path_graph(g)
     directed = _directed_verdict(verdict)
     realization = None
     if args.realize and verdict.is_path_graph:
-        t = _tree_from(verdict, index)
+        t = _tree_from(verdict)
         realization = gio.realization_doc(t, clique_path_tree_to_host(g, t))
     doc = gio.verdict_document(
         g, verdict, gplus=args.gplus, directed=directed, realization=realization
@@ -114,10 +113,10 @@ def _cmd_certify(args) -> int:
 
 def _cmd_realize(args) -> int:
     g = _read_graph(args)
-    verdict, index = _recognize(g)
+    verdict = recognize_path_graph(g)
     if not verdict.is_path_graph:
         return _reject(args, "not a path graph; nothing to realize")
-    t = _tree_from(verdict, index)
+    t = _tree_from(verdict)
     host = clique_path_tree_to_host(g, t)
     if args.dot:
         _say(args, gio.emit_dot(t, g))

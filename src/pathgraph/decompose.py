@@ -4,6 +4,7 @@ the clique forest of its search."""
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import compress, filterfalse, repeat
@@ -123,7 +124,9 @@ class _Tour:
     to end[x] - 1, inside its tree's root[x]; seps[x] is what x shares with
     its parent. least(a, b) is the smallest vertex of the cliques at
     positions a to b - 1, from a sparse table of minima: O(c log c) once,
-    O(1) per query."""
+    O(1) per query. parts[x] counts the parts of G - x: the tree edges whose
+    separator lies in x, as cutting them all leaves x alone and one region
+    per cut (see _decomposition); each distinct separator is looked up once."""
 
     def __init__(self, index: CliqueIndex) -> None:
         parent = index.parent
@@ -158,6 +161,10 @@ class _Tour:
         self.seps = [
             [v for v in clique if index.top[v] != x] for x, clique in enumerate(index.cliques)
         ]
+        occ, self.parts = index.occurrences, [0] * c
+        for sep, k in Counter(map(tuple, filter(None, self.seps))).items():
+            for x in set(occ[sep[0]]).intersection(*map(occ.__getitem__, sep[1:])):
+                self.parts[x] += k
 
     def least(self, a: int, b: int) -> int:
         k = (b - a).bit_length() - 1
@@ -174,34 +181,34 @@ def clique_separators(g: Graph) -> list[VertexSet]:
     return [dec.q for dec in _decompositions(index)]
 
 
-def _decompositions(index: CliqueIndex, fewest: int = 2) -> Iterator[Decomposition]:
+def _decompositions(
+    index: CliqueIndex, fewest: int = 2, tour: _Tour | None = None, passed: list | None = None
+) -> Iterator[Decomposition]:
     """Decompositions of a chordal graph at its clique separators of fewest
     or more parts, component by component (by smallest vertex), canonically
-    within each, each computed when the caller gets to it. Q and fewest parts
-    take fewest + 1 cliques, so smaller components are passed over."""
-    tour = None
+    within each, each computed when the caller gets to it, on tour if given;
+    the clique index of each separator of fewer parts goes to passed, if
+    given, as the scan meets it. Q and k parts take k + 1 cliques, so smaller
+    components are passed over."""
     for _, nodes in index.components:
-        if len(nodes) > fewest:
+        if len(nodes) > (fewest if passed is None else 2):
             tour = tour or _Tour(index)
             for i in nodes:
-                dec = _decomposition(index, tour, i, fewest)
-                if dec is not None:
-                    yield dec
+                if tour.parts[i] >= fewest:
+                    yield _decomposition(index, tour, i)
+                elif tour.parts[i] > 1 and passed is not None:
+                    passed.append(i)
 
 
-def _decomposition(
-    index: CliqueIndex, tour: _Tour, qi: int, fewest: int = 2
-) -> Decomposition | None:
-    """The decomposition at the maximal clique Q = cliques[qi], or None when
-    Q leaves fewer than fewest parts; two or more make Q a separator.
+def _decomposition(index: CliqueIndex, tour: _Tour, qi: int) -> Decomposition:
+    """The decomposition at the maximal clique separator Q = cliques[qi].
 
     A vertex outside Q has its cliques in one subtree that avoids Q, and two
     cliques adjacent in the tree share a vertex outside Q unless their
     separator lies inside Q. So the parts of G - Q are the regions of the
     tree cut at Q and at every edge whose separator lies inside Q. A
     separator is never empty, so every cut falls between cliques that meet
-    Q, which form a subtree S around Q. The regions are counted from S
-    alone, before anything else is built. The maximal cliques of G[C + Q]
+    Q, which form a subtree S around Q. The maximal cliques of G[C + Q]
     other than Q are G's cliques holding a vertex of C, so a region's
     relevant cliques are its cliques in S. In preorder, each region is its
     cliques in S, each followed by a run of cliques hanging below it, plus
@@ -224,8 +231,6 @@ def _decomposition(
                 held.append([])
             region[z] = r
             held[r].append(z)
-    if len(held) < fewest:
-        return None
 
     # the runs: from starts[i] to the next start, positions are in region
     # labels[i]; Q's own position is in none
@@ -277,7 +282,7 @@ def gamma_components(g: Graph, q: VertexSet) -> Decomposition:
     if q not in index.cliques:
         kind = "maximal clique" if is_clique(g, q) else "clique"
         raise PreconditionError(f"{q} is not a {kind}")
-    dec = _decomposition(index, _Tour(index), index.cliques.index(q))
-    if dec is None:
+    tour, qi = _Tour(index), index.cliques.index(q)
+    if tour.parts[qi] < 2:
         raise PreconditionError(f"{q} does not separate the graph")
-    return dec
+    return _decomposition(index, tour, qi)

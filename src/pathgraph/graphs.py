@@ -35,6 +35,13 @@ def _int_vset(vertices: Iterable[int], what: str) -> VertexSet:
     return vset(_int(v, what) for v in vertices)
 
 
+def _graph(g: Graph) -> Graph:
+    """g, which must be a Graph: anything else is an InputError."""
+    if not isinstance(g, Graph):
+        raise InputError(f"expected a Graph, got {type(g).__name__}")
+    return g
+
+
 def _norm_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
@@ -120,7 +127,7 @@ def components_without(g: Graph, removed: Iterable[int]) -> list[VertexSet]:
 
 def connected_components(g: Graph) -> list[VertexSet]:
     """Connected components, each a canonical vertex set, sorted by smallest member."""
-    return components_without(g, ())
+    return components_without(_graph(g), ())
 
 
 def is_connected(g: Graph) -> bool:
@@ -135,7 +142,7 @@ def is_clique(g: Graph, vertices: Iterable[int]) -> bool:
 
 def graph_plus(g: Graph) -> Graph:
     """Pendant extension: one new degree-1 vertex n+i attached to each vertex i."""
-    edges = g.edges() + [(i, g.n + i) for i in range(g.n)]
+    edges = _graph(g).edges() + [(i, g.n + i) for i in range(g.n)]
     labels = None
     if g.labels is not None:
         labels = tuple(g.labels) + tuple(f"{lab}+" for lab in g.labels)

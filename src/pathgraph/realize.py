@@ -18,7 +18,7 @@ from .chordal import (
 )
 from .errors import InputError, InvariantError, PreconditionError
 from .graphs import Graph, _norm_edge
-from .recognize import SeparatorReport, Verdict, _recognize
+from .recognize import SeparatorReport, Verdict, recognize_path_graph
 
 
 @dataclass(frozen=True)
@@ -37,14 +37,15 @@ def realize(g: Graph) -> CliqueTree:
     recursion and no search; the component trees are bridged, and the result
     is checked as a clique path tree.
     """
-    verdict, index = _recognize(g)
+    verdict = recognize_path_graph(g)
     if not verdict.is_path_graph:
         raise PreconditionError("realize requires a path graph")
-    return _tree_from(verdict, index)
+    return _tree_from(verdict)
 
 
-def _tree_from(verdict: Verdict, index: CliqueIndex) -> CliqueTree:
-    """realize from a path verdict and the clique index it was built on."""
+def _tree_from(verdict: Verdict) -> CliqueTree:
+    """realize from a path verdict, on the clique index it was built on."""
+    index = verdict._index
     edges = _assemble(index, verdict.reports)
     anchors: list[int] = []
     for _, nodes in index.components:

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import reduce
+from dataclasses import dataclass, field
+from functools import cached_property, reduce
 from operator import or_
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .attach import AttachednessGraph, _nests, quotient
 from .chordal import CliqueIndex, HoleCertificate, _index_or_hole, _tree_adj
@@ -18,7 +18,7 @@ from .coloring import (
     _weak_coloring,
     skeleton,
 )
-from .decompose import Decomposition, _decompositions
+from .decompose import Decomposition, _decomposition, _decompositions, _Tour
 from .errors import InvariantError
 from .graphs import Graph, VertexSet
 from .obstructions import Obstruction, refutation_to_obstruction
@@ -37,7 +37,6 @@ class SeparatorReport:
     None; no report is in other ids.
     """
 
-    q: VertexSet
     decomposition: Decomposition
     attachedness: AttachednessGraph
     skeleton: Skeleton
@@ -46,16 +45,35 @@ class SeparatorReport:
     obstruction: Obstruction | None = None
     vertex_map: VertexSet | None = None
 
+    @property
+    def q(self) -> VertexSet:
+        return self.decomposition.q
+
 
 @dataclass(frozen=True)
 class Verdict:
+    """A path verdict, its status read off the separators of three or more
+    parts alone, as two always color. reports is built once, on first read:
+    _found holds the kept reports and each two-part separator's clique
+    index, whose report, or InvariantError, comes on that read."""
+
     status: str
     hole: HoleCertificate | None
-    reports: tuple[SeparatorReport, ...]
+    _found: tuple[SeparatorReport | int, ...] = ()
+    _index: CliqueIndex | None = field(default=None, repr=False, compare=False)
+    _tour: _Tour | None = field(default=None, repr=False, compare=False)
 
     @property
     def is_path_graph(self) -> bool:
         return self.status == PATH_GRAPH
+
+    @cached_property
+    def reports(self) -> tuple[SeparatorReport, ...]:
+        return tuple(
+            r if isinstance(r, SeparatorReport)
+            else _two_part_report(_decomposition(self._index, self._tour, r))
+            for r in self._found
+        )
 
 
 @dataclass(frozen=True)
@@ -89,33 +107,7 @@ def _two_part_report(dec: Decomposition) -> SeparatorReport:
     f = {c: min(c + 1, len(upper)) for c in range(m.size)}  # D_i in color i
     d_single = (tuple(f),) if len(upper) == 1 else ((0,), (1,))
     s = Skeleton(upper, d_single, {}, (), {c: ("D", i) for c, i in f.items()})
-    return SeparatorReport(dec.q, dec, m, s, _checked(m, s, f, _tree_adj(m.size, m.antipodal)))
-
-
-def _reports(index: CliqueIndex) -> Iterator[SeparatorReport]:
-    """Per-separator reports of a chordal graph, up to and including the first
-    refuted separator."""
-    for dec in _decompositions(index):
-        if dec.size == 2:
-            yield _two_part_report(dec)
-            continue
-        m = quotient(dec)
-        s = skeleton(m)
-        res = _weak_coloring(m, s)
-        if isinstance(res, Refutation):
-            yield SeparatorReport(dec.q, dec, m, s, None, res, refutation_to_obstruction(m, s, res))
-            return
-        yield SeparatorReport(dec.q, dec, m, s, res)
-
-
-def _recognize(g: Graph) -> tuple[Verdict, CliqueIndex | None]:
-    """recognize_path_graph, plus the clique index it built (None for a hole)."""
-    index = _index_or_hole(g)
-    if isinstance(index, HoleCertificate):
-        return Verdict(status=NOT_CHORDAL, hole=index, reports=()), None
-    reports = tuple(_reports(index))
-    refuted = bool(reports) and reports[-1].refutation is not None
-    return Verdict(NOT_PATH_GRAPH if refuted else PATH_GRAPH, None, reports), index
+    return SeparatorReport(dec, m, s, _checked(m, s, f, _tree_adj(m.size, m.antipodal)))
 
 
 def recognize_path_graph(g: Graph) -> Verdict:
@@ -123,9 +115,24 @@ def recognize_path_graph(g: Graph) -> Verdict:
     separator with its colored obstruction.
 
     A graph is a path graph exactly when all its components are; the
-    separators of a disconnected input are taken component by component.
+    separators of a disconnected input are taken component by component, in
+    one scan that reports those of three or more parts, up to the first
+    refuted one, and records those of two by clique index only.
     """
-    return _recognize(g)[0]
+    index = _index_or_hole(g)
+    if isinstance(index, HoleCertificate):
+        return Verdict(NOT_CHORDAL, index)
+    tour = _Tour(index) if any(len(nodes) > 2 for _, nodes in index.components) else None
+    found: list[SeparatorReport | int] = []
+    for dec in _decompositions(index, 3, tour, found):
+        m = quotient(dec)
+        s = skeleton(m)
+        res = _weak_coloring(m, s)
+        if isinstance(res, Refutation):
+            found.append(SeparatorReport(dec, m, s, None, res, refutation_to_obstruction(m, s, res)))
+            return Verdict(NOT_PATH_GRAPH, None, tuple(found), index, tour)
+        found.append(SeparatorReport(dec, m, s, res))
+    return Verdict(PATH_GRAPH, None, tuple(found), index, tour)
 
 
 def _first_odd_cycle(
@@ -165,7 +172,7 @@ def _directed_verdict(verdict: Verdict) -> DirectedVerdict:
     """
     if verdict.status == NOT_CHORDAL:
         return DirectedVerdict(status=NOT_CHORDAL, hole=verdict.hole)
-    wide = (r for r in verdict.reports if r.decomposition.size > 2)
+    wide = (r for r in verdict._found if isinstance(r, SeparatorReport))
     directed = _first_odd_cycle((r.q, r.attachedness) for r in wide)
     if verdict.status == NOT_PATH_GRAPH and directed.q is None:
         raise InvariantError("refuted separator has a bipartite antipodal graph")

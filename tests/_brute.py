@@ -8,15 +8,16 @@ from __future__ import annotations
 import heapq
 import itertools
 import json
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from pathgraph.attach import AttachednessGraph, _nests
-from pathgraph.chordal import _tree_adj
-from pathgraph.coloring import _full_triple
-from pathgraph.decompose import Decomposition, GammaComponent
+from pathgraph.attach import AttachednessGraph, _nests, quotient
+from pathgraph.chordal import CliqueIndex, _tree_adj
+from pathgraph.coloring import Refutation, _full_triple, _weak_coloring, skeleton
+from pathgraph.decompose import Decomposition, GammaComponent, _decompositions
 from pathgraph.errors import GuardRefusal, InputError, InvariantError
 from pathgraph.graphs import EdgeColoredGraph, Graph, VertexSet, _int_vset
-from pathgraph.obstructions import ObstructionPattern
+from pathgraph.obstructions import ObstructionPattern, refutation_to_obstruction
+from pathgraph.recognize import SeparatorReport, _two_part_report
 
 
 def chordal_by_elimination(g) -> bool:
@@ -244,6 +245,22 @@ def mcs_by_heap(g):
                 bu.append(v)
                 heappush(heap, u - len(bu) * n)
     return selection, before, comp
+
+
+def reports_by_eager_scan(index: CliqueIndex) -> Iterator[SeparatorReport]:
+    """Per-separator reports of a chordal graph, up to and including the first
+    refuted separator."""
+    for dec in _decompositions(index):
+        if dec.size == 2:
+            yield _two_part_report(dec)
+            continue
+        m = quotient(dec)
+        s = skeleton(m)
+        res = _weak_coloring(m, s)
+        if isinstance(res, Refutation):
+            yield SeparatorReport(dec, m, s, None, res, refutation_to_obstruction(m, s, res))
+            return
+        yield SeparatorReport(dec, m, s, res)
 
 
 def decompositions_by_traversal(g, index):

@@ -4,11 +4,11 @@ import pytest
 
 import _brute
 from _brute import induced_subgraph
-from pathgraph import decompose
+from pathgraph import decompose, recognize
 from pathgraph.chordal import HoleCertificate, _index_or_hole
 from pathgraph.decompose import _decompositions, clique_separators, gamma_components
 from pathgraph.errors import InputError, PreconditionError
-from pathgraph.graphs import Graph
+from pathgraph.graphs import Graph, components_without
 from pathgraph.recognize import recognize_directed_path_graph, recognize_path_graph
 
 
@@ -183,6 +183,20 @@ def parts(dec):
     return dec.q, [(gm.component, gm.relevant_cliques, gm.smallest, gm.masks) for gm in dec.gammas]
 
 
+def test_tour_counts_the_parts_of_every_clique(chordal_corpus, wider_graphs):
+    # G - Q has one part per clique tree edge whose separator lies in Q; a
+    # traversal of G - Q per clique counts them too
+    cliques = 0
+    for name, g in [*chordal_corpus, *wider_graphs]:
+        index = _index_or_hole(g)
+        if isinstance(index, HoleCertificate) or len(index.components) > 1:
+            continue
+        want = [len(components_without(g, q)) for q in index.cliques]
+        assert decompose._Tour(index).parts == want, name
+        cliques += len(want)
+    assert cliques > 3000, cliques
+
+
 def test_components_too_small_to_separate_are_passed_over(monkeypatch):
     # Q and two parts take three cliques: isolated vertices and edges have
     # no separator, so no clique of theirs is tried and no tour is built;
@@ -190,23 +204,29 @@ def test_components_too_small_to_separate_are_passed_over(monkeypatch):
     calls, tours = Counter(), Counter()
     decomposition, tour = decompose._decomposition, decompose._Tour
 
-    def counted(index, t, qi, fewest=2):
-        calls[fewest] += 1
-        return decomposition(index, t, qi, fewest)
+    def counted(index, t, qi):
+        calls[index.cliques[qi]] += 1
+        return decomposition(index, t, qi)
 
     def counted_tour(index):
         tours["built"] += 1
         return tour(index)
 
-    monkeypatch.setattr(decompose, "_decomposition", counted)
-    monkeypatch.setattr(decompose, "_Tour", counted_tour)
+    for mod in (decompose, recognize):
+        monkeypatch.setattr(mod, "_decomposition", counted)
+        monkeypatch.setattr(mod, "_Tour", counted_tour)
     small = Graph.from_edges(60, [(i, i + 1) for i in range(40, 60, 2)])
     assert recognize_path_graph(small).reports == ()
     assert recognize_directed_path_graph(small).is_directed_path_graph
     assert calls == tours == Counter()
 
+    # the path verdict's scan reads the part counts of P_4's cliques off
+    # the one tour, and its one two-part separator is decomposed on the
+    # first read of the reports; the directed scan passes P_4 over
     g = Graph.from_edges(64, [*small.edges(), (60, 61), (61, 62), (62, 63)])
-    assert [rep.q for rep in recognize_path_graph(g).reports] == [(61, 62)]
-    assert calls == Counter({2: 3}) and tours == Counter(built=1)
+    verdict = recognize_path_graph(g)
+    assert calls == Counter() and tours == Counter(built=1)
+    assert [rep.q for rep in verdict.reports] == [(61, 62)]
+    assert calls == Counter({(61, 62): 1}) and tours == Counter(built=1)
     assert recognize_directed_path_graph(g).is_directed_path_graph
-    assert calls == Counter({2: 3}) and tours == Counter(built=1)
+    assert calls == Counter({(61, 62): 1}) and tours == Counter(built=1)

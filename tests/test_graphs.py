@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
+import pathgraph
 from _brute import induced_subgraph
+from pathgraph.chordal import CliqueTree
 from pathgraph.errors import InputError
 from pathgraph.graphs import (
     ANTIPODAL,
@@ -140,3 +142,28 @@ def test_edge_colored_graph_rejects_bad_edges():
         EdgeColoredGraph(2, frozenset({(0, 1)}), frozenset({(0, 1)}))
     with pytest.raises(InputError):
         EdgeColoredGraph(2, frozenset(), frozenset({(0, 5)}))
+
+
+_TREE = CliqueTree(((0, 1), (1, 2)), frozenset({(0, 1)}))
+
+
+@pytest.mark.parametrize(
+    "name, rest",
+    [
+        (name, ())
+        for name in (
+            "recognize_path_graph", "recognize_directed_path_graph", "realize",
+            "maximal_cliques", "clique_tree", "peo_or_hole", "is_chordal",
+            "clique_separators", "connected_components", "graph_plus",
+            "oracle_clique_path_tree",
+        )
+    ]
+    + [("gamma_components", ((1,),))]
+    + [(name, (_TREE,)) for name in
+       ("clique_path_tree_to_host", "is_valid_clique_tree", "is_clique_path_tree")],
+)
+def test_a_graph_argument_that_is_no_graph_is_an_input_error(name, rest):
+    # an edge list where a Graph belongs is refused at the boundary, not
+    # met by an AttributeError deep inside
+    with pytest.raises(InputError, match="expected a Graph, got list"):
+        getattr(pathgraph, name)([(0, 1), (1, 2)], *rest)

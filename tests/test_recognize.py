@@ -38,7 +38,7 @@ from pathgraph.recognize import (
     recognize_path_graph,
 )
 
-from _brute import induced_subgraph
+from _brute import induced_subgraph, reports_by_eager_scan
 from conftest import WORKED8_EDGES, make_worked8, star
 from make_certify_golden import interleaved
 
@@ -606,13 +606,13 @@ def test_cli_analyzes_each_component_once(monkeypatch, tmp_path, g, pieces, comm
     assert [comp[0] for comp in connected_components(g)] == pieces
     call = _cli(*command)(g, tmp_path)
     calls = []
-    reports = recognize._reports
+    scan = recognize._decompositions
 
-    def counted(index):
+    def counted(index, *rest):
         calls.append(len(index.order))
-        return reports(index)
+        return scan(index, *rest)
 
-    monkeypatch.setattr(recognize, "_reports", counted)
+    monkeypatch.setattr(recognize, "_decompositions", counted)
     assert call() == 0
     assert calls == [g.n]
 
@@ -800,3 +800,78 @@ def test_one_skeleton_and_one_dominance_test_per_separator(monkeypatch, g, neste
         assert all(count <= pairs[key] for key, count in nest.items())
     assert any(per_quotient) == nested
     assert skeletons == [id(r.attachedness) for r in wide]
+
+
+def _report_fields(rep):
+    """A report as plain data, field by field: its parts, its classes and
+    their relations, its skeleton and its coloring or refutation, with the
+    dicts in order too."""
+    dec, m, s, c = rep.decomposition, rep.attachedness, rep.skeleton, rep.coloring
+    parts = [(gm.index, gm.relevant_cliques, gm.smallest, gm.masks) for gm in dec.gammas]
+    classes = (m.q, [gm.index for gm in m.gammas], m.class_members, m.antipodal, m.up, m.masks)
+    f = None if c is None else list(c.f.items())
+    return (rep.q, dec.q, parts, classes, s, list(s.member_of.items()), c, f,
+            rep.refutation, rep.obstruction, rep.vertex_map)
+
+
+def test_one_scan_matches_the_eager_reference(chordal_corpus, wider_graphs):
+    # the scan that reports only three or more parts, its two-part reports
+    # built on read, gives the status and the reports of the scan that built
+    # every report as it went; a non-member's last report is the refuted one
+    graphs = [g for _, g in chordal_corpus] + [g for _, g in wider_graphs]
+    graphs += [gen_path_graph(n, n, s)[0] for n in (40, 80) for s in range(10)]
+    graphs += [path(n) for n in (1, 2, 3, 4, 50, 301)] + [star(n) for n in (1, 2, 3, 10)]
+    graphs += [k4_hub(t) for t in range(3, 10)]
+    graphs += [bridged_hub(gen_path_graph(n, n, 1)[0]) for n in (150, 200)]
+    graphs += [_seeded_union(seed) for seed in range(20)] + [_MEMBERS_INTERLEAVED]
+    refuted = 0
+    for g in graphs:
+        verdict = recognize_path_graph(g)
+        index = chordal._index_or_hole(g)
+        if isinstance(index, chordal.HoleCertificate):
+            assert verdict.status == NOT_CHORDAL and verdict.reports == ()
+            continue
+        want = list(reports_by_eager_scan(index))
+        wanted = NOT_PATH_GRAPH if want and want[-1].refutation else PATH_GRAPH
+        assert verdict.status == wanted
+        assert list(map(_report_fields, verdict.reports)) == list(map(_report_fields, want))
+        if verdict.status == NOT_PATH_GRAPH:
+            assert verdict.reports[-1].refutation is not None
+            assert all(r.refutation is None for r in verdict.reports[:-1])
+            refuted += 1
+    assert refuted > 40
+
+
+_NEAR_MISS = bridged_hub(gen_path_graph(150, 150, 1)[0])
+
+
+@pytest.mark.parametrize("g", [path(300), _NEAR_MISS], ids=["P_300", "bridged_near_miss"])
+def test_two_part_reports_are_built_once_on_first_read(monkeypatch, tmp_path, g):
+    # the verdicts and CLI recognize build no two-part report; the first read
+    # of reports builds each once, on the verdict's own tour, and a second
+    # read returns the same tuple
+    built, tours = [], []
+    report, tour = recognize._two_part_report, decompose._Tour
+
+    def counted(dec):
+        built.append(dec.q)
+        return report(dec)
+
+    def counted_tour(index):
+        tours.append(index)
+        return tour(index)
+
+    monkeypatch.setattr(recognize, "_two_part_report", counted)
+    for mod in (decompose, recognize):
+        monkeypatch.setattr(mod, "_Tour", counted_tour)
+    status = 0 if g is not _NEAR_MISS else 1
+    for flags in ((), ("--json",)):
+        assert _cli("recognize", *flags)(g, tmp_path)() == status
+    assert recognize_directed_path_graph(g).status in (DIRECTED_PATH_GRAPH, NOT_DIRECTED_PATH_GRAPH)
+    tours.clear()
+    verdict = recognize_path_graph(g)
+    assert built == [] and len(tours) == 1
+    reports = verdict.reports
+    two = [r.q for r in reports if r.decomposition.size == 2]
+    assert built == two and two
+    assert verdict.reports is reports and built == two and len(tours) == 1
