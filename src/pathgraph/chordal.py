@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from typing import AbstractSet, Iterable, Iterator, Sequence
@@ -54,6 +55,66 @@ class CliqueIndex:
     components: tuple[tuple[VertexSet, tuple[int, ...]], ...]
     parent: tuple[int, ...]
     top: tuple[int, ...]
+
+    @cached_property
+    def tour(self) -> _Tour:
+        """The clique forest in depth-first preorder, built on first read."""
+        return _Tour(self)
+
+
+class _Tour:
+    """An index's clique forest in depth-first preorder: nodes[p] is the
+    clique at position p, and clique x's subtree holds the positions pos[x]
+    to end[x] - 1, inside its tree's root[x]; seps[x] is what x shares with
+    its parent. least(a, b) is the smallest vertex of the cliques at
+    positions a to b - 1, from a sparse table of minima: O(c log c) once,
+    O(1) per query. parts[x] counts the parts of G - x: the tree edges whose
+    separator lies in x, as cutting them all leaves x alone and one region
+    per cut (see decompose._decomposition); each distinct separator is
+    looked up once."""
+
+    def __init__(self, index: CliqueIndex) -> None:
+        parent = index.parent
+        c = len(parent)
+        kids: list[list[int]] = [[] for _ in range(c)]
+        stack: list[int] = []
+        for x, p in enumerate(parent):
+            (kids[p] if p >= 0 else stack).append(x)
+        stack.reverse()
+        nodes: list[int] = []
+        while stack:
+            x = stack.pop()
+            nodes.append(x)
+            stack.extend(reversed(kids[x]))
+        pos = [0] * c
+        root = list(range(c))
+        for p, x in enumerate(nodes):
+            pos[x] = p
+            if parent[x] >= 0:
+                root[x] = root[parent[x]]
+        end = [p + 1 for p in pos]
+        for x in reversed(nodes):
+            if parent[x] >= 0:
+                end[parent[x]] = max(end[parent[x]], end[x])
+        table = [[index.cliques[x][0] for x in nodes]]
+        step = 1
+        while 2 * step <= c:
+            row = table[-1]
+            table.append(list(map(min, row[:-step], row[step:])))
+            step *= 2
+        self.nodes, self.pos, self.end, self.root, self._table = nodes, pos, end, root, table
+        self.seps = [
+            [v for v in clique if index.top[v] != x] for x, clique in enumerate(index.cliques)
+        ]
+        occ, self.parts = index.occurrences, [0] * c
+        for sep, k in Counter(map(tuple, filter(None, self.seps))).items():
+            for x in set(occ[sep[0]]).intersection(*map(occ.__getitem__, sep[1:])):
+                self.parts[x] += k
+
+    def least(self, a: int, b: int) -> int:
+        k = (b - a).bit_length() - 1
+        row = self._table[k]
+        return min(row[a], row[b - (1 << k)])
 
 
 def _mcs(g: Graph) -> tuple[list[int], list[list[int]], list[int]]:
@@ -252,29 +313,19 @@ def is_chordal(g: Graph) -> bool:
 
 def _relabelled_components(
     index: CliqueIndex,
-) -> Iterator[tuple[VertexSet, CliqueIndex]]:
-    """Each component of an indexed graph with its slice of the index,
-    relabelled to the component's own ids 0..k-1 in increasing order: the
-    index that component would get on its own. No search runs and no
-    subgraph is built.
-
-    The search selects one whole component after another, so each
-    component's elimination order is one block of the order, the first
-    component's block last.
-    """
-    end = len(index.order)
+) -> Iterator[tuple[VertexSet, tuple[VertexSet, ...], tuple[tuple[int, ...], ...]]]:
+    """Each component of an indexed graph with its cliques and occurrences,
+    relabelled to the component's own ids 0..k-1 in increasing order, the
+    cliques numbered in canonical order: what the component's own index
+    would hold. No search runs and no subgraph is built."""
     for comp, nodes in index.components:
         local = {v: i for i, v in enumerate(comp)}
         slot = {ci: j for j, ci in enumerate(nodes)}
-        yield comp, CliqueIndex(
-            tuple(local[v] for v in index.order[end - len(comp) : end]),
+        yield (
+            comp,
             tuple(tuple(local[v] for v in index.cliques[ci]) for ci in nodes),
             tuple(tuple(slot[ci] for ci in index.occurrences[v]) for v in comp),
-            ((tuple(range(len(comp))), tuple(range(len(nodes)))),),
-            tuple(slot.get(index.parent[ci], -1) for ci in nodes),
-            tuple(slot[index.top[v]] for v in comp),
         )
-        end -= len(comp)
 
 
 def _checked_index(g: Graph, caller: str) -> CliqueIndex:
@@ -408,12 +459,6 @@ def _separator_sizes(
     if any(links[v] != len(occ) - 1 for v, occ in enumerate(occurrences)):
         return None
     return sizes
-
-
-def _is_path_tree(index: CliqueIndex, edges: frozenset[tuple[int, int]]) -> bool:
-    """Whether edges form a tree on the indexed cliques in which every vertex's
-    cliques induce a path."""
-    return _separator_sizes(index.cliques, index.occurrences, edges, path=True) is not None
 
 
 def _meet_exactly(

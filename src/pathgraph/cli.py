@@ -13,7 +13,7 @@ import sys
 from . import io as gio
 from .attach import quotient
 from .chordal import HoleCertificate, _index_or_hole, _relabelled_components
-from .decompose import _decompositions
+from .decompose import _decomposition, _separators
 from .errors import GenerationError, GuardRefusal, InputError, PreconditionError
 from .generate import gen_chordal, gen_path_graph, k4_hub
 from .graphs import Graph, graph_plus
@@ -31,14 +31,15 @@ _FAMILIES = {gio._FAMILY_JSON[f]: f for f in FAMILY_ALL}
 
 
 def _read_graph(args) -> Graph:
-    if args.graph == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    try:
+        if args.graph == "-":
+            text = sys.stdin.read()
+        else:
             with open(args.graph, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
-            raise InputError(f"cannot read {args.graph}: {exc}")
+    except (OSError, UnicodeDecodeError) as exc:
+        name = "stdin" if args.graph == "-" else args.graph
+        raise InputError(f"cannot read {name}: {exc}")
     g = gio.parse_graph(text, args.format)
     if args.gplus:
         g = graph_plus(g)
@@ -138,8 +139,8 @@ def _cmd_oracle(args) -> int:
     if isinstance(index, HoleCertificate):
         return _reject(args, "not chordal; not a path graph")
     trees = []
-    for comp, comp_index in _relabelled_components(index):
-        t = _oracle_tree(comp_index)
+    for comp, cliques, occurrences in _relabelled_components(index):
+        t = _oracle_tree(cliques, occurrences)
         if t is None:
             return _reject(args, "path graph (oracle): no")
         trees.append((comp, t))
@@ -186,14 +187,14 @@ def _cmd_attachedness(args) -> int:
         raise InputError("attachedness needs a chordal graph")
     if len(index.components) > 1:
         raise InputError("attachedness needs a connected graph")
-    decs = list(_decompositions(index))
-    if not decs:
+    seps = list(_separators(index))
+    if not seps:
         raise InputError("graph has no clique separator (it is an atom)")
-    if not 0 <= args.separator < len(decs):
+    if not 0 <= args.separator < len(seps):
         raise InputError(
-            f"separator index {args.separator} out of range (have {len(decs)})"
+            f"separator index {args.separator} out of range (have {len(seps)})"
         )
-    m = quotient(decs[args.separator])
+    m = quotient(_decomposition(index, seps[args.separator]))
     if args.dot:
         _say(args, gio.emit_dot(m, g))
     elif args.json:

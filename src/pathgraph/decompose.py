@@ -4,7 +4,6 @@ the clique forest of its search."""
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import compress, filterfalse, repeat
@@ -23,18 +22,16 @@ class GammaComponent:
     separator but do not equal it; masks are their traces, their
     intersections with the separator q, deduplicated, with bit i set for
     q[i]. smallest is C's smallest vertex. The sorted vertex tuples traces
-    and C itself, component, are derived on first read, C from the runs its
+    and C itself, component, are derived on read, C from the runs its
     decomposition's parts share: io's full documents read both, recognition
     and realization neither.
     """
 
-    __slots__ = ("index", "relevant_cliques", "smallest", "q", "masks")
-    __slots__ += ("_traces", "_component", "_runs")
+    __slots__ = ("index", "relevant_cliques", "smallest", "q", "masks", "_traces", "_runs")
 
     def __init__(
         self,
         index: int,
-        component: VertexSet | None = None,
         relevant_cliques: tuple[VertexSet, ...] = (),
         smallest: int | None = None,
         runs: _Runs | None = None,
@@ -47,7 +44,6 @@ class GammaComponent:
         self.q = q
         self.masks = masks
         self._traces = None
-        self._component = component
         self._runs = runs
 
     @property
@@ -58,9 +54,7 @@ class GammaComponent:
 
     @property
     def component(self) -> VertexSet:
-        if self._component is None:
-            self._component = self._runs.vertices(self.index)
-        return self._component
+        return self._runs.vertices(self.index)
 
 
 def _select(items: Iterable, mask: int) -> Iterator:
@@ -77,20 +71,20 @@ class _Runs:
     """What the parts of one decomposition share: the positions of the clique
     forest's preorder nodes from starts[i] to starts[i + 1] - 1 lie in part
     labels[i], or in no part for -1, up to the end of Q's tree, the last
-    start. nodes, pos, cliques and top are the forest's and the index's."""
+    start; the positions are those of index.tour."""
 
-    __slots__ = ("q", "starts", "labels", "nodes", "pos", "cliques", "top", "_parts")
+    __slots__ = ("q", "starts", "labels", "index", "_parts")
 
-    def __init__(self, q, starts, labels, nodes, pos, cliques, top) -> None:
-        self.q, self.starts, self.labels, self.nodes = q, starts, labels, nodes
-        self.pos, self.cliques, self.top, self._parts = pos, cliques, top, None
+    def __init__(self, q, starts, labels, index) -> None:
+        self.q, self.starts, self.labels, self.index, self._parts = q, starts, labels, index, None
 
     def vertices(self, k: int) -> VertexSet:
         if self._parts is None:  # all parts at once
+            cliques, nodes = self.index.cliques, self.index.tour.nodes
             found = [set() for _ in range(max(self.labels) + 1)]
             for a, b, r in zip(self.starts, self.starts[1:], self.labels):
                 if r >= 0:
-                    found[r].update(*map(self.cliques.__getitem__, self.nodes[a:b]))
+                    found[r].update(*map(cliques.__getitem__, nodes[a:b]))
             self._parts = [tuple(sorted(f.difference(self.q))) for f in found]
         return self._parts[k]
 
@@ -110,66 +104,13 @@ class Decomposition:
     def part_of(self, v: int) -> int:
         """The index of the part holding v, a vertex outside q."""
         runs = self.runs
-        return runs.labels[bisect_right(runs.starts, runs.pos[runs.top[v]]) - 1]
+        index = runs.index
+        return runs.labels[bisect_right(runs.starts, index.tour.pos[index.top[v]]) - 1]
 
     @cached_property
     def neighbor_map(self) -> dict[int, tuple[int, ...]]:
         """v in Q -> the parts with v in some trace."""
         return _neighbor_map(self.q, [reduce(or_, p.masks, 0) for p in self.gammas])
-
-
-class _Tour:
-    """An index's clique forest in depth-first preorder: nodes[p] is the
-    clique at position p, and clique x's subtree holds the positions pos[x]
-    to end[x] - 1, inside its tree's root[x]; seps[x] is what x shares with
-    its parent. least(a, b) is the smallest vertex of the cliques at
-    positions a to b - 1, from a sparse table of minima: O(c log c) once,
-    O(1) per query. parts[x] counts the parts of G - x: the tree edges whose
-    separator lies in x, as cutting them all leaves x alone and one region
-    per cut (see _decomposition); each distinct separator is looked up once."""
-
-    def __init__(self, index: CliqueIndex) -> None:
-        parent = index.parent
-        c = len(parent)
-        kids: list[list[int]] = [[] for _ in range(c)]
-        stack: list[int] = []
-        for x, p in enumerate(parent):
-            (kids[p] if p >= 0 else stack).append(x)
-        stack.reverse()
-        nodes: list[int] = []
-        while stack:
-            x = stack.pop()
-            nodes.append(x)
-            stack.extend(reversed(kids[x]))
-        pos = [0] * c
-        root = list(range(c))
-        for p, x in enumerate(nodes):
-            pos[x] = p
-            if parent[x] >= 0:
-                root[x] = root[parent[x]]
-        end = [p + 1 for p in pos]
-        for x in reversed(nodes):
-            if parent[x] >= 0:
-                end[parent[x]] = max(end[parent[x]], end[x])
-        table = [[index.cliques[x][0] for x in nodes]]
-        step = 1
-        while 2 * step <= c:
-            row = table[-1]
-            table.append(list(map(min, row[:-step], row[step:])))
-            step *= 2
-        self.nodes, self.pos, self.end, self.root, self._table = nodes, pos, end, root, table
-        self.seps = [
-            [v for v in clique if index.top[v] != x] for x, clique in enumerate(index.cliques)
-        ]
-        occ, self.parts = index.occurrences, [0] * c
-        for sep, k in Counter(map(tuple, filter(None, self.seps))).items():
-            for x in set(occ[sep[0]]).intersection(*map(occ.__getitem__, sep[1:])):
-                self.parts[x] += k
-
-    def least(self, a: int, b: int) -> int:
-        k = (b - a).bit_length() - 1
-        row = self._table[k]
-        return min(row[a], row[b - (1 << k)])
 
 
 def clique_separators(g: Graph) -> list[VertexSet]:
@@ -178,29 +119,22 @@ def clique_separators(g: Graph) -> list[VertexSet]:
     Requires a connected chordal graph.
     """
     index = _connected_index(g, "clique_separators")
-    return [dec.q for dec in _decompositions(index)]
+    return [index.cliques[qi] for qi in _separators(index)]
 
 
-def _decompositions(
-    index: CliqueIndex, fewest: int = 2, tour: _Tour | None = None, passed: list | None = None
-) -> Iterator[Decomposition]:
-    """Decompositions of a chordal graph at its clique separators of fewest
-    or more parts, component by component (by smallest vertex), canonically
-    within each, each computed when the caller gets to it, on tour if given;
-    the clique index of each separator of fewer parts goes to passed, if
-    given, as the scan meets it. Q and k parts take k + 1 cliques, so smaller
-    components are passed over."""
+def _separators(index: CliqueIndex) -> Iterator[int]:
+    """The clique index of each separator of a chordal graph, a clique Q
+    with two or more parts in G - Q by index.tour.parts, component by
+    component (by smallest vertex), canonically within each. Q and two parts
+    take three cliques, so smaller components are passed over and build no
+    tour."""
     for _, nodes in index.components:
-        if len(nodes) > (fewest if passed is None else 2):
-            tour = tour or _Tour(index)
-            for i in nodes:
-                if tour.parts[i] >= fewest:
-                    yield _decomposition(index, tour, i)
-                elif tour.parts[i] > 1 and passed is not None:
-                    passed.append(i)
+        if len(nodes) > 2:
+            parts = index.tour.parts
+            yield from (qi for qi in nodes if parts[qi] > 1)
 
 
-def _decomposition(index: CliqueIndex, tour: _Tour, qi: int) -> Decomposition:
+def _decomposition(index: CliqueIndex, qi: int) -> Decomposition:
     """The decomposition at the maximal clique separator Q = cliques[qi].
 
     A vertex outside Q has its cliques in one subtree that avoids Q, and two
@@ -216,7 +150,7 @@ def _decomposition(index: CliqueIndex, tour: _Tour, qi: int) -> Decomposition:
     smallest vertex and, by bisection, the part of any vertex outside Q. The
     work is the size of the cliques that meet Q.
     """
-    cliques, parent, top = index.cliques, index.parent, index.top
+    cliques, parent, tour = index.cliques, index.parent, index.tour
     pos, end, nodes = tour.pos, tour.end, tour.nodes
     q = cliques[qi]
     qs = set(q)
@@ -262,7 +196,7 @@ def _decomposition(index: CliqueIndex, tour: _Tour, qi: int) -> Decomposition:
     order = sorted(range(len(held)), key=low.__getitem__)  # part k is region order[k]
     rank = {r: k for k, r in enumerate(order)}
     labels = tuple(rank.get(r, -1) for r in labels)
-    runs = _Runs(q, tuple(starts), labels, nodes, pos, cliques, top)
+    runs = _Runs(q, tuple(starts), labels, index)
 
     # a trace's mask is the sum of its vertices' bits, by position in q
     bit = {v: 1 << i for i, v in enumerate(q)}.get
@@ -271,7 +205,7 @@ def _decomposition(index: CliqueIndex, tour: _Tour, qi: int) -> Decomposition:
     for k, r in enumerate(order):
         rel = tuple(map(cliques.__getitem__, sorted(held[r])))
         masks = tuple(dict.fromkeys([sum(map(bit, c, zeros)) for c in rel]))
-        gammas.append(GammaComponent(k, None, rel, low[r], runs, q, masks))
+        gammas.append(GammaComponent(k, rel, low[r], runs, q, masks))
     return Decomposition(q, tuple(gammas), runs)
 
 
@@ -282,7 +216,7 @@ def gamma_components(g: Graph, q: VertexSet) -> Decomposition:
     if q not in index.cliques:
         kind = "maximal clique" if is_clique(g, q) else "clique"
         raise PreconditionError(f"{q} is not a {kind}")
-    tour, qi = _Tour(index), index.cliques.index(q)
-    if tour.parts[qi] < 2:
+    qi = index.cliques.index(q)
+    if index.tour.parts[qi] < 2:
         raise PreconditionError(f"{q} does not separate the graph")
-    return _decomposition(index, tour, qi)
+    return _decomposition(index, qi)

@@ -5,6 +5,7 @@ Vertex sets are canonically represented as strictly increasing tuples of ints.
 
 from __future__ import annotations
 
+import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable
@@ -64,6 +65,8 @@ class Graph:
         isolated vertex shares one empty frozenset."""
         if type(n) is not int or n < 0:
             raise InputError(f"vertex count must be a nonnegative int, got {n!r}")
+        if n > sys.maxsize // 8:  # past what a list of n pointers can hold
+            raise InputError(f"vertex count {n} is too large")
         nbrs: defaultdict[int, set[int]] = defaultdict(set)
         for u, v in edges:
             if type(u) is not int or type(v) is not int:

@@ -1,13 +1,14 @@
 """Independent brute-force oracle: exhaustive clique-path-tree search over all
-labeled trees, guarded. It reads only the clique index, never the pipeline."""
+labeled trees, guarded. It reads only the cliques and occurrences of a clique
+index, never the pipeline."""
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
-from .chordal import CliqueIndex, CliqueTree, _connected_index, _is_path_tree
+from .chordal import CliqueTree, _connected_index, _separator_sizes
 from .errors import GuardRefusal, InvariantError
-from .graphs import Graph
+from .graphs import Graph, VertexSet
 
 TREE_SWEEP_MAX_CLIQUES = 9
 
@@ -128,22 +129,26 @@ def oracle_clique_path_tree(g: Graph) -> CliqueTree | None:
 
     Guarded to at most 9 cliques (9^7 labeled trees).
     """
-    return _oracle_tree(_connected_index(g, "oracle_clique_path_tree"))
+    index = _connected_index(g, "oracle_clique_path_tree")
+    return _oracle_tree(index.cliques, index.occurrences)
 
 
-def _oracle_tree(index: CliqueIndex) -> CliqueTree | None:
-    """oracle_clique_path_tree on the index of a connected chordal graph."""
-    c = len(index.cliques)
+def _oracle_tree(
+    cliques: tuple[VertexSet, ...], occurrences: Sequence[Sequence[int]]
+) -> CliqueTree | None:
+    """oracle_clique_path_tree on the canonical cliques of a connected
+    chordal graph and each vertex's cliques."""
+    c = len(cliques)
     if c > TREE_SWEEP_MAX_CLIQUES:
         raise GuardRefusal(
             f"{c} maximal cliques exceed the exhaustive sweep guard of "
             f"{TREE_SWEEP_MAX_CLIQUES}"
         )
-    masks = {sum(1 << i for i in occ) for occ in index.occurrences}
+    masks = {sum(1 << i for i in occ) for occ in occurrences}
     edges = _first_path_tree(c, masks)
     if edges is None:
         return None
-    tree = CliqueTree(index.cliques, frozenset(edges))
-    if not _is_path_tree(index, tree.edges):
+    tree = CliqueTree(cliques, frozenset(edges))
+    if _separator_sizes(cliques, occurrences, tree.edges, path=True) is None:
         raise InvariantError("swept tree fails the clique path tree check")
     return tree

@@ -9,11 +9,11 @@ from typing import Sequence
 from .chordal import (
     CliqueIndex,
     CliqueTree,
-    _is_path_tree,
     _is_tree,
     _meet_exactly,
     _name_rejection,
     _proven_separators,
+    _separator_sizes,
     _tree_adj,
 )
 from .errors import InputError, InvariantError, PreconditionError
@@ -57,7 +57,7 @@ def _tree_from(verdict: Verdict) -> CliqueTree:
     # the components' smallest vertices; vertex paths are unaffected
     edges.update(zip(anchors, anchors[1:]))
     tree = CliqueTree(index.cliques, frozenset(edges))
-    if not _is_path_tree(index, tree.edges):
+    if _separator_sizes(index.cliques, index.occurrences, tree.edges, path=True) is None:
         raise InvariantError("assembled tree is not a clique path tree")
     return tree
 

@@ -18,7 +18,7 @@ from .coloring import (
     _weak_coloring,
     skeleton,
 )
-from .decompose import Decomposition, _decomposition, _decompositions, _Tour
+from .decompose import Decomposition, _decomposition, _separators
 from .errors import InvariantError
 from .graphs import Graph, VertexSet
 from .obstructions import Obstruction, refutation_to_obstruction
@@ -55,13 +55,13 @@ class Verdict:
     """A path verdict, its status read off the separators of three or more
     parts alone, as two always color. reports is built once, on first read:
     _found holds the kept reports and each two-part separator's clique
-    index, whose report, or InvariantError, comes on that read."""
+    index, whose report, or InvariantError, comes on that read, decomposed
+    on _index, the one chordal structure the verdict keeps."""
 
     status: str
     hole: HoleCertificate | None
     _found: tuple[SeparatorReport | int, ...] = ()
     _index: CliqueIndex | None = field(default=None, repr=False, compare=False)
-    _tour: _Tour | None = field(default=None, repr=False, compare=False)
 
     @property
     def is_path_graph(self) -> bool:
@@ -71,7 +71,7 @@ class Verdict:
     def reports(self) -> tuple[SeparatorReport, ...]:
         return tuple(
             r if isinstance(r, SeparatorReport)
-            else _two_part_report(_decomposition(self._index, self._tour, r))
+            else _two_part_report(_decomposition(self._index, r))
             for r in self._found
         )
 
@@ -122,17 +122,20 @@ def recognize_path_graph(g: Graph) -> Verdict:
     index = _index_or_hole(g)
     if isinstance(index, HoleCertificate):
         return Verdict(NOT_CHORDAL, index)
-    tour = _Tour(index) if any(len(nodes) > 2 for _, nodes in index.components) else None
     found: list[SeparatorReport | int] = []
-    for dec in _decompositions(index, 3, tour, found):
+    for qi in _separators(index):
+        if index.tour.parts[qi] == 2:
+            found.append(qi)
+            continue
+        dec = _decomposition(index, qi)
         m = quotient(dec)
         s = skeleton(m)
         res = _weak_coloring(m, s)
         if isinstance(res, Refutation):
             found.append(SeparatorReport(dec, m, s, None, res, refutation_to_obstruction(m, s, res)))
-            return Verdict(NOT_PATH_GRAPH, None, tuple(found), index, tour)
+            return Verdict(NOT_PATH_GRAPH, None, tuple(found), index)
         found.append(SeparatorReport(dec, m, s, res))
-    return Verdict(PATH_GRAPH, None, tuple(found), index, tour)
+    return Verdict(PATH_GRAPH, None, tuple(found), index)
 
 
 def _first_odd_cycle(
@@ -159,7 +162,10 @@ def recognize_directed_path_graph(g: Graph) -> DirectedVerdict:
     index = _index_or_hole(g)
     if isinstance(index, HoleCertificate):
         return DirectedVerdict(status=NOT_CHORDAL, hole=index)
-    return _first_odd_cycle((dec.q, quotient(dec)) for dec in _decompositions(index, 3))
+    wide = (qi for qi in _separators(index) if index.tour.parts[qi] > 2)
+    return _first_odd_cycle(
+        (index.cliques[qi], quotient(_decomposition(index, qi))) for qi in wide
+    )
 
 
 def _directed_verdict(verdict: Verdict) -> DirectedVerdict:

@@ -13,7 +13,7 @@ from typing import Iterable, Iterator
 from pathgraph.attach import AttachednessGraph, _nests, quotient
 from pathgraph.chordal import CliqueIndex, _tree_adj
 from pathgraph.coloring import Refutation, _full_triple, _weak_coloring, skeleton
-from pathgraph.decompose import Decomposition, GammaComponent, _decompositions
+from pathgraph.decompose import Decomposition, GammaComponent, _decomposition, _separators
 from pathgraph.errors import GuardRefusal, InputError, InvariantError
 from pathgraph.graphs import EdgeColoredGraph, Graph, VertexSet, _int_vset
 from pathgraph.obstructions import ObstructionPattern, refutation_to_obstruction
@@ -247,10 +247,15 @@ def mcs_by_heap(g):
     return selection, before, comp
 
 
+def decompositions(index: CliqueIndex) -> Iterator[Decomposition]:
+    """The decomposition at every separator of a chordal graph, in scan order."""
+    return (_decomposition(index, qi) for qi in _separators(index))
+
+
 def reports_by_eager_scan(index: CliqueIndex) -> Iterator[SeparatorReport]:
     """Per-separator reports of a chordal graph, up to and including the first
     refuted separator."""
-    for dec in _decompositions(index):
+    for dec in decompositions(index):
         if dec.size == 2:
             yield _two_part_report(dec)
             continue

@@ -11,7 +11,6 @@ from pathgraph.chordal import HoleCertificate, _index_or_hole
 from pathgraph.decompose import (
     Decomposition,
     GammaComponent,
-    _decompositions,
     clique_separators,
     gamma_components,
 )
@@ -243,7 +242,7 @@ def quotients_match_pairs(graphs, distinct=False):
         if isinstance(index, HoleCertificate):
             continue
         seen = set()
-        for dec in _decompositions(index):
+        for dec in _brute.decompositions(index):
             masks = tuple(p.masks for p in dec.gammas)
             if dec.size > 60 or (distinct and masks in seen):
                 continue

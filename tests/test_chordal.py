@@ -262,14 +262,17 @@ def test_component_relabel_matches_each_piece_on_its_own():
         + [(u + a.n + b.n + 1, v + a.n + b.n + 1) for u, v in c.edges()],
     )
     pieces = list(_relabelled_components(_index_or_hole(g)))
-    assert [comp for comp, _ in pieces] == connected_components(g)
+    assert [comp for comp, _, _ in pieces] == connected_components(g)
     assert len(pieces) == 4  # one isolated vertex
-    for comp, piece_index in pieces:
+    for comp, cliques, occurrences in pieces:
         sub = induced_subgraph(g, comp)[0]
-        assert list(piece_index.cliques) == maximal_cliques(sub)
-        assert piece_index == _index_or_hole(sub)
-    ((comp, whole),) = _relabelled_components(_index_or_hole(a))
-    assert comp == tuple(range(a.n)) and whole == _index_or_hole(a)
+        assert list(cliques) == maximal_cliques(sub)
+        own = _index_or_hole(sub)
+        assert (cliques, occurrences) == (own.cliques, own.occurrences)
+    ((comp, cliques, occurrences),) = _relabelled_components(_index_or_hole(a))
+    whole = _index_or_hole(a)
+    assert comp == tuple(range(a.n))
+    assert (cliques, occurrences) == (whole.cliques, whole.occurrences)
 
 
 def test_bucket_search_matches_heap_reference(mixed_graphs):

@@ -86,6 +86,32 @@ def test_recognize_stdin(capsys, monkeypatch):
     assert code == 0
 
 
+NOT_UTF8 = b"p 3\n0 1\n\xff 2\n"
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_undecodable_input_is_an_input_error(capsys, monkeypatch, tmp_path, source):
+    if source == "file":
+        path = tmp_path / "bad.el"
+        path.write_bytes(NOT_UTF8)
+        arg = str(path)
+    else:
+        stdin = io.TextIOWrapper(io.BytesIO(NOT_UTF8), encoding="utf-8", errors="strict")
+        monkeypatch.setattr("sys.stdin", stdin)
+        arg = "-"
+    code, out, err = run(capsys, "recognize", arg)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("n", ["99999999999999999999", str(2**62)])
+def test_a_header_no_list_can_hold_is_an_input_error(capsys, monkeypatch, n):
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"p {n}\n"))
+    code, out, err = run(capsys, "recognize")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_certify_documents(capsys, worked8_file, k4hub_file):
     code, out, _ = run(capsys, "certify", "--realize", worked8_file)
     assert code == 0

@@ -4,11 +4,13 @@ import pytest
 
 import _brute
 from _brute import induced_subgraph
-from pathgraph import decompose, recognize
+from pathgraph import chordal, cli, decompose, recognize
 from pathgraph.chordal import HoleCertificate, _index_or_hole
-from pathgraph.decompose import _decompositions, clique_separators, gamma_components
+from pathgraph.decompose import _decomposition, _separators, clique_separators, gamma_components
 from pathgraph.errors import InputError, PreconditionError
+from pathgraph.generate import gen_path_graph
 from pathgraph.graphs import Graph, components_without
+from pathgraph.io import emit_edgelist
 from pathgraph.recognize import recognize_directed_path_graph, recognize_path_graph
 
 
@@ -148,7 +150,7 @@ def parts_match_traversal(graphs):
         index = _index_or_hole(g)
         if isinstance(index, HoleCertificate):
             continue
-        got = list(_decompositions(index))
+        got = list(_brute.decompositions(index))
         want = list(_brute.decompositions_by_traversal(g, index))
         assert [dec.q for dec in got] == [q for q, _, _ in want], name
         for dec, (_, parts, nmap) in zip(got, want):
@@ -165,15 +167,19 @@ def parts_match_traversal(graphs):
 
 
 def test_wide_decompositions_are_the_wide_separators(wider_graphs):
-    # asking for three or more parts skips the two-part separators and
-    # keeps the others as they are, in the same order
+    # the tour's part counts pick out the separators of three or more parts,
+    # whose decompositions are those of the full scan, in the same order
     wide = 0
     for name, g in wider_graphs:
         index = _index_or_hole(g)
         if isinstance(index, HoleCertificate):
             continue
-        want = [parts(dec) for dec in _decompositions(index) if dec.size > 2]
-        got = [parts(dec) for dec in _decompositions(index, 3)]
+        want = [parts(dec) for dec in _brute.decompositions(index) if dec.size > 2]
+        got = [
+            parts(_decomposition(index, qi))
+            for qi in _separators(index)
+            if index.tour.parts[qi] > 2
+        ]
         assert got == want, name
         wide += len(got)
     assert wide > 500
@@ -192,7 +198,7 @@ def test_tour_counts_the_parts_of_every_clique(chordal_corpus, wider_graphs):
         if isinstance(index, HoleCertificate) or len(index.components) > 1:
             continue
         want = [len(components_without(g, q)) for q in index.cliques]
-        assert decompose._Tour(index).parts == want, name
+        assert index.tour.parts == want, name
         cliques += len(want)
     assert cliques > 3000, cliques
 
@@ -202,11 +208,11 @@ def test_components_too_small_to_separate_are_passed_over(monkeypatch):
     # no separator, so no clique of theirs is tried and no tour is built;
     # P_4 has three cliques and one separator of two parts
     calls, tours = Counter(), Counter()
-    decomposition, tour = decompose._decomposition, decompose._Tour
+    decomposition, tour = decompose._decomposition, chordal._Tour
 
-    def counted(index, t, qi):
+    def counted(index, qi):
         calls[index.cliques[qi]] += 1
-        return decomposition(index, t, qi)
+        return decomposition(index, qi)
 
     def counted_tour(index):
         tours["built"] += 1
@@ -214,19 +220,52 @@ def test_components_too_small_to_separate_are_passed_over(monkeypatch):
 
     for mod in (decompose, recognize):
         monkeypatch.setattr(mod, "_decomposition", counted)
-        monkeypatch.setattr(mod, "_Tour", counted_tour)
+    monkeypatch.setattr(chordal, "_Tour", counted_tour)
     small = Graph.from_edges(60, [(i, i + 1) for i in range(40, 60, 2)])
     assert recognize_path_graph(small).reports == ()
     assert recognize_directed_path_graph(small).is_directed_path_graph
     assert calls == tours == Counter()
 
     # the path verdict's scan reads the part counts of P_4's cliques off
-    # the one tour, and its one two-part separator is decomposed on the
-    # first read of the reports; the directed scan passes P_4 over
+    # its index's one tour, and its one two-part separator is decomposed on
+    # the first read of the reports; the directed scan, on an index and tour
+    # of its own, decomposes no two-part separator
     g = Graph.from_edges(64, [*small.edges(), (60, 61), (61, 62), (62, 63)])
     verdict = recognize_path_graph(g)
     assert calls == Counter() and tours == Counter(built=1)
     assert [rep.q for rep in verdict.reports] == [(61, 62)]
     assert calls == Counter({(61, 62): 1}) and tours == Counter(built=1)
     assert recognize_directed_path_graph(g).is_directed_path_graph
-    assert calls == Counter({(61, 62): 1}) and tours == Counter(built=1)
+    assert calls == Counter({(61, 62): 1}) and tours == Counter(built=2)
+
+
+_GP80_1 = gen_path_graph(80, 80, 1)[0]
+
+
+def _count_decompositions(monkeypatch):
+    calls = []
+    decomposition = decompose._decomposition
+
+    def counted(index, qi):
+        calls.append(qi)
+        return decomposition(index, qi)
+
+    for mod in (decompose, cli):
+        monkeypatch.setattr(mod, "_decomposition", counted)
+    return calls
+
+
+def test_separators_are_listed_without_decomposing(monkeypatch):
+    calls = _count_decompositions(monkeypatch)
+    seps = clique_separators(_GP80_1)
+    assert len(seps) == 9 and calls == []
+
+
+def test_cli_attachedness_decomposes_only_the_separator_it_prints(monkeypatch, tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text(emit_edgelist(_GP80_1))
+    calls = _count_decompositions(monkeypatch)
+    assert cli.main(["attachedness", "--separator", "3", "--quiet", str(path)]) == 0
+    assert len(calls) == 1
+    index = _index_or_hole(_GP80_1)
+    assert index.cliques[calls[0]] == clique_separators(_GP80_1)[3]

@@ -51,6 +51,12 @@ def test_from_edges_rejects_a_vertex_count_that_is_not_an_int(n):
         Graph.from_edges(n, [(0, 1)] if n == 2 else [])
 
 
+def test_from_edges_rejects_a_vertex_count_no_list_can_hold():
+    # refused before anything is allocated
+    with pytest.raises(InputError, match="too large"):
+        Graph.from_edges(2**62, [])
+
+
 @pytest.mark.parametrize("bad", [True, 1.0], ids=["bool", "float"])
 def test_induced_subgraph_rejects_bool_and_float_ids(bad):
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])

@@ -84,3 +84,41 @@ def test_no_module_imports_a_name_it_never_reads():
         if bound - read:
             unread[path.name] = sorted(bound - read)
     assert unread == {}
+
+
+def _names(node):
+    """Every name node mentions: names read or bound, attributes and imports."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, (ast.Import, ast.ImportFrom)):
+            yield from (a.asname or a.name for a in n.names)
+
+
+def _callers(tree, name):
+    """The enclosing function (None at module level) of every call to name."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name):
+                if child.func.id == name:
+                    found.append(where)
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else where
+            visit(child, inner)
+
+    visit(tree, None)
+    return found
+
+
+def test_the_clique_index_owns_its_one_tour():
+    """The clique forest's preorder lives on the index: only chordal.py names
+    _Tour, and builds it only in CliqueIndex.tour; the only index built is
+    the search's, in _index_or_hole."""
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
+    assert [m for m, tree in sorted(trees.items()) if "_Tour" in set(_names(tree))] == ["chordal"]
+    assert _callers(trees["chordal"], "_Tour") == ["tour"]
+    built = {m: _callers(tree, "CliqueIndex") for m, tree in trees.items()}
+    assert {m: where for m, where in built.items() if where} == {"chordal": ["_index_or_hole"]}

@@ -38,7 +38,7 @@ from pathgraph.recognize import (
     recognize_path_graph,
 )
 
-from _brute import induced_subgraph, reports_by_eager_scan
+from _brute import decompositions, induced_subgraph, reports_by_eager_scan
 from conftest import WORKED8_EDGES, make_worked8, star
 from make_certify_golden import interleaved
 
@@ -379,7 +379,7 @@ def test_weak_coloring_refutes_no_quotient_of_two_classes(chordal_corpus, wider_
         index = chordal._index_or_hole(g)
         if isinstance(index, chordal.HoleCertificate):
             continue
-        for dec in decompose._decompositions(index):
+        for dec in decompositions(index):
             m = attach.quotient(dec)
             if m.size <= 2:
                 assert isinstance(coloring.weak_coloring(m), coloring.WeakColoring)
@@ -606,13 +606,13 @@ def test_cli_analyzes_each_component_once(monkeypatch, tmp_path, g, pieces, comm
     assert [comp[0] for comp in connected_components(g)] == pieces
     call = _cli(*command)(g, tmp_path)
     calls = []
-    scan = recognize._decompositions
+    scan = recognize._separators
 
-    def counted(index, *rest):
+    def counted(index):
         calls.append(len(index.order))
-        return scan(index, *rest)
+        return scan(index)
 
-    monkeypatch.setattr(recognize, "_decompositions", counted)
+    monkeypatch.setattr(recognize, "_separators", counted)
     assert call() == 0
     assert calls == [g.n]
 
@@ -848,10 +848,10 @@ _NEAR_MISS = bridged_hub(gen_path_graph(150, 150, 1)[0])
 @pytest.mark.parametrize("g", [path(300), _NEAR_MISS], ids=["P_300", "bridged_near_miss"])
 def test_two_part_reports_are_built_once_on_first_read(monkeypatch, tmp_path, g):
     # the verdicts and CLI recognize build no two-part report; the first read
-    # of reports builds each once, on the verdict's own tour, and a second
-    # read returns the same tuple
+    # of reports builds each once, on the verdict's own index and its one
+    # tour, and a second read returns the same tuple
     built, tours = [], []
-    report, tour = recognize._two_part_report, decompose._Tour
+    report, tour = recognize._two_part_report, chordal._Tour
 
     def counted(dec):
         built.append(dec.q)
@@ -862,8 +862,7 @@ def test_two_part_reports_are_built_once_on_first_read(monkeypatch, tmp_path, g)
         return tour(index)
 
     monkeypatch.setattr(recognize, "_two_part_report", counted)
-    for mod in (decompose, recognize):
-        monkeypatch.setattr(mod, "_Tour", counted_tour)
+    monkeypatch.setattr(chordal, "_Tour", counted_tour)
     status = 0 if g is not _NEAR_MISS else 1
     for flags in ((), ("--json",)):
         assert _cli("recognize", *flags)(g, tmp_path)() == status
