@@ -2,15 +2,15 @@
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from functools import cached_property
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from itertools import chain
 from typing import AbstractSet, Iterable, Iterator, Sequence
 
 from .errors import InputError, InvariantError, PreconditionError
-from .graphs import Graph, VertexSet, _graph, _norm_edge, vset
+from .graphs import Graph, VertexSet, _graph, _norm_edge
 
 
 @dataclass(frozen=True)
@@ -108,7 +108,9 @@ class _Tour:
         ]
         occ, self.parts = index.occurrences, [0] * c
         for sep, k in Counter(map(tuple, filter(None, self.seps))).items():
-            for x in set(occ[sep[0]]).intersection(*map(occ.__getitem__, sep[1:])):
+            # a first vertex in two cliques has them as the ends of sep's one edge
+            rest = () if len(occ[sep[0]]) == 2 else map(occ.__getitem__, sep[1:])
+            for x in set(occ[sep[0]]).intersection(*rest):
                 self.parts[x] += k
 
     def least(self, a: int, b: int) -> int:
@@ -117,81 +119,116 @@ class _Tour:
         return min(row[a], row[b - (1 << k)])
 
 
-def _mcs(g: Graph) -> tuple[list[int], list[list[int]], list[int]]:
+def _search(
+    g: Graph,
+) -> tuple[list[int], list[list[int]], list[int], list[int], list[tuple[int, int]], tuple | None]:
     """Maximum cardinality search; ties broken toward the smallest vertex id.
 
-    The unselected vertices sit in one set per weight (Tarjan & Yannakakis).
-    A bucket is heapified the first time a vertex is selected from it; after
-    that each arrival into it is pushed, and a popped vertex that has since
-    moved up a bucket is skipped. Weights never fall, so a vertex leaves a
-    bucket for good, and the highest nonempty bucket rises by at most one per
-    selection. O(n + m) bucket moves, with heap work only on the buckets
-    selected from. Returns the selection order (first selected first); for
-    each vertex, its neighbors selected before it, in selection order, which
-    are its later neighbors in the reversed (elimination) order, so its weight
-    is their number; and each vertex's component number. A vertex selected at
-    weight 0 starts the next component, and by the tie-break it is that
-    component's smallest vertex.
+    The search makes one block at a time. A block starts at the heaviest,
+    smallest unselected vertex v, from one set of unselected vertices per
+    weight (Tarjan & Yannakakis), with a heap on a set once v is one of
+    several in it. No vertex outweighs v, so once v is selected the
+    heaviest are v's neighbours of v's weight, and after each further pick
+    x those of the last heaviest that neighbour x, as only x raised
+    anything: the block grows by the smallest of a candidate set cut down
+    by each pick's neighbours, until it empties. Only then do the picks'
+    unselected neighbours gain their weight, each moved once: Python work
+    per selection and per block and neighbour, set operations in C per
+    edge. A vertex selected at weight 0 is the smallest of its component.
+
+    Returns the selection order (first selected first); each block, as its
+    start's earlier neighbours then its picks; each block's parent, the
+    block of its start's latest earlier neighbour p (-1 at a component's
+    first block); each vertex's block; each component's first selection and
+    block; and the elimination order's first violation (v, p, x), or None:
+    v is the last vertex selected whose earlier neighbours are not a
+    clique, p its latest earlier neighbour and x the latest of the others
+    that misses p. A start is checked against p. A pick weighed what the
+    start did, so it has the start's earlier neighbours if it neighbours
+    them all, and then passes; only after a pick of the block fails is each
+    one checked exactly.
     """
-    n = g.n
-    adj = g.adj
-    before: list[list[int]] = [[] for _ in range(n)]
-    comp = [-1] * n
-    buckets: list[set[int]] = [set(range(n))]
-    heaps: list[list[int] | None] = [None]
+    n, adj = g.n, g.adj
     selection: list[int] = []
-    comps = 0
-    w = 0  # the highest nonempty bucket
-    for _ in range(n):
-        while not buckets[w]:
-            w -= 1
-        bucket = buckets[w]
-        heap = heaps[w]
-        if heap is None:
-            heap = heaps[w] = list(bucket)
-            heapify(heap)
-        v = heappop(heap)
-        while v not in bucket:
-            v = heappop(heap)
-        bucket.remove(v)
-        if not w:
-            comps += 1
-        comp[v] = comps - 1
-        selection.append(v)
-        for u in adj[v]:
-            if comp[u] < 0:
-                bu = before[u]
-                buckets[len(bu)].remove(u)
-                bu.append(v)
-                k = len(bu)
-                if k == len(buckets):
-                    buckets.append(set())
-                    heaps.append(None)
+    blocks: list[list[int]] = []
+    up: list[int] = []
+    comps: list[tuple[int, int]] = []
+    home, rank, weight = [0] * n, [0] * n, [0] * n
+    undone = set(filter(adj.__getitem__, range(n)))  # the unselected with neighbours
+    buckets: defaultdict[int, set[int]] = defaultdict(set)  # the unselected of weight k >= 1
+    heaps: dict[int, list[int]] = {}
+    bad = None
+    for s in range(n):
+        if adj[s] and s not in undone:  # selected already
+            continue
+        comps.append((len(selection), len(blocks)))
+        v, w = s, 0
+        while True:
+            nv = adj[v]
+            earlier = nv - undone
+            if w > 1:
+                p = max(earlier, key=rank.__getitem__)
+                if len(earlier - adj[p]) > 1:
+                    bad = (v, p)
+            elif w:
+                (p,) = earlier
+            up.append(home[p] if w else -1)
+            b = len(blocks)
+            home[v], rank[v] = b, len(selection)
+            selection.append(v)
+            picks = [v]
+            if not w or not buckets[w].isdisjoint(nv):
+                cand = buckets[w] & nv if w else set(nv)
+                exact = False
+                for x in sorted(cand):  # the first one still in cand is its smallest
+                    if x not in cand:
+                        continue
+                    if not (adj[picks[-1]] >= adj[x] - undone if exact else adj[x] >= earlier):
+                        bad, exact = (x, picks[-1]), True
+                    home[x], rank[x] = b, len(selection)
+                    selection.append(x)
+                    picks.append(x)
+                    cand &= adj[x]
+                    if not cand:
+                        break
+            blocks.append([*earlier, *picks])
+            if not nv:
+                break
+            undone.difference_update(picks)
+            if len(picks) > 1:
+                buckets[w].difference_update(picks)
+                gains = Counter(chain.from_iterable([adj[x] & undone for x in picks]))
+            else:
+                gains = dict.fromkeys(nv & undone, 1)
+            top = w + len(picks) - 1  # no vertex outweighs the last pick
+            for u, k in gains.items():
+                was = weight[u]
+                if was:
+                    buckets[was].remove(u)
+                weight[u] = k = was + k
                 buckets[k].add(u)
-                if heaps[k] is not None:
+                if k in heaps:
                     heappush(heaps[k], u)
-        if w + 1 < len(buckets) and buckets[w + 1]:
-            w += 1
-    return selection, before, comp
-
-
-def _check_peo(
-    g: Graph, order: list[int], later: list[list[int]]
-) -> tuple[int, int, int] | None:
-    """First violation (v, p, x) of the elimination order, or None when perfect.
-
-    later[v] lists v's later neighbors, latest-eliminated first. p is v's
-    earliest-eliminated later neighbor; x the earliest-eliminated later
-    neighbor not adjacent to p.
-    """
-    adj = g.adj
-    for v in order:
-        lv = later[v]
-        if len(lv) > 1:
-            p = lv[-1]
-            if not adj[p].issuperset(lv[:-1]):
-                return (v, p, next(x for x in reversed(lv[:-1]) if x not in adj[p]))
-    return None
+            while top and not buckets[top]:
+                top -= 1
+            if not top:
+                break
+            bucket, w = buckets[top], top
+            if len(bucket) == 1:
+                v = bucket.pop()
+                continue
+            heap = heaps.get(top)
+            if heap is None:
+                heap = heaps[top] = sorted(bucket)
+            v = heappop(heap)
+            while v not in bucket:
+                v = heappop(heap)
+            bucket.remove(v)
+    if bad is not None:
+        v, p = bad
+        misses = (u for u in adj[v] - adj[p] if u != p and rank[u] < rank[v])
+        bad = v, p, max(misses, key=rank.__getitem__)
+    return selection, blocks, up, home, comps, bad
 
 
 def _hole_through(g: Graph, v: int, x: int, y: int) -> tuple[int, ...] | None:
@@ -242,58 +279,40 @@ def _find_hole(g: Graph, seed: tuple[int, int, int]) -> tuple[int, ...]:
 
 def _index_or_hole(g: Graph) -> CliqueIndex | HoleCertificate:
     """The clique index and clique forest of a chordal graph, or a hole
-    certificate, from one maximum cardinality search.
+    certificate, from one maximum cardinality search (_search).
 
-    The elimination order is the search's selection order reversed, so the
-    neighbors selected before v are v's later neighbors. The hole is extracted
-    from the first violation. The cliques and the tree come off the selection
-    order (Blair & Peyton): v continues the clique of the vertex selected just
-    before it when its weight rose by exactly one; otherwise v starts the new
-    clique {v} plus its later neighbors, whose parent is the clique holding
-    v's most recently selected later neighbor when that one was selected.
-    Each vertex's first clique is the top of the subtree of its cliques.
-    Linear in n + m up to sorting and the search's heaps.
+    The elimination order is the search's selection order reversed, and the
+    hole is extracted from its first violation. The cliques and the tree
+    are the search's blocks (Blair & Peyton): a block's picks each weigh one
+    more than the vertex before, so they continue its clique, and a start
+    begins the clique of itself and its earlier neighbours, whose parent is
+    the clique of the latest of them. Each vertex's first clique is the top
+    of the subtree of its cliques. Linear in n + m up to sorting and the
+    search's heaps.
     """
-    selection, later, comp = _mcs(_graph(g))
-    order = selection[::-1]
-    bad = _check_peo(g, order, later)
+    selection, blocks, up, home, comps, bad = _search(_graph(g))
     if bad is not None:
         return HoleCertificate(_canonical_cycle(_find_hole(g, bad)))
-    blocks: list[list[int]] = []  # cliques in the order the search makes them
-    up: list[int] = []  # each block's parent block; -1 at a component's root
-    home = [0] * g.n  # the block each vertex joins
-    weight = -1
-    for v in selection:
-        lv = later[v]
-        if lv and len(lv) == weight + 1:
-            blocks[-1].append(v)
-        else:
-            up.append(home[lv[-1]] if lv else -1)
-            blocks.append([*lv, v])
-        home[v] = len(blocks) - 1
-        weight = len(lv)
-    made = [vset(b) for b in blocks]
+    made = list(map(tuple, map(sorted, blocks)))  # a block has no repeats
     by_clique = sorted(range(len(made)), key=made.__getitem__)
-    rank = [0] * len(made)
-    for i, b in enumerate(by_clique):
-        rank[b] = i
-    cliques = [made[b] for b in by_clique]
-    members: list[list[int]] = [[] for _ in range(max(comp, default=-1) + 1)]
-    for v in range(g.n):
-        members[comp[v]].append(v)
+    rank = sorted(range(len(made)), key=by_clique.__getitem__)  # each block's clique
+    rank.append(-1)  # the parent of a component's first block, whose up is -1
+    cliques = tuple(map(made.__getitem__, by_clique))
     occurrences: list[list[int]] = [[] for _ in range(g.n)]
-    nodes: list[list[int]] = [[] for _ in members]
     for i, c in enumerate(cliques):
-        nodes[comp[c[0]]].append(i)
         for v in c:
             occurrences[v].append(i)
+    ends = comps[1:] + [(g.n, len(blocks))]
     return CliqueIndex(
-        tuple(order),
-        tuple(cliques),
-        tuple(tuple(occ) for occ in occurrences),
-        tuple((tuple(vs), tuple(ns)) for vs, ns in zip(members, nodes)),
-        tuple(rank[up[b]] if up[b] >= 0 else -1 for b in by_clique),
-        tuple(rank[b] for b in home),
+        tuple(selection[::-1]),
+        cliques,
+        tuple(map(tuple, occurrences)),
+        tuple(
+            (tuple(sorted(selection[a:a2])), tuple(sorted(rank[b:b2])))
+            for (a, b), (a2, b2) in zip(comps, ends)
+        ),
+        tuple(rank[up[b]] for b in by_clique),
+        tuple(map(rank.__getitem__, home)),
     )
 
 

@@ -17,7 +17,7 @@ from .decompose import _decomposition, _separators
 from .errors import GenerationError, GuardRefusal, InputError, PreconditionError
 from .generate import gen_chordal, gen_path_graph, k4_hub
 from .graphs import Graph, graph_plus
-from .obstructions import FAMILY_ALL, build_family
+from .obstructions import build_family
 from .oracle import _oracle_tree
 from .realize import _tree_from, clique_path_tree_to_host
 from .recognize import (
@@ -27,7 +27,7 @@ from .recognize import (
     recognize_path_graph,
 )
 
-_FAMILIES = {gio._FAMILY_JSON[f]: f for f in FAMILY_ALL}
+_FAMILIES = {name: f for f, name in gio._FAMILY_JSON.items()}
 
 
 def _read_graph(args) -> Graph:

@@ -8,14 +8,21 @@ from __future__ import annotations
 import heapq
 import itertools
 import json
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Iterator
 
 from pathgraph.attach import AttachednessGraph, _nests, quotient
-from pathgraph.chordal import CliqueIndex, _tree_adj
+from pathgraph.chordal import (
+    CliqueIndex,
+    HoleCertificate,
+    _canonical_cycle,
+    _find_hole,
+    _tree_adj,
+)
 from pathgraph.coloring import Refutation, _full_triple, _weak_coloring, skeleton
 from pathgraph.decompose import Decomposition, GammaComponent, _decomposition, _separators
 from pathgraph.errors import GuardRefusal, InputError, InvariantError
-from pathgraph.graphs import EdgeColoredGraph, Graph, VertexSet, _int_vset
+from pathgraph.graphs import EdgeColoredGraph, Graph, VertexSet, _graph, _int_vset, vset
 from pathgraph.obstructions import ObstructionPattern, refutation_to_obstruction
 from pathgraph.recognize import SeparatorReport, _two_part_report
 
@@ -219,11 +226,9 @@ def realization_by_pairs(g, host) -> bool:
 def mcs_by_heap(g):
     """Maximum cardinality search on one heap keyed (-weight, id), packed into
     the int id - weight * n, with stale entries skipped on pop: one push and
-    one stale pop per edge. Returns what chordal._mcs returns: the selection
-    order, each vertex's neighbors selected before it, in selection order,
-    and each vertex's component number."""
-    from heapq import heappop, heappush
-
+    one stale pop per edge. Returns what mcs_by_buckets returns: the
+    selection order, each vertex's neighbors selected before it, in
+    selection order, and each vertex's component number."""
     n = g.n
     before = [[] for _ in range(n)]
     comp = [-1] * n
@@ -245,6 +250,142 @@ def mcs_by_heap(g):
                 bu.append(v)
                 heappush(heap, u - len(bu) * n)
     return selection, before, comp
+
+
+def mcs_by_buckets(g: Graph) -> tuple[list[int], list[list[int]], list[int]]:
+    """Maximum cardinality search that moves a weight once per edge; ties
+    broken toward the smallest vertex id.
+
+    The unselected vertices sit in one set per weight (Tarjan & Yannakakis).
+    A bucket is heapified the first time a vertex is selected from it; after
+    that each arrival into it is pushed, and a popped vertex that has since
+    moved up a bucket is skipped. Weights never fall, so a vertex leaves a
+    bucket for good, and the highest nonempty bucket rises by at most one per
+    selection. O(n + m) bucket moves, with heap work only on the buckets
+    selected from. Returns the selection order (first selected first); for
+    each vertex, its neighbors selected before it, in selection order, which
+    are its later neighbors in the reversed (elimination) order, so its weight
+    is their number; and each vertex's component number. A vertex selected at
+    weight 0 starts the next component, and by the tie-break it is that
+    component's smallest vertex.
+    """
+    n = g.n
+    adj = g.adj
+    before: list[list[int]] = [[] for _ in range(n)]
+    comp = [-1] * n
+    buckets: list[set[int]] = [set(range(n))]
+    heaps: list[list[int] | None] = [None]
+    selection: list[int] = []
+    comps = 0
+    w = 0  # the highest nonempty bucket
+    for _ in range(n):
+        while not buckets[w]:
+            w -= 1
+        bucket = buckets[w]
+        heap = heaps[w]
+        if heap is None:
+            heap = heaps[w] = list(bucket)
+            heapify(heap)
+        v = heappop(heap)
+        while v not in bucket:
+            v = heappop(heap)
+        bucket.remove(v)
+        if not w:
+            comps += 1
+        comp[v] = comps - 1
+        selection.append(v)
+        for u in adj[v]:
+            if comp[u] < 0:
+                bu = before[u]
+                buckets[len(bu)].remove(u)
+                bu.append(v)
+                k = len(bu)
+                if k == len(buckets):
+                    buckets.append(set())
+                    heaps.append(None)
+                buckets[k].add(u)
+                if heaps[k] is not None:
+                    heappush(heaps[k], u)
+        if w + 1 < len(buckets) and buckets[w + 1]:
+            w += 1
+    return selection, before, comp
+
+
+def check_peo(
+    g: Graph, order: list[int], later: list[list[int]]
+) -> tuple[int, int, int] | None:
+    """First violation (v, p, x) of the elimination order, or None when perfect.
+
+    later[v] lists v's later neighbors, latest-eliminated first. p is v's
+    earliest-eliminated later neighbor; x the earliest-eliminated later
+    neighbor not adjacent to p.
+    """
+    adj = g.adj
+    for v in order:
+        lv = later[v]
+        if len(lv) > 1:
+            p = lv[-1]
+            if not adj[p].issuperset(lv[:-1]):
+                return (v, p, next(x for x in reversed(lv[:-1]) if x not in adj[p]))
+    return None
+
+
+def index_by_edge_moves(g: Graph) -> CliqueIndex | HoleCertificate:
+    """The edge-by-edge reference for chordal._index_or_hole: the same clique
+    index, or the same hole certificate, from the bucket search above, which
+    moves a vertex's weight once per edge.
+
+    The elimination order is the search's selection order reversed, so the
+    neighbors selected before v are v's later neighbors. The hole is extracted
+    from the first violation. The cliques and the tree come off the selection
+    order (Blair & Peyton): v continues the clique of the vertex selected just
+    before it when its weight rose by exactly one; otherwise v starts the new
+    clique {v} plus its later neighbors, whose parent is the clique holding
+    v's most recently selected later neighbor when that one was selected.
+    Each vertex's first clique is the top of the subtree of its cliques.
+    Linear in n + m up to sorting and the search's heaps.
+    """
+    selection, later, comp = mcs_by_buckets(_graph(g))
+    order = selection[::-1]
+    bad = check_peo(g, order, later)
+    if bad is not None:
+        return HoleCertificate(_canonical_cycle(_find_hole(g, bad)))
+    blocks: list[list[int]] = []  # cliques in the order the search makes them
+    up: list[int] = []  # each block's parent block; -1 at a component's root
+    home = [0] * g.n  # the block each vertex joins
+    weight = -1
+    for v in selection:
+        lv = later[v]
+        if lv and len(lv) == weight + 1:
+            blocks[-1].append(v)
+        else:
+            up.append(home[lv[-1]] if lv else -1)
+            blocks.append([*lv, v])
+        home[v] = len(blocks) - 1
+        weight = len(lv)
+    made = [vset(b) for b in blocks]
+    by_clique = sorted(range(len(made)), key=made.__getitem__)
+    rank = [0] * len(made)
+    for i, b in enumerate(by_clique):
+        rank[b] = i
+    cliques = [made[b] for b in by_clique]
+    members: list[list[int]] = [[] for _ in range(max(comp, default=-1) + 1)]
+    for v in range(g.n):
+        members[comp[v]].append(v)
+    occurrences: list[list[int]] = [[] for _ in range(g.n)]
+    nodes: list[list[int]] = [[] for _ in members]
+    for i, c in enumerate(cliques):
+        nodes[comp[c[0]]].append(i)
+        for v in c:
+            occurrences[v].append(i)
+    return CliqueIndex(
+        tuple(order),
+        tuple(cliques),
+        tuple(tuple(occ) for occ in occurrences),
+        tuple((tuple(vs), tuple(ns)) for vs, ns in zip(members, nodes)),
+        tuple(rank[up[b]] if up[b] >= 0 else -1 for b in by_clique),
+        tuple(rank[b] for b in home),
+    )
 
 
 def decompositions(index: CliqueIndex) -> Iterator[Decomposition]:

@@ -21,7 +21,7 @@ from pathgraph.chordal import (
     peo_or_hole,
 )
 from pathgraph.errors import InputError, PathgraphError, PreconditionError
-from pathgraph.generate import gen_chordal
+from pathgraph.generate import gen_chordal, gen_path_graph
 from pathgraph.graphs import Graph, connected_components
 
 
@@ -216,11 +216,11 @@ def _reference_graphs():
     return graphs
 
 
-def test_search_and_order_check_match_scan_references(monkeypatch):
+def test_search_and_order_check_match_scan_references():
     graphs = _reference_graphs()
     for g in graphs:
-        selection, later, comp = chordal._mcs(g)
-        assert selection == _brute.mcs_order_by_scan(g)
+        selection, later, comp = _brute.mcs_by_buckets(g)
+        assert chordal._search(g)[0] == selection == _brute.mcs_order_by_scan(g)
         peo = selection[::-1]
         pos = {v: i for i, v in enumerate(peo)}
         for v in range(g.n):
@@ -230,14 +230,57 @@ def test_search_and_order_check_match_scan_references(monkeypatch):
             next(k for k, c in enumerate(connected_components(g)) if v in c)
             for v in range(g.n)
         ]
-        assert chordal._check_peo(g, peo, later) == _brute.first_peo_violation(g, peo)
+        bad = _brute.first_peo_violation(g, peo)
+        assert _brute.check_peo(g, peo, later) == bad
+        res = peo_or_hole(g)
+        if bad is None:
+            assert res == EliminationOrder(tuple(peo))
+        else:
+            assert res == HoleCertificate(chordal._canonical_cycle(chordal._find_hole(g, bad)))
     results = [peo_or_hole(g) for g in graphs]
     assert any(isinstance(r, HoleCertificate) for r in results)
     assert any(isinstance(r, EliminationOrder) for r in results)
-    monkeypatch.setattr(
-        chordal, "_check_peo", lambda g, order, later: _brute.first_peo_violation(g, order)
-    )
-    assert [peo_or_hole(g) for g in graphs] == results
+
+
+def _edited_chordal(count):
+    """gen_chordal graphs with one edge dropped or one non-edge added, in turn:
+    mostly holes, some still chordal."""
+    rng = random.Random(20261019)
+    graphs = []
+    for i in range(count):
+        g = gen_chordal(rng.randint(5, 60), i)
+        edges = set(g.edges())
+        if i % 2:
+            edges.discard(rng.choice(sorted(edges)))
+        else:
+            u, v = sorted(rng.sample(range(g.n), 2))
+            edges.add((u, v))
+        graphs.append(Graph.from_edges(g.n, edges))
+    return graphs
+
+
+def _caterpillar(spine, leaves):
+    """A path of spine vertices, each with its own leaves."""
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    edges += [(i, spine + i * leaves + j) for i in range(spine) for j in range(leaves)]
+    return Graph.from_edges(spine * (1 + leaves), edges)
+
+
+def test_block_search_index_matches_edge_by_edge_reference(mixed_graphs):
+    graphs = _reference_graphs() + [g for _, g in mixed_graphs] + _edited_chordal(100)
+    graphs += [gen_path_graph(n, n, 1)[0] for n in (200, 400)]
+    graphs += [
+        Graph.from_edges(801, [(0, i) for i in range(1, 801)]),
+        Graph.from_edges(801, [(800, i) for i in range(800)]),
+        _caterpillar(2000, 8),
+        Graph.from_edges(20000, []),
+    ]
+    holes = 0
+    for i, g in enumerate(graphs):
+        res = _index_or_hole(g)
+        assert res == _brute.index_by_edge_moves(g), i
+        holes += isinstance(res, HoleCertificate)
+    assert 250 <= holes < len(graphs) - 100
 
 
 def test_maximal_cliques_match_containment_filter():
@@ -277,7 +320,9 @@ def test_component_relabel_matches_each_piece_on_its_own():
 
 def test_bucket_search_matches_heap_reference(mixed_graphs):
     for name, g in mixed_graphs:
-        assert chordal._mcs(g) == _brute.mcs_by_heap(g), name
+        reference = _brute.mcs_by_heap(g)
+        assert _brute.mcs_by_buckets(g) == reference, name
+        assert chordal._search(g)[0] == reference[0], name
 
 
 def test_search_tree_is_a_clique_tree_of_each_component(mixed_graphs):

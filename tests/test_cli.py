@@ -303,6 +303,34 @@ def test_obstruction_command(capsys):
     assert "error" in err
 
 
+def test_obstruction_command_prints_the_full_antipodal_triangle(capsys):
+    # the kind certify --json names, e.g. on k4_hub(4)
+    family = ("obstruction", "--family", "full_antipodal_triangle")
+    code, out, _ = run(capsys, *family)
+    assert code == 0
+    assert out.splitlines() == [
+        "full_antipodal_triangle size 1: 3 vertices",
+        "antipodal: 0 -- 1",
+        "antipodal: 0 -- 2",
+        "antipodal: 1 -- 2",
+    ]
+    code, out, _ = run(capsys, *family, "--json")
+    assert code == 0
+    assert json.loads(out) == {
+        "family": "full_antipodal_triangle",
+        "size": 1,
+        "vertices": 3,
+        "antipodal": [[0, 1], [0, 2], [1, 2]],
+        "dominance": [],
+    }
+    code, out, _ = run(capsys, *family, "--dot")
+    assert code == 0
+    assert out.count(" -- ") == 3 and "dotted" not in out
+    code, _, err = run(capsys, *family, "--size", "2")
+    assert code == 2
+    assert "FULL_TRIANGLE has fixed size 1" in err
+
+
 def test_gplus_flag(capsys, k4hub_file):
     code, out, _ = run(capsys, "certify", "--gplus", k4hub_file)
     assert code == 1

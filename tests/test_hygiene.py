@@ -24,7 +24,7 @@ TEST_ONLY = {
     "find_induced_colored", "oracle_strong_coloring", "is_strong_coloring",
     "attached", "dominates", "antipodal", "induced_subgraph",
     "INDUCED_SEARCH_MAX_HOST", "STRONG_COLORING_MAX_CLASSES", "full_antipodal_triple",
-    "reports_by_eager_scan",
+    "reports_by_eager_scan", "index_by_edge_moves", "mcs_by_buckets",
 }
 
 

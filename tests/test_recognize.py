@@ -509,13 +509,13 @@ def test_one_search_per_public_call(monkeypatch, tmp_path, g, prepare, searches)
     # and checking a given tree searches only to name why it is rejected
     call = prepare(g, tmp_path)
     calls = []
-    search = chordal._mcs
+    search = chordal._search
 
     def counted(graph):
         calls.append(graph.n)
         return search(graph)
 
-    monkeypatch.setattr(chordal, "_mcs", counted)
+    monkeypatch.setattr(chordal, "_search", counted)
     call()
     assert calls == [g.n] * searches
 
