@@ -6,7 +6,7 @@ from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
-from itertools import chain
+from itertools import chain, repeat
 from typing import AbstractSet, Iterable, Iterator, Sequence
 
 from .errors import InputError, InvariantError, PreconditionError
@@ -44,9 +44,9 @@ class CliqueIndex:
     each connected component, by smallest vertex, with the indices of its
     cliques in canonical order. parent is a clique forest, one tree per
     component: each clique's parent clique, -1 at a root, and the clique
-    C shares with its parent is C's separator. top[v] is the clique closest
-    to the root among those containing v, so v lies in C's separator exactly
-    when v is in C and top[v] != C.
+    C shares with its parent is C's separator, seps[C], empty at a root.
+    top[v] is the clique closest to the root among those containing v, so v
+    lies in C's separator exactly when v is in C and top[v] != C.
     """
 
     order: tuple[int, ...]
@@ -54,6 +54,7 @@ class CliqueIndex:
     occurrences: tuple[tuple[int, ...], ...]
     components: tuple[tuple[VertexSet, tuple[int, ...]], ...]
     parent: tuple[int, ...]
+    seps: tuple[frozenset[int], ...]
     top: tuple[int, ...]
 
     @cached_property
@@ -65,16 +66,20 @@ class CliqueIndex:
 class _Tour:
     """An index's clique forest in depth-first preorder: nodes[p] is the
     clique at position p, and clique x's subtree holds the positions pos[x]
-    to end[x] - 1, inside its tree's root[x]; seps[x] is what x shares with
-    its parent. least(a, b) is the smallest vertex of the cliques at
-    positions a to b - 1, from a sparse table of minima: O(c log c) once,
-    O(1) per query. parts[x] counts the parts of G - x: the tree edges whose
-    separator lies in x, as cutting them all leaves x alone and one region
-    per cut (see decompose._decomposition); each distinct separator is
-    looked up once."""
+    to end[x] - 1, inside its tree's root[x]. least(a, b) is the smallest
+    vertex of the cliques at positions a to b - 1, from a sparse table of
+    minima built on the first query: O(c log c) once, O(1) per query.
+    parts[x] counts the parts of G - x: the tree edges whose separator lies
+    in x, as cutting them all leaves x alone and one region per cut (see
+    decompose._decomposition). The cliques holding a separator S are a
+    subtree, topped by the parent p of any clique whose separator is S: the
+    latest-selected vertex of S is one of p's picks, so p's separator misses
+    it. A child holds S exactly when its own separator does, so each
+    distinct S walks its subtree down once from p, past a node with more
+    children than S has vertices by S's rarest vertex."""
 
     def __init__(self, index: CliqueIndex) -> None:
-        parent = index.parent
+        parent, occ, seps = index.parent, index.occurrences, index.seps
         c = len(parent)
         kids: list[list[int]] = [[] for _ in range(c)]
         stack: list[int] = []
@@ -96,22 +101,32 @@ class _Tour:
         for x in reversed(nodes):
             if parent[x] >= 0:
                 end[parent[x]] = max(end[parent[x]], end[x])
-        table = [[index.cliques[x][0] for x in nodes]]
+        self.nodes, self.pos, self.end, self.root = nodes, pos, end, root
+        self._cliques = index.cliques
+        self.parts = parts = [0] * c
+        edge = dict(zip(seps, range(c)))  # a clique below each separator
+        for s, k in Counter(filter(None, seps)).items():
+            # all that hold s if s is one vertex, or its first is in two cliques
+            held: Sequence[int] = occ[next(iter(s))]
+            if len(s) > 1 and len(held) > 2:
+                held = [parent[edge[s]]]
+                for z in held:
+                    below = kids[z]
+                    if len(below) > len(s):  # a hub: try the cliques of s's rarest vertex
+                        v = min(s, key=lambda u: len(occ[u]))
+                        below = [x for x in occ[v] if parent[x] == z]
+                    held.extend(x for x in below if s <= seps[x])
+            for x in held:
+                parts[x] += k
+
+    @cached_property
+    def _table(self) -> list[list[int]]:
+        table = [[self._cliques[x][0] for x in self.nodes]]
         step = 1
-        while 2 * step <= c:
-            row = table[-1]
-            table.append(list(map(min, row[:-step], row[step:])))
+        while 2 * step <= len(self.nodes):
+            table.append(list(map(min, table[-1][:-step], table[-1][step:])))
             step *= 2
-        self.nodes, self.pos, self.end, self.root, self._table = nodes, pos, end, root, table
-        self.seps = [
-            [v for v in clique if index.top[v] != x] for x, clique in enumerate(index.cliques)
-        ]
-        occ, self.parts = index.occurrences, [0] * c
-        for sep, k in Counter(map(tuple, filter(None, self.seps))).items():
-            # a first vertex in two cliques has them as the ends of sep's one edge
-            rest = () if len(occ[sep[0]]) == 2 else map(occ.__getitem__, sep[1:])
-            for x in set(occ[sep[0]]).intersection(*rest):
-                self.parts[x] += k
+        return table
 
     def least(self, a: int, b: int) -> int:
         k = (b - a).bit_length() - 1
@@ -121,7 +136,7 @@ class _Tour:
 
 def _search(
     g: Graph,
-) -> tuple[list[int], list[list[int]], list[int], list[int], list[tuple[int, int]], tuple | None]:
+) -> tuple[list[int], list[list[int]], list[int], dict, list[int], list, tuple | None]:
     """Maximum cardinality search; ties broken toward the smallest vertex id.
 
     The search makes one block at a time. A block starts at the heaviest,
@@ -139,19 +154,21 @@ def _search(
     Returns the selection order (first selected first); each block, as its
     start's earlier neighbours then its picks; each block's parent, the
     block of its start's latest earlier neighbour p (-1 at a component's
-    first block); each vertex's block; each component's first selection and
-    block; and the elimination order's first violation (v, p, x), or None:
-    v is the last vertex selected whose earlier neighbours are not a
-    clique, p its latest earlier neighbour and x the latest of the others
-    that misses p. A start is checked against p. A pick weighed what the
-    start did, so it has the start's earlier neighbours if it neighbours
-    them all, and then passes; only after a pick of the block fails is each
-    one checked exactly.
+    first block); those earlier neighbours, by block, where there are any;
+    each vertex's block; each component's first selection and block; and
+    the elimination order's first violation (v, p, x), or None: v is the
+    last vertex selected whose earlier neighbours are not a clique, p its
+    latest earlier neighbour and x the latest of the others that misses p.
+    A start is checked against p. A pick weighed what the start did, so it
+    has the start's earlier neighbours if it neighbours them all, and then
+    passes; only after a pick of the block fails is each one checked
+    exactly.
     """
     n, adj = g.n, g.adj
     selection: list[int] = []
     blocks: list[list[int]] = []
     up: list[int] = []
+    shared: dict[int, frozenset[int]] = {}
     comps: list[tuple[int, int]] = []
     home, rank, weight = [0] * n, [0] * n, [0] * n
     undone = set(filter(adj.__getitem__, range(n)))  # the unselected with neighbours
@@ -174,6 +191,8 @@ def _search(
                 (p,) = earlier
             up.append(home[p] if w else -1)
             b = len(blocks)
+            if w:
+                shared[b] = earlier
             home[v], rank[v] = b, len(selection)
             selection.append(v)
             picks = [v]
@@ -228,7 +247,7 @@ def _search(
         v, p = bad
         misses = (u for u in adj[v] - adj[p] if u != p and rank[u] < rank[v])
         bad = v, p, max(misses, key=rank.__getitem__)
-    return selection, blocks, up, home, comps, bad
+    return selection, blocks, up, shared, home, comps, bad
 
 
 def _hole_through(g: Graph, v: int, x: int, y: int) -> tuple[int, ...] | None:
@@ -285,12 +304,12 @@ def _index_or_hole(g: Graph) -> CliqueIndex | HoleCertificate:
     hole is extracted from its first violation. The cliques and the tree
     are the search's blocks (Blair & Peyton): a block's picks each weigh one
     more than the vertex before, so they continue its clique, and a start
-    begins the clique of itself and its earlier neighbours, whose parent is
-    the clique of the latest of them. Each vertex's first clique is the top
-    of the subtree of its cliques. Linear in n + m up to sorting and the
-    search's heaps.
+    begins the clique of itself and its earlier neighbours, its separator,
+    whose parent is the clique of the latest of them. Each vertex's first
+    clique is the top of the subtree of its cliques. Linear in n + m up to
+    sorting and the search's heaps.
     """
-    selection, blocks, up, home, comps, bad = _search(_graph(g))
+    selection, blocks, up, shared, home, comps, bad = _search(_graph(g))
     if bad is not None:
         return HoleCertificate(_canonical_cycle(_find_hole(g, bad)))
     made = list(map(tuple, map(sorted, blocks)))  # a block has no repeats
@@ -302,6 +321,7 @@ def _index_or_hole(g: Graph) -> CliqueIndex | HoleCertificate:
     for i, c in enumerate(cliques):
         for v in c:
             occurrences[v].append(i)
+    seps = dict(zip(map(rank.__getitem__, shared), shared.values()))  # by clique
     ends = comps[1:] + [(g.n, len(blocks))]
     return CliqueIndex(
         tuple(selection[::-1]),
@@ -312,6 +332,7 @@ def _index_or_hole(g: Graph) -> CliqueIndex | HoleCertificate:
             for (a, b), (a2, b2) in zip(comps, ends)
         ),
         tuple(rank[up[b]] for b in by_clique),
+        tuple(map(seps.get, range(len(made)), repeat(frozenset()))),
         tuple(map(rank.__getitem__, home)),
     )
 

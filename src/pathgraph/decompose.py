@@ -160,7 +160,7 @@ def _decomposition(index: CliqueIndex, qi: int) -> Decomposition:
     for z in near:
         if z != qi:
             r = region.get(parent[z], -1)
-            if r < 0 or qs.issuperset(tour.seps[z]):
+            if r < 0 or qs.issuperset(index.seps[z]):
                 r = len(held)
                 held.append([])
             region[z] = r

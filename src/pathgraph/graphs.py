@@ -5,7 +5,6 @@ Vertex sets are canonically represented as strictly increasing tuples of ints.
 
 from __future__ import annotations
 
-import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable
@@ -13,6 +12,8 @@ from typing import Iterable
 from .errors import InputError
 
 VertexSet = tuple[int, ...]
+
+MAX_VERTICES = 4_000_000  # the most a Graph may have: a few input bytes can declare any count
 
 ANTIPODAL = "antipodal"
 DOMINANCE = "dominance"
@@ -65,8 +66,8 @@ class Graph:
         isolated vertex shares one empty frozenset."""
         if type(n) is not int or n < 0:
             raise InputError(f"vertex count must be a nonnegative int, got {n!r}")
-        if n > sys.maxsize // 8:  # past what a list of n pointers can hold
-            raise InputError(f"vertex count {n} is too large")
+        if n > MAX_VERTICES:
+            raise InputError(f"vertex count {n} is too large: at most {MAX_VERTICES} vertices")
         nbrs: defaultdict[int, set[int]] = defaultdict(set)
         for u, v in edges:
             if type(u) is not int or type(v) is not int:

@@ -8,6 +8,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import json
+from collections import Counter
 from heapq import heapify, heappop, heappush
 from typing import Iterable, Iterator
 
@@ -341,8 +342,9 @@ def index_by_edge_moves(g: Graph) -> CliqueIndex | HoleCertificate:
     order (Blair & Peyton): v continues the clique of the vertex selected just
     before it when its weight rose by exactly one; otherwise v starts the new
     clique {v} plus its later neighbors, whose parent is the clique holding
-    v's most recently selected later neighbor when that one was selected.
-    Each vertex's first clique is the top of the subtree of its cliques.
+    v's most recently selected later neighbor when that one was selected,
+    and shares with it what their vertex sets have in common. Each vertex's
+    first clique is the top of the subtree of its cliques.
     Linear in n + m up to sorting and the search's heaps.
     """
     selection, later, comp = mcs_by_buckets(_graph(g))
@@ -378,14 +380,35 @@ def index_by_edge_moves(g: Graph) -> CliqueIndex | HoleCertificate:
         nodes[comp[c[0]]].append(i)
         for v in c:
             occurrences[v].append(i)
+    parent = [rank[up[b]] if up[b] >= 0 else -1 for b in by_clique]
     return CliqueIndex(
         tuple(order),
         tuple(cliques),
         tuple(tuple(occ) for occ in occurrences),
         tuple((tuple(vs), tuple(ns)) for vs, ns in zip(members, nodes)),
-        tuple(rank[up[b]] if up[b] >= 0 else -1 for b in by_clique),
+        tuple(parent),
+        tuple(frozenset(c).intersection(cliques[p]) if p >= 0 else frozenset()
+              for c, p in zip(cliques, parent)),
         tuple(rank[b] for b in home),
     )
+
+
+def parts_by_intersection(index: CliqueIndex) -> list[int]:
+    """The intersection reference for the tour's part counts: each clique
+    counts the tree edges whose separator it holds, a clique's separator
+    being its vertices whose top clique is another, and each distinct
+    separator finds the cliques holding it by one intersection of its
+    vertices' occurrences."""
+    seps = [
+        [v for v in clique if index.top[v] != x] for x, clique in enumerate(index.cliques)
+    ]
+    occ, parts = index.occurrences, [0] * len(index.cliques)
+    for sep, k in Counter(map(tuple, filter(None, seps))).items():
+        # a first vertex in two cliques has them as the ends of sep's one edge
+        rest = () if len(occ[sep[0]]) == 2 else map(occ.__getitem__, sep[1:])
+        for x in set(occ[sep[0]]).intersection(*rest):
+            parts[x] += k
+    return parts
 
 
 def decompositions(index: CliqueIndex) -> Iterator[Decomposition]:

@@ -15,7 +15,7 @@ from pathgraph.realize import (
     realize,
     verify_realization,
 )
-from pathgraph.graphs import Graph, graph_plus
+from pathgraph.graphs import MAX_VERTICES, Graph, graph_plus
 
 from conftest import make_worked8
 from make_certify_golden import _union
@@ -110,6 +110,20 @@ def test_a_header_no_list_can_hold_is_an_input_error(capsys, monkeypatch, n):
     code, out, err = run(capsys, "recognize")
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", [
+    f"p {MAX_VERTICES + 1}\n", f"0 {MAX_VERTICES}\n", "p 100000000000\n", "0 100000000000\n",
+], ids=["header", "id", "header-far", "id-far"])
+@pytest.mark.parametrize("command", ["recognize", "certify"])
+def test_a_vertex_count_over_the_limit_is_an_input_error(capsys, monkeypatch, text, command):
+    # a header, or with none the largest id plus one, past MAX_VERTICES is
+    # refused before any vertex is allocated: exit 2, one error line
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run(capsys, command, *(["--json"] if command == "certify" else []))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: vertex count ") and err.count("\n") == 1
+    assert f"at most {MAX_VERTICES} vertices" in err
 
 
 def test_certify_documents(capsys, worked8_file, k4hub_file):

@@ -1,4 +1,5 @@
 from collections import Counter
+from functools import cached_property
 
 import pytest
 
@@ -8,10 +9,13 @@ from pathgraph import chordal, cli, decompose, recognize
 from pathgraph.chordal import HoleCertificate, _index_or_hole
 from pathgraph.decompose import _decomposition, _separators, clique_separators, gamma_components
 from pathgraph.errors import InputError, PreconditionError
-from pathgraph.generate import gen_path_graph
+from pathgraph.generate import gen_path_graph, k4_hub
 from pathgraph.graphs import Graph, components_without
 from pathgraph.io import emit_edgelist
 from pathgraph.recognize import recognize_directed_path_graph, recognize_path_graph
+
+from conftest import star
+from make_certify_golden import interleaved
 
 
 def test_worked8_separators(worked8):
@@ -201,6 +205,106 @@ def test_tour_counts_the_parts_of_every_clique(chordal_corpus, wider_graphs):
         assert index.tour.parts == want, name
         cliques += len(want)
     assert cliques > 3000, cliques
+
+
+def _path(n):
+    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def test_tour_part_counts_match_the_intersection_reference(
+    chordal_corpus, wider_graphs, mixed_graphs
+):
+    # the walk down each separator's subtree against one intersection of its
+    # vertices' occurrences: hubs, whose walk looks up the rarest vertex,
+    # stars centred first and last, a long spine, disconnected mixes with
+    # components of one and two cliques beside larger ones, isolated vertices
+    spine, leaves = 2000, 8
+    caterpillar = Graph.from_edges(spine * (1 + leaves), [
+        *((i, i + 1) for i in range(spine - 1)),
+        *((i, spine + i * leaves + j) for i in range(spine) for j in range(leaves)),
+    ])
+    pieces = [k4_hub(6), star(30), _path(3), Graph.from_edges(50, []), _path(2)]
+    graphs = [g for _, g in [*chordal_corpus, *wider_graphs, *mixed_graphs]]
+    graphs += [
+        Graph.from_edges(801, [(0, i) for i in range(1, 801)]),
+        Graph.from_edges(801, [(800, i) for i in range(800)]),
+        *(k4_hub(t) for t in (*range(3, 10), 200)),
+        caterpillar,
+        interleaved([*pieces, gen_path_graph(40, 40, 2)[0]], 7),
+        interleaved(pieces, 8),
+        Graph.from_edges(20000, []),
+    ]
+    toured = 0
+    for i, g in enumerate(graphs):
+        index = _index_or_hole(g)
+        if isinstance(index, HoleCertificate):
+            continue
+        assert index.tour.parts == _brute.parts_by_intersection(index), i
+        toured += 1
+    assert toured > 1200, toured
+
+
+def _table_builds(monkeypatch):
+    """Count the builds of every tour's range-minimum table."""
+    builds = []
+    table = chordal._Tour.__dict__["_table"].func
+
+    def counted(tour):
+        builds.append(tour)
+        return table(tour)
+
+    prop = cached_property(counted)
+    prop.__set_name__(chordal._Tour, "_table")
+    monkeypatch.setattr(chordal._Tour, "_table", prop)
+    return builds
+
+
+def test_verdicts_that_decompose_nothing_build_no_range_minima(monkeypatch):
+    # P_300's separators all have two parts: neither verdict decomposes one,
+    # so neither builds nor keeps the table
+    builds, indexes = _table_builds(monkeypatch), []
+    index_or_hole = recognize._index_or_hole
+
+    def kept(g):
+        indexes.append(index_or_hole(g))
+        return indexes[-1]
+
+    monkeypatch.setattr(recognize, "_index_or_hole", kept)
+    g = _path(300)
+    verdict = recognize_path_graph(g)
+    assert recognize_directed_path_graph(g).is_directed_path_graph
+    assert len(indexes) == 2 and indexes[0] is verdict._index
+    for index in indexes:
+        assert index.tour.parts.count(2) == 297
+        assert "_table" not in vars(index.tour)
+    assert builds == []
+    # the first read of the reports decomposes, and builds the table then
+    assert len(verdict.reports) == 297
+    assert builds == [verdict._index.tour]
+
+
+def test_one_decomposition_builds_the_range_minima_once(monkeypatch):
+    # the first decomposition that asks for a range minimum builds the
+    # table; every later one reads it
+    builds = _table_builds(monkeypatch)
+    index = _index_or_hole(gen_path_graph(80, 80, 3)[0])
+    separators = list(_separators(index))
+    assert len(separators) > 5 and builds == []
+    for qi in separators:
+        _decomposition(index, qi)
+        assert builds in ([], [index.tour])
+    assert builds == [index.tour]
+
+
+@pytest.mark.parametrize("g", [_path(60), star(40), gen_path_graph(80, 80, 3)[0]],
+                         ids=["path", "star", "gen_path_graph(80,80,3)"])
+def test_range_minima_match_a_scan_of_every_range(g):
+    index = _index_or_hole(g)
+    tour, c = index.tour, len(index.cliques)
+    firsts = [index.cliques[x][0] for x in tour.nodes]
+    for a in range(c):
+        for b in range(a + 1, c + 1):
+            assert tour.least(a, b) == min(firsts[a:b]), (a, b)
 
 
 def test_components_too_small_to_separate_are_passed_over(monkeypatch):

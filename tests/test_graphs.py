@@ -8,6 +8,7 @@ from pathgraph.errors import InputError
 from pathgraph.graphs import (
     ANTIPODAL,
     DOMINANCE,
+    MAX_VERTICES,
     EdgeColoredGraph,
     Graph,
     connected_components,
@@ -55,6 +56,16 @@ def test_from_edges_rejects_a_vertex_count_no_list_can_hold():
     # refused before anything is allocated
     with pytest.raises(InputError, match="too large"):
         Graph.from_edges(2**62, [])
+
+
+def test_from_edges_refuses_one_vertex_over_the_limit():
+    # refused before anything is allocated, with or without an edge at the
+    # last vertex
+    for edges in ([], [(0, MAX_VERTICES)]):
+        with pytest.raises(InputError, match=f"too large: at most {MAX_VERTICES} vertices"):
+            Graph.from_edges(MAX_VERTICES + 1, edges)
+    # while a million, the count of a `p 1000000` header, still fit
+    assert Graph.from_edges(1_000_000, [(0, 999_999)]).degree(999_999) == 1
 
 
 @pytest.mark.parametrize("bad", [True, 1.0], ids=["bool", "float"])
