@@ -203,9 +203,7 @@ def _cmd_attachedness(args) -> int:
         lines = [f"separator: {' '.join(g.label(v) for v in m.q)}"]
         lines.append(f"classes: {m.size}")
         for i, gamma in enumerate(m.gammas):
-            traces = " ".join(
-                "{" + ",".join(g.label(v) for v in tr) + "}" for tr in gamma.traces
-            )
+            traces = gio.format_traces(gamma.traces, g)
             lines.append(f"class {i}: members {list(m.class_members[i])} traces {traces}")
         for u, v, c in m.edges.edges():
             lines.append(f"{c}: {u} -- {v}")

@@ -3,8 +3,8 @@ the clique forest of its search."""
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import compress, filterfalse, repeat
 from operator import or_
@@ -21,22 +21,28 @@ class GammaComponent:
     relevant_cliques are the maximal cliques of G[C + Q] which meet the
     separator but do not equal it; masks are their traces, their
     intersections with the separator q, deduplicated, with bit i set for
-    q[i]. smallest is C's smallest vertex. The sorted vertex tuples traces
-    and C itself, component, are derived on read, C from the runs its
-    decomposition's parts share: io's full documents read both, recognition
-    and realization neither.
+    q[i]. smallest is C's smallest vertex. C's other cliques, those that
+    miss Q, fill its ranges of positions in the preorder of the clique
+    forest of its clique index (index.tour): ranges holds the bounds a, b of
+    each range a to b - 1 one after the other, in one flat int tuple. The
+    sorted vertex tuples traces and C itself, component, are derived on
+    read, C from its relevant cliques and ranges: io's full documents read
+    both, recognition and realization neither.
     """
 
-    __slots__ = ("index", "relevant_cliques", "smallest", "q", "masks", "_traces", "_runs")
+    __slots__ = (
+        "index", "relevant_cliques", "smallest", "q", "masks", "_traces", "_ranges", "_index"
+    )
 
     def __init__(
         self,
         index: int,
         relevant_cliques: tuple[VertexSet, ...] = (),
         smallest: int | None = None,
-        runs: _Runs | None = None,
         q: VertexSet = (),
         masks: tuple[int, ...] = (),
+        ranges: tuple[int, ...] = (),
+        clique_index: CliqueIndex | None = None,
     ) -> None:
         self.index = index
         self.relevant_cliques = relevant_cliques
@@ -44,7 +50,8 @@ class GammaComponent:
         self.q = q
         self.masks = masks
         self._traces = None
-        self._runs = runs
+        self._ranges = ranges
+        self._index = clique_index
 
     @property
     def traces(self) -> tuple[VertexSet, ...]:
@@ -54,7 +61,10 @@ class GammaComponent:
 
     @property
     def component(self) -> VertexSet:
-        return self._runs.vertices(self.index)
+        found = set().union(*self.relevant_cliques)
+        for a, b in zip(self._ranges[::2], self._ranges[1::2]):
+            found.update(*map(self._index.cliques.__getitem__, self._index.tour.nodes[a:b]))
+        return tuple(sorted(found.difference(self.q)))
 
 
 def _select(items: Iterable, mask: int) -> Iterator:
@@ -67,45 +77,16 @@ def _neighbor_map(q: VertexSet, masks: Sequence[int]) -> dict[int, tuple[int, ..
     return {v: tuple(k for k, s in enumerate(masks) if s >> i & 1) for i, v in enumerate(q)}
 
 
-class _Runs:
-    """What the parts of one decomposition share: the positions of the clique
-    forest's preorder nodes from starts[i] to starts[i + 1] - 1 lie in part
-    labels[i], or in no part for -1, up to the end of Q's tree, the last
-    start; the positions are those of index.tour."""
-
-    __slots__ = ("q", "starts", "labels", "index", "_parts")
-
-    def __init__(self, q, starts, labels, index) -> None:
-        self.q, self.starts, self.labels, self.index, self._parts = q, starts, labels, index, None
-
-    def vertices(self, k: int) -> VertexSet:
-        if self._parts is None:  # all parts at once
-            cliques, nodes = self.index.cliques, self.index.tour.nodes
-            found = [set() for _ in range(max(self.labels) + 1)]
-            for a, b, r in zip(self.starts, self.starts[1:], self.labels):
-                if r >= 0:
-                    found[r].update(*map(cliques.__getitem__, nodes[a:b]))
-            self._parts = [tuple(sorted(f.difference(self.q))) for f in found]
-        return self._parts[k]
-
-
 @dataclass(frozen=True)
 class Decomposition:
     """All parts of a graph relative to one maximal clique separator."""
 
     q: VertexSet
     gammas: tuple[GammaComponent, ...]
-    runs: _Runs | None = field(repr=False, compare=False)
 
     @property
     def size(self) -> int:
         return len(self.gammas)
-
-    def part_of(self, v: int) -> int:
-        """The index of the part holding v, a vertex outside q."""
-        runs = self.runs
-        index = runs.index
-        return runs.labels[bisect_right(runs.starts, index.tour.pos[index.top[v]]) - 1]
 
     @cached_property
     def neighbor_map(self) -> dict[int, tuple[int, ...]]:
@@ -144,20 +125,24 @@ def _decomposition(index: CliqueIndex, qi: int) -> Decomposition:
     separator is never empty, so every cut falls between cliques that meet
     Q, which form a subtree S around Q. The maximal cliques of G[C + Q]
     other than Q are G's cliques holding a vertex of C, so a region's
-    relevant cliques are its cliques in S. In preorder, each region is its
-    cliques in S, each followed by a run of cliques hanging below it, plus
-    the cliques above S when it holds S's top. The runs give each part's
-    smallest vertex and, by bisection, the part of any vertex outside Q. The
-    work is the size of the cliques that meet Q.
+    relevant cliques are its cliques in S. Its other cliques hang below
+    those, in the preorder ranges each of them leaves between the subtrees
+    of its children in S, plus, for the region holding S's top, the two
+    ranges of Q's tree outside the top's subtree. A part's smallest vertex
+    is the least of its relevant cliques' first vertices outside Q and one
+    range minimum per range. The work is the size of the cliques that meet
+    Q: a clique of S with many children outside S leaves them one range.
     """
     cliques, parent, tour = index.cliques, index.parent, index.tour
-    pos, end, nodes = tour.pos, tour.end, tour.nodes
+    pos, end = tour.pos, tour.end
     q = cliques[qi]
     qs = set(q)
     near = sorted(set().union(*map(index.occurrences.__getitem__, q)), key=pos.__getitem__)
     region = {qi: -1}
     held: list[list[int]] = []  # each region's cliques that meet Q
+    inner: defaultdict[int, list[int]] = defaultdict(list)  # children that meet Q, in preorder
     for z in near:
+        inner[parent[z]].append(z)
         if z != qi:
             r = region.get(parent[z], -1)
             if r < 0 or qs.issuperset(index.seps[z]):
@@ -166,37 +151,33 @@ def _decomposition(index: CliqueIndex, qi: int) -> Decomposition:
             region[z] = r
             held[r].append(z)
 
-    # the runs: from starts[i] to the next start, positions are in region
-    # labels[i]; Q's own position is in none
-    outer = region[near[0]]
-    last = end[tour.root[qi]]
-    starts, labels = [pos[tour.root[qi]]], [outer]
-    enclosing: list[int] = []
+    def gaps(a: int, b: int, below: Iterable[int]) -> Iterator[tuple[int, int]]:
+        """The positions a to b - 1 less the subtrees of below, as the bounds
+        of nonempty ranges."""
+        for x in below:
+            if a < pos[x]:
+                yield a
+                yield pos[x]
+            a = end[x]
+        if a < b:
+            yield a
+            yield b
 
-    def close(limit: int) -> None:
-        while enclosing and end[enclosing[-1]] <= limit:
-            starts.append(end[enclosing.pop()])
-            labels.append(region[enclosing[-1]] if enclosing else outer)
-
+    ranges: defaultdict[int, list[int]] = defaultdict(list)  # by region
     for z in near:
-        close(pos[z])
-        starts.append(pos[z])
-        labels.append(region[z])
-        enclosing.append(z)
-    close(last)
-    starts.append(last)
+        if z != qi and end[z] > pos[z] + 1:
+            ranges[region[z]] += gaps(pos[z] + 1, end[z], inner[z])
+    top = near[0]
+    if top != qi:
+        root = tour.root[qi]
+        ranges[region[top]] += gaps(pos[root], end[root], (top,))
 
     # a clique's first vertex outside Q is its smallest
     low = [min(next(filterfalse(qs.__contains__, cliques[z])) for z in zs) for zs in held]
-    for a, b, r in zip(starts, starts[1:], labels):
-        if r >= 0 and a < b:
-            a += nodes[a] in region
-            if a < b:
-                low[r] = min(low[r], tour.least(a, b))
+    for r, rs in ranges.items():
+        for a, b in zip(rs[::2], rs[1::2]):
+            low[r] = min(low[r], tour.least(a, b))
     order = sorted(range(len(held)), key=low.__getitem__)  # part k is region order[k]
-    rank = {r: k for k, r in enumerate(order)}
-    labels = tuple(rank.get(r, -1) for r in labels)
-    runs = _Runs(q, tuple(starts), labels, index)
 
     # a trace's mask is the sum of its vertices' bits, by position in q
     bit = {v: 1 << i for i, v in enumerate(q)}.get
@@ -205,8 +186,8 @@ def _decomposition(index: CliqueIndex, qi: int) -> Decomposition:
     for k, r in enumerate(order):
         rel = tuple(map(cliques.__getitem__, sorted(held[r])))
         masks = tuple(dict.fromkeys([sum(map(bit, c, zeros)) for c in rel]))
-        gammas.append(GammaComponent(k, rel, low[r], runs, q, masks))
-    return Decomposition(q, tuple(gammas), runs)
+        gammas.append(GammaComponent(k, rel, low[r], q, masks, tuple(ranges.get(r, ())), index))
+    return Decomposition(q, tuple(gammas))
 
 
 def gamma_components(g: Graph, q: VertexSet) -> Decomposition:

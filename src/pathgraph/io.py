@@ -8,7 +8,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from .attach import AttachednessGraph
 from .chordal import CliqueTree
 from .errors import InputError
-from .graphs import ANTIPODAL, EdgeColoredGraph, Graph
+from .graphs import ANTIPODAL, MAX_VERTICES, EdgeColoredGraph, Graph
 from .obstructions import FAMILY_ALL, FULL_TRIANGLE, Obstruction, ObstructionPattern
 from .realize import HostRealization
 from .recognize import (
@@ -57,6 +57,10 @@ def parse_edgelist(text: str) -> Graph:
                 raise InputError(f"line {lineno}: bad vertex count {parts[1]!r}")
             if n < 0:
                 raise InputError(f"line {lineno}: negative vertex count")
+            if n > MAX_VERTICES:
+                raise InputError(
+                    f"line {lineno}: vertex count {n} is too large: at most {MAX_VERTICES} vertices"
+                )
             continue
         line = line.strip()
         if len(parts) != 2:
@@ -77,6 +81,10 @@ def parse_edgelist(text: str) -> Graph:
             raise InputError(f"line {lineno}: self-loop on {u}")
         if n is not None and v >= n:
             raise InputError(f"line {lineno}: vertex id beyond declared count {n}")
+        if v >= MAX_VERTICES:
+            raise InputError(
+                f"line {lineno}: vertex id {v} is past the limit of {MAX_VERTICES} vertices"
+            )
         edges.append((u, v))
     if n is None:
         if not edges:
@@ -319,6 +327,12 @@ def _json(x, nl: str) -> str:
     raise TypeError(f"cannot emit {t.__name__} as JSON")
 
 
+def format_traces(traces: tuple[tuple[int, ...], ...], graph: Graph | None = None) -> str:
+    """Traces as "{a,b} {c}", each vertex by graph's label when a graph is given."""
+    name = str if graph is None else graph.label
+    return " ".join("{" + ",".join(map(name, tr)) + "}" for tr in traces)
+
+
 def _dot_colored(name: str, ecg: EdgeColoredGraph, node_labels=None) -> str:
     lines = [f"graph {name} {{"]
     for v in range(ecg.n):
@@ -344,12 +358,7 @@ def emit_dot(obj, graph: Graph | None = None) -> str:
         lines.append("}")
         return "\n".join(lines) + "\n"
     if isinstance(obj, AttachednessGraph):
-        labels = []
-        for i, gamma in enumerate(obj.gammas):
-            traces = " ".join(
-                "{" + ",".join(str(v) for v in tr) + "}" for tr in gamma.traces
-            )
-            labels.append(f"{i}: {traces}")
+        labels = [f"{i}: {format_traces(gm.traces, graph)}" for i, gm in enumerate(obj.gammas)]
         return _dot_colored("attachedness", obj.edges, labels)
     if isinstance(obj, ObstructionPattern):
         name = f"{obj.family.lower()}_{obj.pattern.n}"

@@ -74,12 +74,16 @@ def _assemble(
     relevant clique with D's largest trace, which contains every trace of D.
     When H is no separator, D is H alone. Otherwise H's parts inside D are
     realized first, then hung at H together with one more part, the single
-    clique K, which takes the class and color of the part of G - H holding K.
-    That reuses G's report at H inside D: dropping the traces of the part
-    above can make an antipodal pair comparable but never the reverse, and
-    never turns a dominance around. Frames are listed top-down and hung
-    bottom-up, so nothing recurses. Each report is read once: O(parts log n
-    + the relevant cliques' sizes) per separator.
+    clique K, which takes the class and color of K's part of G - H: the one
+    holding K - H, of which K is a relevant clique. Each other part of G - H
+    avoids K, so it lies inside D exactly when it has a neighbour in H - K,
+    which lies in D, that is when its traces meet H - K; otherwise all its
+    neighbours lie in K, and it is a part of G - K of its own. That reuses
+    G's report at H inside D: dropping the traces of the part above can make
+    an antipodal pair comparable but never the reverse, and never turns a
+    dominance around. Frames are listed top-down and hung bottom-up, so
+    nothing recurses. Each report is read once: O(parts + the relevant
+    cliques' sizes) per separator.
     """
     cliques = index.cliques
     node_of = {c: i for i, c in enumerate(cliques)}
@@ -94,15 +98,12 @@ def _assemble(
         results: dict[int, tuple[int, dict[int, int]]] = {}
         kpart = None
         if part is not None:
-            kpart = rep.decomposition.part_of(next(v for v in cliques[k] if v not in hs))
+            kc = cliques[k]
+            kpart = next(gm.index for gm in gammas if kc in gm.relevant_cliques)
             results[kpart] = (k, dict.fromkeys(trace, k))
-            # the other parts of G - H avoid K, so each lies in one part of G - K
-            above = report_at[k].decomposition
-            gammas = [
-                gm
-                for gm in gammas
-                if gm.index != kpart and above.part_of(gm.smallest) == part.index
-            ]
+            ks = set(kc)
+            away = sum(1 << i for i, v in enumerate(cliques[h]) if v not in ks)  # H - K
+            gammas = [gm for gm in gammas if gm.index != kpart and any(s & away for s in gm.masks)]
         return h, rep, hs, gammas, results, kpart, part, up
 
     # a separator's component is Q plus its parts, so Q or the first part

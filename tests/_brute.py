@@ -23,7 +23,15 @@ from pathgraph.chordal import (
 from pathgraph.coloring import Refutation, _full_triple, _weak_coloring, skeleton
 from pathgraph.decompose import Decomposition, GammaComponent, _decomposition, _separators
 from pathgraph.errors import GuardRefusal, InputError, InvariantError
-from pathgraph.graphs import EdgeColoredGraph, Graph, VertexSet, _graph, _int_vset, vset
+from pathgraph.graphs import (
+    MAX_VERTICES,
+    EdgeColoredGraph,
+    Graph,
+    VertexSet,
+    _graph,
+    _int_vset,
+    vset,
+)
 from pathgraph.obstructions import ObstructionPattern, refutation_to_obstruction
 from pathgraph.recognize import SeparatorReport, _two_part_report
 
@@ -598,6 +606,10 @@ def parse_edgelist_reference(text: str) -> Graph:
                 raise InputError(f"line {lineno}: bad vertex count {parts[1]!r}")
             if n < 0:
                 raise InputError(f"line {lineno}: negative vertex count")
+            if n > MAX_VERTICES:
+                raise InputError(
+                    f"line {lineno}: vertex count {n} is too large: at most {MAX_VERTICES} vertices"
+                )
             continue
         if len(parts) != 2:
             raise InputError(f"line {lineno}: expected 'u v', got {line!r}")
@@ -611,6 +623,10 @@ def parse_edgelist_reference(text: str) -> Graph:
             raise InputError(f"line {lineno}: self-loop on {u}")
         if n is not None and (u >= n or v >= n):
             raise InputError(f"line {lineno}: vertex id beyond declared count {n}")
+        if max(u, v) >= MAX_VERTICES:
+            raise InputError(
+                f"line {lineno}: vertex id {max(u, v)} is past the limit of {MAX_VERTICES} vertices"
+            )
         edges.append((u, v) if u < v else (v, u))
         max_seen = max(max_seen, u, v)
     if n is None:

@@ -283,7 +283,7 @@ def masks_over(q, traces):
 def test_quotient_rejects_non_transitive_dominance(monkeypatch):
     # three parts with the single traces {0} < {0,1} < {0,1,2}, all sharing
     # 0; a nesting test with 0 <= 1 <= 2 but not 0 <= 2 must not pass unseen
-    dec = Decomposition((0, 1, 2), masked((0, 1, 2), (0,), (0, 1), (0, 1, 2)), None)
+    dec = Decomposition((0, 1, 2), masked((0, 1, 2), (0,), (0, 1), (0, 1, 2)))
     # the masks 1, 3, 7: 1 nests in 3, 3 in 7, and 1 not in 7
     monkeypatch.setattr(attach, "_nests", lambda u, masks: (u, *masks) in {(1, 3), (3, 7)})
     with pytest.raises(InvariantError, match="dominance is not transitive"):
@@ -293,7 +293,7 @@ def test_quotient_rejects_non_transitive_dominance(monkeypatch):
 def test_quotient_rejects_mutual_dominance_across_classes(monkeypatch):
     # parts {0} and {0,1} are distinct classes; a nesting test that holds both
     # ways between them contradicts the class lemma and must not pass unseen
-    dec = Decomposition((0, 1), masked((0, 1), (0,), (0, 1)), None)
+    dec = Decomposition((0, 1), masked((0, 1), (0,), (0, 1)))
     monkeypatch.setattr(attach, "_nests", lambda u, masks: True)
     with pytest.raises(InvariantError, match="classes 0 and 1 dominate each other"):
         quotient(dec)

@@ -112,18 +112,25 @@ def test_a_header_no_list_can_hold_is_an_input_error(capsys, monkeypatch, n):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("text", [
-    f"p {MAX_VERTICES + 1}\n", f"0 {MAX_VERTICES}\n", "p 100000000000\n", "0 100000000000\n",
+_TOO_LARGE = f"is too large: at most {MAX_VERTICES} vertices"
+_PAST = f"is past the limit of {MAX_VERTICES} vertices"
+
+
+@pytest.mark.parametrize("text, message", [
+    (f"p {MAX_VERTICES + 1}\n", f"line 1: vertex count {MAX_VERTICES + 1} {_TOO_LARGE}"),
+    (f"0 1\n0 {MAX_VERTICES}\n", f"line 2: vertex id {MAX_VERTICES} {_PAST}"),
+    ("# far\np 100000000000\n", f"line 2: vertex count 100000000000 {_TOO_LARGE}"),
+    ("0 1\n0 100000000000\n", f"line 2: vertex id 100000000000 {_PAST}"),
 ], ids=["header", "id", "header-far", "id-far"])
 @pytest.mark.parametrize("command", ["recognize", "certify"])
-def test_a_vertex_count_over_the_limit_is_an_input_error(capsys, monkeypatch, text, command):
-    # a header, or with none the largest id plus one, past MAX_VERTICES is
-    # refused before any vertex is allocated: exit 2, one error line
+def test_a_vertex_count_over_the_limit_is_an_input_error(
+    capsys, monkeypatch, text, message, command
+):
+    # a header past MAX_VERTICES, or with none an id at or past it, is
+    # refused at its line before any vertex is allocated: exit 2, one line
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
     code, out, err = run(capsys, command, *(["--json"] if command == "certify" else []))
-    assert (code, out) == (2, "")
-    assert err.startswith("error: vertex count ") and err.count("\n") == 1
-    assert f"at most {MAX_VERTICES} vertices" in err
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_certify_documents(capsys, worked8_file, k4hub_file):

@@ -17,6 +17,7 @@ from pathgraph.generate import gen_chordal, k4_hub
 from pathgraph.graphs import EdgeColoredGraph, Graph
 from pathgraph.io import (
     emit_dot,
+    format_traces,
     emit_edgelist,
     emit_graph6,
     emit_verdict,
@@ -225,6 +226,19 @@ def test_dot_attachedness(worked8):
     assert '"0: {1,2}"' in dot
 
 
+def test_dot_attachedness_names_traces_by_label():
+    # k4_hub labels its hub vertices 0..3 as 1..4; the DOT labels follow the
+    # graph given, with the formatter the CLI's text output uses
+    g = k4_hub(4)
+    m = quotient(gamma_components(g, (0, 1, 2, 3)))
+    assert '"0: {0,1}"' in emit_dot(m)
+    dot = emit_dot(m, g)
+    assert [l for l in dot.splitlines() if "label" in l] == [
+        '  k0 [label="0: {1,2}"];', '  k1 [label="1: {1,3}"];', '  k2 [label="2: {1,4}"];'
+    ]
+    assert format_traces(m.gammas[2].traces, g) == "{1,4}"
+
+
 def test_dot_pair():
     dot = emit_dot(EdgeColoredGraph(2, frozenset({(0, 1)}), frozenset()))
     assert dot.count(" -- ") == 1
@@ -405,6 +419,9 @@ def _parsed(parse, text):
         "0 1 # caf\u00e9\n1 2",
         "0\u30001\n1\u00a02",
         "0 \u00b2",
+        "p 4000001",
+        "0 1\n3999999 4000000",
+        "p 4000000\n0 4000000",
         pytest.param(_LONG + " 2", marks=_INT_LIMIT, id="long id"),
         pytest.param("p " + _LONG, marks=_INT_LIMIT, id="long count"),
     ],

@@ -4,7 +4,7 @@ import pytest
 
 import _brute
 from pathgraph import oracle
-from pathgraph.chordal import CliqueTree, is_clique_path_tree
+from pathgraph.chordal import CliqueTree, HoleCertificate, _index_or_hole, is_clique_path_tree
 from pathgraph.errors import InputError, PreconditionError
 from pathgraph.generate import gen_path_graph
 from pathgraph.graphs import Graph
@@ -212,3 +212,35 @@ def test_verify_realization_matches_pairwise_reference():
             assert verify_realization(g, h) == want
             verdicts.append(want)
     assert verdicts.count(True) > 200 and verdicts.count(False) > 200
+
+
+def test_parts_of_g_minus_h_are_placed_by_relevant_cliques_and_traces(
+    mixed_graphs, wider_graphs
+):
+    # realize hangs the parts of G - H for H, a relevant clique of a part D
+    # of G - K, that separates. Read off the traversal reference: K's part
+    # of G - H, the one holding K - H, is the one K is a relevant clique
+    # of; every other part lies inside D when its traces meet H - K, and
+    # outside D otherwise
+    triples = 0
+    for name, g in [*mixed_graphs, *wider_graphs]:
+        index = _index_or_hole(g)
+        if isinstance(index, HoleCertificate):
+            continue
+        at = {}  # q -> its parts, vertex -> part, relevant clique -> part, neighbor map
+        for q, parts, nmap in _brute.decompositions_by_traversal(g, index):
+            part_of = {v: i for i, (c, _, _) in enumerate(parts) for v in c}
+            rel_of = {r: i for i, (_, rel, _) in enumerate(parts) for r in rel}
+            at[q] = parts, part_of, rel_of, nmap
+        for k, (parts, _, _, _) in at.items():
+            for d, rel, _ in parts:
+                for h in filter(at.__contains__, rel):
+                    h_parts, part_of, rel_of, nmap = at[h]
+                    held = rel_of[k]
+                    assert {part_of[v] for v in k if v not in h} == {held}, name
+                    touching = {part_of[v] for v in d if v not in h} - {held}
+                    meeting = set().union(*(nmap[v] for v in h if v not in k)) - {held}
+                    assert touching == meeting, name
+                    assert all(set(d).issuperset(h_parts[i][0]) for i in touching), name
+                    triples += 1
+    assert triples > 150000

@@ -304,7 +304,7 @@ def _two_parts(*traces):
     """A decomposition at Q = (0, 1, 2) with one part per set of trace masks."""
     q = (0, 1, 2)
     parts = tuple(decompose.GammaComponent(k, q=q, masks=t) for k, t in enumerate(traces))
-    return decompose.Decomposition(q, parts, None)
+    return decompose.Decomposition(q, parts)
 
 
 @pytest.mark.parametrize(
