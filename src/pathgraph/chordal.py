@@ -45,8 +45,6 @@ class CliqueIndex:
     cliques in canonical order. parent is a clique forest, one tree per
     component: each clique's parent clique, -1 at a root, and the clique
     C shares with its parent is C's separator, seps[C], empty at a root.
-    top[v] is the clique closest to the root among those containing v, so v
-    lies in C's separator exactly when v is in C and top[v] != C.
     """
 
     order: tuple[int, ...]
@@ -55,7 +53,6 @@ class CliqueIndex:
     components: tuple[tuple[VertexSet, tuple[int, ...]], ...]
     parent: tuple[int, ...]
     seps: tuple[frozenset[int], ...]
-    top: tuple[int, ...]
 
     @cached_property
     def tour(self) -> _Tour:
@@ -134,9 +131,7 @@ class _Tour:
         return min(row[a], row[b - (1 << k)])
 
 
-def _search(
-    g: Graph,
-) -> tuple[list[int], list[list[int]], list[int], dict, list[int], list, tuple | None]:
+def _search(g: Graph) -> tuple[list[int], list[list[int]], list[int], dict, list, tuple | None]:
     """Maximum cardinality search; ties broken toward the smallest vertex id.
 
     The search makes one block at a time. A block starts at the heaviest,
@@ -155,10 +150,10 @@ def _search(
     start's earlier neighbours then its picks; each block's parent, the
     block of its start's latest earlier neighbour p (-1 at a component's
     first block); those earlier neighbours, by block, where there are any;
-    each vertex's block; each component's first selection and block; and
-    the elimination order's first violation (v, p, x), or None: v is the
-    last vertex selected whose earlier neighbours are not a clique, p its
-    latest earlier neighbour and x the latest of the others that misses p.
+    each component's first selection and block; and the elimination order's
+    first violation (v, p, x), or None: v is the last vertex selected whose
+    earlier neighbours are not a clique, p its latest earlier neighbour and
+    x the latest of the others that misses p.
     A start is checked against p. A pick weighed what the start did, so it
     has the start's earlier neighbours if it neighbours them all, and then
     passes; only after a pick of the block fails is each one checked
@@ -247,11 +242,21 @@ def _search(
         v, p = bad
         misses = (u for u in adj[v] - adj[p] if u != p and rank[u] < rank[v])
         bad = v, p, max(misses, key=rank.__getitem__)
-    return selection, blocks, up, shared, home, comps, bad
+    return selection, blocks, up, shared, comps, bad
 
 
-def _hole_through(g: Graph, v: int, x: int, y: int) -> tuple[int, ...] | None:
-    """Hole v-x-...-y-v via a shortest x..y path avoiding N[v] \\ {x, y}."""
+def _canonical_cycle(cycle: tuple[int, ...]) -> tuple[int, ...]:
+    """Rotate the smallest vertex to the front, then pick the smaller direction."""
+    k = cycle.index(min(cycle))
+    rot = cycle[k:] + cycle[:k]
+    rev = (rot[0],) + rot[1:][::-1]
+    return rot if rot[1] <= rev[1] else rev
+
+
+def _find_hole(g: Graph, seed: tuple[int, int, int]) -> tuple[int, ...]:
+    """The hole through the elimination order's first violation (v, x, y):
+    v, then a shortest x..y path avoiding N[v] \\ {x, y}."""
+    v, x, y = seed
     banned = (g.adj[v] | {v}) - {x, y}
     parent: dict[int, int] = {x: -1}
     queue = deque([x])
@@ -267,32 +272,6 @@ def _hole_through(g: Graph, v: int, x: int, y: int) -> tuple[int, ...] | None:
             if w not in banned and w not in parent:
                 parent[w] = u
                 queue.append(w)
-    return None
-
-
-def _canonical_cycle(cycle: tuple[int, ...]) -> tuple[int, ...]:
-    """Rotate the smallest vertex to the front, then pick the smaller direction."""
-    k = cycle.index(min(cycle))
-    rot = cycle[k:] + cycle[:k]
-    rev = (rot[0],) + rot[1:][::-1]
-    return rot if rot[1] <= rev[1] else rev
-
-
-def _find_hole(g: Graph, seed: tuple[int, int, int]) -> tuple[int, ...]:
-    """Extract some hole of a non-chordal graph, trying the violating triple first."""
-    v, p, x = seed
-    hole = _hole_through(g, v, p, x)
-    if hole is not None:
-        return hole
-    # Defensive fallback: scan all (v; x, y) with x, y nonadjacent neighbors of v.
-    for v in range(g.n):
-        nbrs = sorted(g.adj[v])
-        for i, a in enumerate(nbrs):
-            for b in nbrs[i + 1 :]:
-                if not g.has_edge(a, b):
-                    hole = _hole_through(g, v, a, b)
-                    if hole is not None:
-                        return hole
     raise InvariantError("elimination order failed but no hole was found")
 
 
@@ -305,11 +284,10 @@ def _index_or_hole(g: Graph) -> CliqueIndex | HoleCertificate:
     are the search's blocks (Blair & Peyton): a block's picks each weigh one
     more than the vertex before, so they continue its clique, and a start
     begins the clique of itself and its earlier neighbours, its separator,
-    whose parent is the clique of the latest of them. Each vertex's first
-    clique is the top of the subtree of its cliques. Linear in n + m up to
+    whose parent is the clique of the latest of them. Linear in n + m up to
     sorting and the search's heaps.
     """
-    selection, blocks, up, shared, home, comps, bad = _search(_graph(g))
+    selection, blocks, up, shared, comps, bad = _search(_graph(g))
     if bad is not None:
         return HoleCertificate(_canonical_cycle(_find_hole(g, bad)))
     made = list(map(tuple, map(sorted, blocks)))  # a block has no repeats
@@ -333,7 +311,6 @@ def _index_or_hole(g: Graph) -> CliqueIndex | HoleCertificate:
         ),
         tuple(rank[up[b]] for b in by_clique),
         tuple(map(seps.get, range(len(made)), repeat(frozenset()))),
-        tuple(map(rank.__getitem__, home)),
     )
 
 
@@ -544,22 +521,22 @@ def _tree_occurrences(n: int, cliques: Sequence[VertexSet]) -> list[list[int]] |
     return occurrences if all(occurrences) else None
 
 
-def _proven_separators(
-    g: Graph, tree: CliqueTree, path: bool
-) -> tuple[list[list[int]], dict[tuple[int, int], int]] | None:
-    """The occurrences and separator sizes of a tree that shows, with no
-    search, that it is a clique tree of g over g's canonical maximal cliques
-    (a clique path tree when path is set), but for the facts that its
-    cliques are cliques of g and hold every edge; else None.
+def _proven_occurrences(g: Graph, tree: CliqueTree, path: bool) -> list[list[int]] | None:
+    """The occurrences of a tree that proves, with no search, that it is a
+    clique tree of g over g's canonical maximal cliques (a clique path tree
+    when path is set); else None.
 
-    Those two facts, which the caller proves by _meet_exactly, complete the
-    proof: every vertex's cliques form a subtree, so by the Helly property
-    each maximal clique of g lies in, and so is, some tree clique; and a
-    tree clique inside another lies inside its neighbour toward it, which
-    is checked not to happen. So the canonically listed tree cliques are
-    g's canonical maximal cliques, and g is chordal. Conversely every
-    clique (path) tree of g over them passes, so a None already rejects the
-    tree; _name_rejection only finds the error to raise.
+    The proof: the cliques are canonical int tuples that hold every vertex
+    (_tree_occurrences); every vertex's cliques form a subtree, a path when
+    path is set (_separator_sizes); no clique lies inside a tree neighbour;
+    and the subtrees meet pairwise exactly on g's edges (_meet_exactly), so
+    the tree cliques are cliques of g that hold every edge. By the Helly
+    property each maximal clique of g then lies in, and so is, some tree
+    clique; and a tree clique inside another lies inside its neighbour
+    toward it, which is checked not to happen. So the canonically listed
+    tree cliques are g's canonical maximal cliques, and g is chordal.
+    Conversely every clique (path) tree of g over them passes, so a None
+    already rejects the tree; _name_rejection only finds the error to raise.
     """
     cliques = tree.cliques
     occurrences = _tree_occurrences(_graph(g).n, cliques)
@@ -573,7 +550,8 @@ def _proven_separators(
         k in (len(cliques[i]), len(cliques[j])) for (i, j), k in sizes.items()
     ):
         return None
-    return occurrences, sizes
+    nodes_of = [set(occ) for occ in occurrences]
+    return occurrences if _meet_exactly(g, map(len, cliques), sizes.values(), nodes_of) else None
 
 
 def _name_rejection(g: Graph, tree: CliqueTree, caller: str, canonical: bool) -> None:
@@ -588,26 +566,14 @@ def _name_rejection(g: Graph, tree: CliqueTree, caller: str, canonical: bool) ->
         raise InputError("tree is not over the canonical maximal clique list")
 
 
-def _proves_clique_tree(g: Graph, tree: CliqueTree, path: bool) -> bool:
-    """Whether the tree proves itself a clique tree (a clique path tree
-    when path is set) of g over its canonical maximal cliques."""
-    proof = _proven_separators(g, tree, path)
-    if proof is None:
-        return False
-    occurrences, sizes = proof
-    return _meet_exactly(
-        g, map(len, tree.cliques), sizes.values(), [set(occ) for occ in occurrences]
-    )
-
-
 def is_valid_clique_tree(g: Graph, tree: CliqueTree) -> bool:
     """Tree on the maximal cliques satisfying the induced-subtree property.
 
-    Decided by the tree's own proof (see _proven_separators), with no
+    Decided by the tree's own proof (see _proven_occurrences), with no
     search; a rejected tree over other cliques is False, and g is searched
     only for the error a hole or a malformed edge raises.
     """
-    if _proves_clique_tree(g, tree, path=False):
+    if _proven_occurrences(g, tree, path=False) is not None:
         return True
     _name_rejection(g, tree, "is_valid_clique_tree", canonical=False)
     return False
@@ -617,10 +583,10 @@ def is_clique_path_tree(g: Graph, tree: CliqueTree) -> bool:
     """True when every vertex's cliques induce a path in the tree.
 
     The tree must be over exactly maximal_cliques(g) in canonical order.
-    Decided by the tree's own proof (see _proven_separators), with no
+    Decided by the tree's own proof (see _proven_occurrences), with no
     search; g is searched only to raise the error a rejected tree owes.
     """
-    if _proves_clique_tree(g, tree, path=True):
+    if _proven_occurrences(g, tree, path=True) is not None:
         return True
     _name_rejection(g, tree, "is_clique_path_tree", canonical=True)
     return False

@@ -112,7 +112,10 @@ def parse_graph6(text: str) -> Graph:
         s = s[len(GRAPH6_HEADER):].strip()
     if not s:
         raise InputError("empty graph6 input")
-    s = s.splitlines()[0].strip()
+    lines = [line for line in map(str.strip, s.splitlines()) if line]
+    if len(lines) > 1:
+        raise InputError("graph6: more than one graph")
+    s = lines[0]
     vals = []
     for ch in s:
         v = ord(ch) - 63
@@ -136,6 +139,10 @@ def parse_graph6(text: str) -> Graph:
     need = (n * (n - 1) // 2 + 5) // 6
     if len(vals) - pos < need:
         raise InputError("graph6: truncated edge bits")
+    if len(vals) - pos > need:
+        raise InputError("graph6: characters after the edge bits")
+    if need and vals[-1] & ((1 << (6 * need - n * (n - 1) // 2)) - 1):
+        raise InputError("graph6: nonzero padding bits")
     bits = []
     for v in vals[pos:pos + need]:
         for k in range(5, -1, -1):

@@ -12,7 +12,7 @@ from .chordal import (
     _is_tree,
     _meet_exactly,
     _name_rejection,
-    _proven_separators,
+    _proven_occurrences,
     _separator_sizes,
     _tree_adj,
 )
@@ -182,15 +182,13 @@ def clique_path_tree_to_host(g: Graph, t: CliqueTree) -> HostRealization:
     """Read the host tree off a clique path tree: one node per clique, and the
     path of a vertex is the path of cliques containing it.
 
-    Decided by the tree's own proof, its shape by _proven_separators and
-    its cliques by verify_realization on the host, with no search; g is
-    searched only to raise the error a rejected tree owes.
+    Decided by the tree's own proof (see _proven_occurrences), which covers
+    the host read off it, with no search; g is searched only to raise the
+    error a rejected tree owes.
     """
-    proof = _proven_separators(g, t, path=True)
-    if proof is not None:
-        host = _host_paths(proof[0], t)
-        if verify_realization(g, host):
-            return host
+    occurrences = _proven_occurrences(g, t, path=True)
+    if occurrences is not None:
+        return _host_paths(occurrences, t)
     _name_rejection(g, t, "clique_path_tree_to_host", canonical=True)
     raise PreconditionError("clique_path_tree_to_host requires a clique path tree")
 

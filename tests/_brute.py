@@ -351,8 +351,7 @@ def index_by_edge_moves(g: Graph) -> CliqueIndex | HoleCertificate:
     before it when its weight rose by exactly one; otherwise v starts the new
     clique {v} plus its later neighbors, whose parent is the clique holding
     v's most recently selected later neighbor when that one was selected,
-    and shares with it what their vertex sets have in common. Each vertex's
-    first clique is the top of the subtree of its cliques.
+    and shares with it what their vertex sets have in common.
     Linear in n + m up to sorting and the search's heaps.
     """
     selection, later, comp = mcs_by_buckets(_graph(g))
@@ -397,18 +396,18 @@ def index_by_edge_moves(g: Graph) -> CliqueIndex | HoleCertificate:
         tuple(parent),
         tuple(frozenset(c).intersection(cliques[p]) if p >= 0 else frozenset()
               for c, p in zip(cliques, parent)),
-        tuple(rank[b] for b in home),
     )
 
 
 def parts_by_intersection(index: CliqueIndex) -> list[int]:
     """The intersection reference for the tour's part counts: each clique
     counts the tree edges whose separator it holds, a clique's separator
-    being its vertices whose top clique is another, and each distinct
+    being its vertices that lie in its parent clique, and each distinct
     separator finds the cliques holding it by one intersection of its
     vertices' occurrences."""
     seps = [
-        [v for v in clique if index.top[v] != x] for x, clique in enumerate(index.cliques)
+        [v for v in clique if p >= 0 and v in index.cliques[p]]
+        for clique, p in zip(index.cliques, index.parent)
     ]
     occ, parts = index.occurrences, [0] * len(index.cliques)
     for sep, k in Counter(map(tuple, filter(None, seps))).items():

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import random
 
@@ -42,7 +43,10 @@ def test_chordality_matches_simplicial_elimination(g):
 @settings(max_examples=300, deadline=None)
 @given(small_graphs())
 def test_result_is_peo_or_valid_hole(g):
-    res = peo_or_hole(g)
+    _assert_peo_or_valid_hole(g, peo_or_hole(g))
+
+
+def _assert_peo_or_valid_hole(g, res):
     if isinstance(res, EliminationOrder):
         order = res.order
         assert sorted(order) == list(range(g.n))
@@ -64,6 +68,22 @@ def test_result_is_peo_or_valid_hole(g):
         # canonical form: smallest vertex first, smaller second element
         assert cyc[0] == min(cyc)
         assert cyc[1] <= cyc[-1]
+
+
+def test_every_graph_on_six_vertices_gets_an_order_or_a_hole():
+    # the hole comes from the search's own violation on every labeled graph
+    # up to 6 vertices, with no other scan behind it
+    holes = 0
+    for n in range(1, 7):
+        pairs = list(itertools.combinations(range(n), 2))
+        for bits in range(1 << len(pairs)):
+            g = Graph.from_edges(n, [e for k, e in enumerate(pairs) if bits >> k & 1])
+            res = peo_or_hole(g)
+            _assert_peo_or_valid_hole(g, res)
+            hole = isinstance(res, HoleCertificate)
+            assert hole != _brute.chordal_by_elimination(g)
+            holes += hole
+    assert holes == 14819
 
 
 def test_cycle_holes_come_out_canonical():
@@ -453,6 +473,33 @@ def test_search_free_tree_checks_match_the_search(mixed_graphs):
     assert wrong <= seen["reversed"]  # a one-clique tree reversed is itself
     for kind in ("edge dropped", "edge added"):
         assert {"boolFals", "PreconditionError"} <= seen[kind], kind
+
+
+def test_each_tree_check_is_one_proof(monkeypatch):
+    # one tree walk and one meeting-pair count per check, and no host check
+    # after the proof
+    realize_mod = importlib.import_module("pathgraph.realize")  # the package binds realize()
+    g, _ = gen_path_graph(40, 40, 1)
+    t = realize_mod.realize(g)
+    calls = {}
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return f(*args)
+        return wrapper
+
+    for mod in (chordal, realize_mod):
+        for name in ("_is_tree", "_meet_exactly"):
+            monkeypatch.setattr(mod, name, counted(name, getattr(chordal, name)))
+    monkeypatch.setattr(
+        realize_mod, "verify_realization",
+        counted("verify_realization", realize_mod.verify_realization),
+    )
+    for check in (is_valid_clique_tree, is_clique_path_tree, realize_mod.clique_path_tree_to_host):
+        calls.clear()
+        assert check(g, t)
+        assert calls == {"_is_tree": 1, "_meet_exactly": 1}, check.__name__
 
 
 @settings(max_examples=300, deadline=None)

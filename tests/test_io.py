@@ -129,6 +129,13 @@ def test_graph6_errors():
         parse_graph6("C")  # size says 4, no edge bits
     with pytest.raises(InputError):
         parse_graph6("B" + chr(30))
+    for text, message in (
+        ("Bwxyz", "characters after the edge bits"),
+        ("Bx", "nonzero padding bits"),
+        ("Bw\nBg\n", "more than one graph"),
+    ):
+        with pytest.raises(InputError, match=f"graph6: {message}"):
+            parse_graph6(text)
 
 
 def test_parse_graph_dispatch():
