@@ -536,7 +536,7 @@ def _proven_occurrences(g: Graph, tree: CliqueTree, path: bool) -> list[list[int
     toward it, which is checked not to happen. So the canonically listed
     tree cliques are g's canonical maximal cliques, and g is chordal.
     Conversely every clique (path) tree of g over them passes, so a None
-    already rejects the tree; _name_rejection only finds the error to raise.
+    already rejects the tree; _decided only finds the error to raise.
     """
     cliques = tree.cliques
     occurrences = _tree_occurrences(_graph(g).n, cliques)
@@ -554,39 +554,33 @@ def _proven_occurrences(g: Graph, tree: CliqueTree, path: bool) -> list[list[int
     return occurrences if _meet_exactly(g, map(len, cliques), sizes.values(), nodes_of) else None
 
 
-def _name_rejection(g: Graph, tree: CliqueTree, caller: str, canonical: bool) -> None:
-    """The one search of g for a tree that failed its proof, to raise the
+def _decided(
+    g: Graph, tree: CliqueTree, caller: str, path: bool, canonical: bool
+) -> list[list[int]] | None:
+    """The occurrences of a tree that passes its own proof, with no search
+    (_proven_occurrences); else None, after the one search of g for the
     error the caller owes: a PreconditionError for a hole; an InputError,
     when canonical is set, for cliques that are not g's canonical int
     tuples; else an InputError for a malformed edge over g's cliques."""
-    index, cliques = _checked_index(g, caller), tree.cliques
-    if tuple(cliques) == index.cliques and _tree_occurrences(g.n, cliques) is not None:
-        _is_tree(len(cliques), tree.edges)
-    elif canonical:
-        raise InputError("tree is not over the canonical maximal clique list")
+    occurrences = _proven_occurrences(g, tree, path)
+    if occurrences is None:
+        index, cliques = _checked_index(g, caller), tree.cliques
+        if tuple(cliques) == index.cliques and _tree_occurrences(g.n, cliques) is not None:
+            _is_tree(len(cliques), tree.edges)
+        elif canonical:
+            raise InputError("tree is not over the canonical maximal clique list")
+    return occurrences
 
 
 def is_valid_clique_tree(g: Graph, tree: CliqueTree) -> bool:
-    """Tree on the maximal cliques satisfying the induced-subtree property.
-
-    Decided by the tree's own proof (see _proven_occurrences), with no
-    search; a rejected tree over other cliques is False, and g is searched
-    only for the error a hole or a malformed edge raises.
-    """
-    if _proven_occurrences(g, tree, path=False) is not None:
-        return True
-    _name_rejection(g, tree, "is_valid_clique_tree", canonical=False)
-    return False
+    """Tree on the maximal cliques satisfying the induced-subtree property,
+    decided by its own proof (see _decided); a tree over other cliques is
+    False."""
+    return _decided(g, tree, "is_valid_clique_tree", path=False, canonical=False) is not None
 
 
 def is_clique_path_tree(g: Graph, tree: CliqueTree) -> bool:
-    """True when every vertex's cliques induce a path in the tree.
-
-    The tree must be over exactly maximal_cliques(g) in canonical order.
-    Decided by the tree's own proof (see _proven_occurrences), with no
-    search; g is searched only to raise the error a rejected tree owes.
-    """
-    if _proven_occurrences(g, tree, path=True) is not None:
-        return True
-    _name_rejection(g, tree, "is_clique_path_tree", canonical=True)
-    return False
+    """True when every vertex's cliques induce a path in the tree, which must
+    be over exactly maximal_cliques(g) in canonical order; decided by the
+    tree's own proof (see _decided)."""
+    return _decided(g, tree, "is_clique_path_tree", path=True, canonical=True) is not None

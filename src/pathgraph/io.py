@@ -136,6 +136,8 @@ def parse_graph6(text: str) -> Graph:
         pos = 8
     else:
         raise InputError("graph6: truncated size field")
+    if pos > 1 and n <= (62 if pos == 4 else 258047):  # the shorter form holds n
+        raise InputError(f"graph6: size {n} does not need the long form")
     need = (n * (n - 1) // 2 + 5) // 6
     if len(vals) - pos < need:
         raise InputError("graph6: truncated edge bits")

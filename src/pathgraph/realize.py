@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
-from collections import Counter
+from bisect import bisect_left
+from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Sequence
+from functools import reduce
+from itertools import filterfalse
+from operator import or_
+from typing import Callable, Sequence
 
+from .attach import _nests
 from .chordal import (
     CliqueIndex,
     CliqueTree,
+    _decided,
     _is_tree,
     _meet_exactly,
-    _name_rejection,
-    _proven_occurrences,
     _separator_sizes,
     _tree_adj,
 )
@@ -33,9 +37,11 @@ class HostRealization:
 def realize(g: Graph) -> CliqueTree:
     """A validated clique path tree of a path graph.
 
-    The tree is assembled from the separator reports of recognition, with no
-    recursion and no search; the component trees are bridged, and the result
-    is checked as a clique path tree.
+    The tree is assembled from the separators recognition found, with no
+    recursion and no search: a separator of three or more parts is hung by
+    its report, and one of two parts straight from the clique forest, with
+    no decomposition and no report. The component trees are bridged, and
+    the result is checked as a clique path tree.
     """
     verdict = recognize_path_graph(g)
     if not verdict.is_path_graph:
@@ -46,7 +52,7 @@ def realize(g: Graph) -> CliqueTree:
 def _tree_from(verdict: Verdict) -> CliqueTree:
     """realize from a path verdict, on the clique index it was built on."""
     index = verdict._index
-    edges = _assemble(index, verdict.reports)
+    edges = _assemble(index, verdict._found)
     anchors: list[int] = []
     for _, nodes in index.components:
         if len(nodes) == 2:
@@ -62,120 +68,199 @@ def _tree_from(verdict: Verdict) -> CliqueTree:
     return tree
 
 
+Rank = Callable[[int], tuple]
+
+# the rank of a two-part separator's parts (see _hang), by (one color, part 0
+# under part 1): in one color the dominating part, or the lower one of one
+# class, hangs first; in two colors both hang at the separator
+_PAIR_RANK: dict[tuple[bool, bool], Rank] = {
+    (True, False): ((1, 0), (1, 1)).__getitem__,
+    (True, True): ((1, 1), (1, 0)).__getitem__,
+    (False, False): ((1, 0), (2, 1)).__getitem__,
+}
+
+
 def _assemble(
-    index: CliqueIndex, reports: Sequence[SeparatorReport]
+    index: CliqueIndex, found: Sequence[SeparatorReport | int]
 ) -> set[tuple[int, int]]:
-    """Tree edges of a clique path forest of a path graph, from its separator
-    reports: one tree for each component that has a separator, over the
-    component's cliques, and no edge elsewhere.
+    """Tree edges of a clique path forest of a path graph, from the separators
+    its verdict found: one tree for each component that has a separator,
+    over the component's cliques, and no edge elsewhere. A separator of
+    three or more parts is read off its report; one of two parts, found by
+    its clique index, is read off the clique forest (see two_parts).
 
     Each tree is rooted at its component's first separator. A part D of
-    G - K, for K a clique already placed, is realized at its head H: a
-    relevant clique with D's largest trace, which contains every trace of D.
-    When H is no separator, D is H alone. Otherwise H's parts inside D are
-    realized first, then hung at H together with one more part, the single
-    clique K, which takes the class and color of K's part of G - H: the one
-    holding K - H, of which K is a relevant clique. Each other part of G - H
-    avoids K, so it lies inside D exactly when it has a neighbour in H - K,
-    which lies in D, that is when its traces meet H - K; otherwise all its
-    neighbours lie in K, and it is a part of G - K of its own. That reuses
-    G's report at H inside D: dropping the traces of the part above can make
-    an antipodal pair comparable but never the reverse, and never turns a
-    dominance around. Frames are listed top-down and hung bottom-up, so
-    nothing recurses. Each report is read once: O(parts + the relevant
-    cliques' sizes) per separator.
+    G - K, for K a clique already placed, is realized at its head H: its
+    first relevant clique (in canonical order) with D's largest trace,
+    which contains every trace of D. When H is no separator, D is H alone.
+    Otherwise H's parts inside D are realized first, then hung at H
+    together with one more part, the single clique K, which takes the class
+    and color of K's part of G - H: the one holding K - H, of which K is a
+    relevant clique. Each other part of G - H avoids K, so it lies inside D
+    exactly when it has a neighbour in H - K, which lies in D, that is when
+    its traces meet H - K; otherwise all its neighbours lie in K, and it is
+    a part of G - K of its own. That reuses G's separator at H inside D:
+    dropping the traces of the part above can make an antipodal pair
+    comparable but never the reverse, and never turns a dominance around.
+    Frames are read top-down and hung bottom-up, so nothing recurses. Each
+    report is read once: O(parts + the relevant cliques' sizes) per
+    separator; a two-part separator costs its vertices' clique counts.
     """
-    cliques = index.cliques
-    node_of = {c: i for i, c in enumerate(cliques)}
-    report_at = {node_of[r.decomposition.q]: r for r in reports}
+    edges: set[tuple[int, int]] = set()
+    if not found:
+        return edges
+    cliques, occ, parent, seps, tour = (
+        index.cliques, index.occurrences, index.parent, index.seps, index.tour
+    )
+    pos, end, parts = tour.pos, tour.end, tour.parts
+    report_at = {bisect_left(cliques, r.q): r for r in found if isinstance(r, SeparatorReport)}
+    comp_of = {tour.root[nodes[0]]: comp for comp, nodes in index.components if len(nodes) > 2}
 
-    def frame(h, part=None, k=None, up=None, trace=()):
-        """Separator node h with its parts to realize, for the part of G - K
-        it heads (None at the root), whose result goes to up, and its largest trace."""
+    def wide(h: int, hs: set[int], k: int | None) -> tuple[Rank, list, int | None]:
+        """The rank of each part of G - H by H's report, its parts inside D
+        (all at the root) as (part, head), and K's part."""
         rep = report_at[h]
-        hs = set(cliques[h])
+        m, color = rep.attachedness, rep.coloring.f
+        cls_of = {gi: cid for cid, members in enumerate(m.class_members) for gi in members}
+
+        def rank(i: int) -> tuple[int, int, int, int]:
+            c = cls_of[i]
+            return (color[c], m.up[c].bit_count(), c, i)
+
         gammas = rep.decomposition.gammas
-        results: dict[int, tuple[int, dict[int, int]]] = {}
         kpart = None
-        if part is not None:
+        if k is not None:
             kc = cliques[k]
             kpart = next(gm.index for gm in gammas if kc in gm.relevant_cliques)
-            results[kpart] = (k, dict.fromkeys(trace, k))
             ks = set(kc)
             away = sum(1 << i for i, v in enumerate(cliques[h]) if v not in ks)  # H - K
             gammas = [gm for gm in gammas if gm.index != kpart and any(s & away for s in gm.masks)]
-        return h, rep, hs, gammas, results, kpart, part, up
-
-    # a separator's component is Q plus its parts, so Q or the first part
-    # holds the component's smallest vertex, which names it
-    roots: dict[int, SeparatorReport] = {}
-    for r in reports:
-        roots.setdefault(min(r.q[0], r.decomposition.gammas[0].smallest), r)
-    frames = [frame(node_of[r.q]) for r in roots.values()]
-    for h, _, hs, inside, results, _, _, _ in frames:  # the list grows while read
-        for gm in inside:
+        inside = []
+        for gm in gammas:
             size = max(s.bit_count() for s in gm.masks)
             c = next(c for c in gm.relevant_cliques if len(hs.intersection(c)) == size)
-            head, trace = node_of[c], tuple(filter(hs.__contains__, c))
-            if head in report_at:
-                frames.append(frame(head, gm, h, results, trace))
+            inside.append((gm.index, bisect_left(cliques, c)))
+        return rank, inside, kpart
+
+    def two_parts(h: int, hs: set[int], k: int | None) -> tuple[Rank, list, int | None]:
+        """wide's reading for a separator H of two parts, off the clique
+        forest alone. The parts are the regions beyond the two tree edges
+        whose separator lies in H (the edges tour.parts counts), cut at each
+        other; a region is told by which of the two cut edges' lower
+        subtrees hold its preorder positions. The cliques meeting H, each
+        with its trace mask, are those of H's vertices. A part's traces are
+        its region's masks, and their union is its trace on its edge, held
+        by the edge's far end, so its head is its first clique with the
+        union. Part 0 holds the first vertex of H's component outside H.
+        The rank is _two_part_report's rule: one class if both parts have
+        one and the same trace; else one color if their traces nest one
+        way, the dominating part first; else two colors.
+        """
+        bits: dict[int, int] = {}  # clique -> its trace mask on H
+        bit = 1
+        for v in cliques[h]:
+            for z in occ[v]:
+                bits[z] = bits.get(z, 0) | bit
+            bit <<= 1
+        (a1, b1), (a2, b2) = [
+            (pos[z], end[z]) for z, s in bits.items()
+            if parent[z] >= 0 and len(seps[z]) == (s & bits.get(parent[z], 0)).bit_count()
+        ]
+
+        def region(z: int) -> int:
+            return (a1 <= pos[z] < b1) + 2 * (a2 <= pos[z] < b2)
+
+        traces: dict[int, dict[int, int]] = {}  # region -> mask -> its first clique
+        for z in sorted(bits):
+            if z != h:
+                traces.setdefault(region(z), {}).setdefault(bits[z], z)
+        w = next(filterfalse(hs.__contains__, comp_of[tour.root[h]]))  # least outside H
+        a = traces.pop(region(occ[w][0]))
+        ((second, b),) = traces.items()
+        ua, ub = reduce(or_, a), reduce(or_, b)
+        if len(a) == 1 and a.keys() == b.keys():
+            ab, one = False, True
+        else:
+            ab = bool(ua & ub) and _nests(ua, b)  # part 0 under part 1
+            one = ab or bool(ua & ub) and _nests(ub, a)
+        inside = [(0, a[ua]), (1, b[ub])]
+        kpart = None
+        if k is not None:
+            kpart = int(region(k) == second)
+            del inside[kpart]
+            if not (ub, ua)[kpart] & ~bits[k]:  # the other part's traces miss H - K
+                inside.clear()
+        return _PAIR_RANK[one, ab], inside, kpart
+
+    roots: dict[int, int] = {}  # the first separator of each component
+    for r in found:
+        h = r if isinstance(r, int) else bisect_left(cliques, r.q)
+        roots.setdefault(tour.root[h], h)
+    # (h, K's node, D's largest trace, the frame above's results, D's part there)
+    todo = deque((h, None, (), None, None) for h in roots.values())
+    frames = []
+    while todo:
+        h, k, trace, up, part = todo.popleft()
+        hs = set(cliques[h])
+        rank, inside, kpart = (two_parts if parts[h] == 2 else wide)(h, hs, k)
+        results: dict[int, tuple[int, dict[int, int]]] = {}
+        for i, head in inside:
+            t = tuple(filter(hs.__contains__, cliques[head]))
+            if parts[head] > 1:
+                todo.append((head, h, t, results, i))
             else:
-                results[gm.index] = (head, dict.fromkeys(trace, head))
-    edges: set[tuple[int, int]] = set()
-    for h, rep, _, _, results, kpart, part, up in reversed(frames):
-        hung = _hang(h, rep, results, kpart, edges)
+                results[i] = (head, dict.fromkeys(t, head))
+        frames.append((h, rank, results, kpart, k, trace, up, part))
+    for h, rank, results, kpart, k, trace, up, part in reversed(frames):
+        hung = _hang(h, rank, results, kpart, k, trace, edges)
         if up is not None:
-            up[part.index] = hung
+            up[part] = hung
     return edges
 
 
 def _hang(
     h: int,
-    rep: SeparatorReport,
+    rank: Rank,
     results: dict[int, tuple[int, dict[int, int]]],
     kpart: int | None,
+    k: int | None,
+    trace: tuple[int, ...],
     edges: set[tuple[int, int]],
 ) -> tuple[int, dict[int, int]] | None:
     """Hang the realized parts of the separator at node h, color by color.
 
     results maps a part to its top clique (h's only neighbour in the part's
-    tree) and the far end of each of its trace vertices' paths. Within
-    a color, parts go by number of strict dominators, class id, part index.
-    The coloring is proper on antipodal pairs, so an earlier part sharing a
-    trace vertex with a later one dominates it and holds its whole trace on
-    one path: the later top clique hangs where that path ends so far. A
-    vertex sees at most two colors, so its path leaves h on at most two sides.
+    tree) and the far end of each of its trace vertices' paths; K's part,
+    kpart, is the clique k with trace, its trace on h. rank(part) is its
+    color, then its order within the color: for a report, number of strict
+    dominators, class id, part index. The coloring is proper on antipodal
+    pairs, so an earlier part sharing a trace vertex with a later one
+    dominates it and holds its whole trace on one path: the later top
+    clique hangs where that path ends so far. A vertex sees at most two
+    colors, so its path leaves h on at most two sides.
 
     Returns, for the part of the frame above, the node its clique K hangs at
     and the far end of each of its trace vertices away from K.
     """
-    m = rep.attachedness
-    color = rep.coloring.f
-    cls_of = {gi: cid for cid, members in enumerate(m.class_members) for gi in members}
-
-    def rank(i: int) -> tuple[int, int, int, int]:
-        c = cls_of[i]
-        return (color[c], m.up[c].bit_count(), c, i)
-
-    ends: dict[int, dict[int, int]] = {}  # v -> color -> where v's path ends
+    ends: dict[int, dict[int, int]] = {}  # color -> v -> where v's path ends
     top = h
-    for i in sorted(results, key=rank):
-        first, far = results[i]
-        side = color[cls_of[i]]
-        at = ends.get(next(iter(far)), {}).get(side, h)
+    for i in sorted([*results, kpart] if k is not None else results, key=rank):
+        side = rank(i)[0]
         if i == kpart:
-            top = at
+            far = dict.fromkeys(trace, k)
+            top = ends.get(side, {}).get(trace[0], h)
         else:
-            edges.add(_norm_edge(at, first))
-        for v, end in far.items():
-            ends.setdefault(v, {})[side] = end
-    if kpart is None:
+            first, far = results[i]
+            edges.add(_norm_edge(ends.get(side, {}).get(next(iter(far)), h), first))
+        ends.setdefault(side, {}).update(far)
+    if k is None:
         return None
-    side = color[cls_of[kpart]]
-    return top, {
-        v: next((end for s, end in ends[v].items() if s != side), h)
-        for v in results[kpart][1]
-    }
+    side = rank(kpart)[0]
+    far = dict.fromkeys(trace, h)
+    for s, at_end in ends.items():
+        if s != side:  # the vertex's one other color, if any
+            far.update({v: at_end[v] for v in at_end.keys() & far.keys()})
+    return top, far
 
 
 def clique_path_tree_to_host(g: Graph, t: CliqueTree) -> HostRealization:
@@ -186,11 +271,10 @@ def clique_path_tree_to_host(g: Graph, t: CliqueTree) -> HostRealization:
     the host read off it, with no search; g is searched only to raise the
     error a rejected tree owes.
     """
-    occurrences = _proven_occurrences(g, t, path=True)
-    if occurrences is not None:
-        return _host_paths(occurrences, t)
-    _name_rejection(g, t, "clique_path_tree_to_host", canonical=True)
-    raise PreconditionError("clique_path_tree_to_host requires a clique path tree")
+    occurrences = _decided(g, t, "clique_path_tree_to_host", path=True, canonical=True)
+    if occurrences is None:
+        raise PreconditionError("clique_path_tree_to_host requires a clique path tree")
+    return _host_paths(occurrences, t)
 
 
 def _host_paths(occurrences: Sequence[Sequence[int]], t: CliqueTree) -> HostRealization:

@@ -30,6 +30,7 @@ from pathgraph.graphs import (
     VertexSet,
     _graph,
     _int_vset,
+    _norm_edge,
     vset,
 )
 from pathgraph.obstructions import ObstructionPattern, refutation_to_obstruction
@@ -971,3 +972,92 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, VertexSe
     )
     labels = tuple(g.label(old) for old in idmap) if g.labels is not None else None
     return Graph(len(idmap), adj, labels), idmap
+
+
+def tree_by_reports(verdict) -> frozenset[tuple[int, int]]:
+    """The tree edges realize assembled from every separator report of a path
+    verdict, two-part reports included: each component's forest rooted at
+    its first separator, each part hung at its head (its first relevant
+    clique holding its largest trace) by the report's classes, colors and
+    dominators, two-clique components joined and the components bridged at
+    their first cliques."""
+    index = verdict._index
+    edges = _assemble_by_reports(index, verdict.reports)
+    anchors = []
+    for _, nodes in index.components:
+        if len(nodes) == 2:
+            edges.add((nodes[0], nodes[1]))
+        anchors.append(nodes[0])
+    edges.update(zip(anchors, anchors[1:]))
+    return frozenset(edges)
+
+
+def _assemble_by_reports(index, reports):
+    cliques = index.cliques
+    node_of = {c: i for i, c in enumerate(cliques)}
+    report_at = {node_of[r.decomposition.q]: r for r in reports}
+
+    def frame(h, part=None, k=None, up=None, trace=()):
+        rep = report_at[h]
+        hs = set(cliques[h])
+        gammas = rep.decomposition.gammas
+        results = {}
+        kpart = None
+        if part is not None:
+            kc = cliques[k]
+            kpart = next(gm.index for gm in gammas if kc in gm.relevant_cliques)
+            results[kpart] = (k, dict.fromkeys(trace, k))
+            ks = set(kc)
+            away = sum(1 << i for i, v in enumerate(cliques[h]) if v not in ks)
+            gammas = [gm for gm in gammas if gm.index != kpart and any(s & away for s in gm.masks)]
+        return h, rep, hs, gammas, results, kpart, part, up
+
+    roots = {}
+    for r in reports:
+        roots.setdefault(min(r.q[0], r.decomposition.gammas[0].smallest), r)
+    frames = [frame(node_of[r.q]) for r in roots.values()]
+    for h, _, hs, inside, results, _, _, _ in frames:
+        for gm in inside:
+            size = max(s.bit_count() for s in gm.masks)
+            c = next(c for c in gm.relevant_cliques if len(hs.intersection(c)) == size)
+            head, trace = node_of[c], tuple(filter(hs.__contains__, c))
+            if head in report_at:
+                frames.append(frame(head, gm, h, results, trace))
+            else:
+                results[gm.index] = (head, dict.fromkeys(trace, head))
+    edges = set()
+    for h, rep, _, _, results, kpart, part, up in reversed(frames):
+        hung = _hang_by_report(h, rep, results, kpart, edges)
+        if up is not None:
+            up[part.index] = hung
+    return edges
+
+
+def _hang_by_report(h, rep, results, kpart, edges):
+    m = rep.attachedness
+    color = rep.coloring.f
+    cls_of = {gi: cid for cid, members in enumerate(m.class_members) for gi in members}
+
+    def rank(i):
+        c = cls_of[i]
+        return (color[c], m.up[c].bit_count(), c, i)
+
+    ends = {}
+    top = h
+    for i in sorted(results, key=rank):
+        first, far = results[i]
+        side = color[cls_of[i]]
+        at = ends.get(next(iter(far)), {}).get(side, h)
+        if i == kpart:
+            top = at
+        else:
+            edges.add(_norm_edge(at, first))
+        for v, end in far.items():
+            ends.setdefault(v, {})[side] = end
+    if kpart is None:
+        return None
+    side = color[cls_of[kpart]]
+    return top, {
+        v: next((end for s, end in ends[v].items() if s != side), h)
+        for v in results[kpart][1]
+    }

@@ -25,7 +25,7 @@ TEST_ONLY = {
     "attached", "dominates", "antipodal", "induced_subgraph",
     "INDUCED_SEARCH_MAX_HOST", "STRONG_COLORING_MAX_CLASSES", "full_antipodal_triple",
     "reports_by_eager_scan", "index_by_edge_moves", "mcs_by_buckets",
-    "parts_by_intersection",
+    "parts_by_intersection", "tree_by_reports",
 }
 
 

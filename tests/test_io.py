@@ -117,9 +117,10 @@ def test_graph6_round_trips():
         g = gen_chordal(4 + seed % 9, seed)
         back = parse_graph6(emit_graph6(g))
         assert (back.n, back.edges()) == (g.n, g.edges())
-    big = Graph.from_edges(70, [(i, i + 1) for i in range(69)])
-    back = parse_graph6(emit_graph6(big))
-    assert (back.n, back.edges()) == (big.n, big.edges())
+    for n in (62, 63, 70):  # the last size of the one-byte form and past it
+        big = Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+        back = parse_graph6(emit_graph6(big))
+        assert (back.n, back.edges()) == (big.n, big.edges())
 
 
 def test_graph6_errors():
@@ -133,9 +134,18 @@ def test_graph6_errors():
         ("Bwxyz", "characters after the edge bits"),
         ("Bx", "nonzero padding bits"),
         ("Bw\nBg\n", "more than one graph"),
+        ("~??Bw", "size 3 does not need the long form"),
+        ("~~?????Bw", "size 3 does not need the long form"),
+        ("~~" + _long_size(258047), "size 258047 does not need the long form"),
+        ("~~" + _long_size(258048), "truncated edge bits"),
     ):
         with pytest.raises(InputError, match=f"graph6: {message}"):
             parse_graph6(text)
+
+
+def _long_size(n):
+    """The six characters of graph6's eight-byte size field after its ~~."""
+    return "".join(chr((n >> k & 63) + 63) for k in (30, 24, 18, 12, 6, 0))
 
 
 def test_parse_graph_dispatch():

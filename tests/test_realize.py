@@ -1,15 +1,25 @@
 import random
+from functools import reduce
+from operator import or_
 
 import pytest
 
 import _brute
-from pathgraph import oracle
-from pathgraph.chordal import CliqueTree, HoleCertificate, _index_or_hole, is_clique_path_tree
+from make_certify_golden import _path, corpus
+from pathgraph import decompose, oracle, recognize
+from pathgraph.chordal import (
+    CliqueTree,
+    HoleCertificate,
+    _index_or_hole,
+    _tree_adj,
+    is_clique_path_tree,
+)
 from pathgraph.errors import InputError, PreconditionError
-from pathgraph.generate import gen_path_graph
+from pathgraph.generate import gen_chordal, gen_path_graph
 from pathgraph.graphs import Graph
 from pathgraph.realize import (
     HostRealization,
+    _tree_from,
     clique_path_tree_to_host,
     realize,
     verify_realization,
@@ -244,3 +254,92 @@ def test_parts_of_g_minus_h_are_placed_by_relevant_cliques_and_traces(
                     assert all(set(d).issuperset(h_parts[i][0]) for i in touching), name
                     triples += 1
     assert triples > 150000
+
+
+def _assert_boundary_edge_facts(index, qi):
+    """At a two-part separator Q, each part's traces have a union that is one
+    of them, and that union is the separator of the part's boundary edge:
+    of the two tree edges whose separator lies in Q, the one that leaves the
+    part's region toward Q."""
+    q, parent, seps = index.cliques[qi], index.parent, index.seps
+    cut = {(z, parent[z]) for z in range(len(parent)) if parent[z] >= 0 and seps[z] <= set(q)}
+    assert len(cut) == 2
+    adj = _tree_adj(len(parent), {(z, p) for z, p in enumerate(parent) if p >= 0} - cut)
+    for gm in decompose._decomposition(index, qi).gammas:
+        union = reduce(or_, gm.masks)
+        assert union in gm.masks
+        region = _region(adj, index.cliques.index(gm.relevant_cliques[0]))
+        leaving = [e for e in cut if (e[0] in region) != (e[1] in region)]
+        (z, p), *_ = sorted(leaving, key=lambda e: qi not in e)
+        assert seps[z] == {v for i, v in enumerate(q) if union >> i & 1}
+        assert set(index.cliques[z if z in region else p]) & set(q) == seps[z]
+
+
+def _region(adj, x):
+    """The nodes reachable from x in a forest given by its adjacency lists."""
+    seen, todo = {x}, [x]
+    while todo:
+        for y in adj[todo.pop()]:
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return seen
+
+
+def test_realize_assembles_the_tree_of_every_separator_report(mixed_graphs):
+    cases = [(name, g) for name, g, _ in corpus()]
+    cases += [(f"gen_path_graph({n},{n},{s})", gen_path_graph(n, n, s)[0])
+              for n in (10, 40, 80) for s in range(10)]
+    cases += [(f"gen_chordal({4 + s % 40},{s})", gen_chordal(4 + s % 40, s)) for s in range(200)]
+    cases += [(name, g) for name, g in mixed_graphs if name.startswith("union-")]
+    cases += [(f"P_{n}", _path(n)) for n in range(2, 61)]
+    members = two_part = 0
+    for name, g in cases:
+        verdict = recognize_path_graph(g)
+        if not verdict.is_path_graph:
+            continue
+        assert realize(g).edges == _brute.tree_by_reports(verdict), name
+        for qi in verdict._found:
+            if isinstance(qi, int):
+                _assert_boundary_edge_facts(verdict._index, qi)
+                two_part += 1
+        members += 1
+    assert members > 500 and two_part > 2500
+
+
+@pytest.fixture
+def decomposed(monkeypatch):
+    """The clique index of each separator decomposed from here on, by
+    whatever module calls the decomposition."""
+    seen = []
+    real = decompose._decomposition
+
+    def counted(index, qi):
+        seen.append(qi)
+        return real(index, qi)
+
+    monkeypatch.setattr(decompose, "_decomposition", counted)
+    monkeypatch.setattr(recognize, "_decomposition", counted)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "g", [_path(500), gen_path_graph(80, 80, 0)[0]], ids=["P_500", "gen_path_graph(80,80,0)"]
+)
+def test_two_part_separators_are_realized_without_a_decomposition(decomposed, g):
+    verdict = recognize_path_graph(g)
+    assert verdict._found and all(isinstance(r, int) for r in verdict._found)
+    tree = _tree_from(verdict)
+    assert decomposed == [] and "reports" not in verdict.__dict__
+    assert is_clique_path_tree(g, tree)
+
+
+def test_realize_decomposes_only_the_separators_of_three_or_more_parts(decomposed):
+    g = gen_path_graph(80, 80, 1)[0]
+    verdict = recognize_path_graph(g)
+    parts = verdict._index.tour.parts
+    wide = [qi for qi, k in enumerate(parts) if k > 2]
+    assert wide and any(k == 2 for k in parts)
+    assert sorted(decomposed) == wide
+    _tree_from(verdict)
+    assert sorted(decomposed) == wide and "reports" not in verdict.__dict__
