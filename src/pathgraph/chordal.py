@@ -398,6 +398,23 @@ def _tree_adj(c: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
     return adj
 
 
+def _preorder(c: int, edges: Iterable[tuple[int, int]]) -> tuple[list[int], list[int]]:
+    """The nodes of a tree on nodes 0..c-1 in the preorder of one
+    depth-first search from node 0, and each node's parent (-1 at the
+    root)."""
+    adj = _tree_adj(c, edges)
+    order, parent = [], [-1] * c
+    stack = [0] if c else []
+    while stack:
+        x = stack.pop()
+        order.append(x)
+        for w in adj[x]:
+            if w != parent[x]:
+                parent[w] = x
+                stack.append(w)
+    return order, parent
+
+
 def _is_tree(c: int, edges: frozenset[tuple[int, int]]) -> bool:
     """Whether edges form a tree on nodes 0..c-1.
 

@@ -17,6 +17,7 @@ from .chordal import (
     _decided,
     _is_tree,
     _meet_exactly,
+    _preorder,
     _separator_sizes,
     _tree_adj,
 )
@@ -279,25 +280,30 @@ def clique_path_tree_to_host(g: Graph, t: CliqueTree) -> HostRealization:
 
 def _host_paths(occurrences: Sequence[Sequence[int]], t: CliqueTree) -> HostRealization:
     """The host of a clique path tree, each vertex's path read off its
-    occurrences, unchecked."""
+    occurrences (increasing), unchecked.
+
+    One depth-first search roots the tree at node 0 (_preorder). A path's
+    nodes in preorder are its top node, then the chain down from one child
+    of the top, then the chain down from the other child, if any, which
+    begins at the next node whose parent is the top. Each path is laid out
+    end to top to end and starts at its smaller end.
+    """
     c = len(t.cliques)
-    adj = _tree_adj(c, t.edges)
+    order, parent = _preorder(c, t.edges)
+    pre = [0] * c
+    for i, x in enumerate(order):
+        pre[x] = i
     paths = []
     for nodes in occurrences:
-        if len(nodes) == 1:
+        if len(nodes) < 3:  # listed in increasing order, so from the smaller end
             paths.append(tuple(nodes))
             continue
-        inside = set(nodes)
-        # start from the smaller end, the first node with one neighbor on the
-        # path, and step to the one neighbor not yet walked
-        at = next(u for u in nodes if len(inside.intersection(adj[u])) == 1)
-        seq = [at]
-        inside.discard(at)
-        while inside:
-            (at,) = inside.intersection(adj[at])
-            inside.discard(at)
-            seq.append(at)
-        paths.append(tuple(seq))
+        seq = sorted(nodes, key=pre.__getitem__)
+        top = seq[0]
+        # the second chain starts at the top's second child, else past the end
+        i = [*map(parent.__getitem__, seq[2:]), top].index(top) + 2
+        line = seq[i - 1 : 0 : -1] + seq[:1] + seq[i:]
+        paths.append(tuple(line if line[0] <= line[-1] else reversed(line)))
     return HostRealization(host_n=max(c, 1), host_edges=frozenset(t.edges), paths=tuple(paths))
 
 

@@ -23,6 +23,7 @@ from pathgraph.chordal import (
 from pathgraph.coloring import Refutation, _full_triple, _weak_coloring, skeleton
 from pathgraph.decompose import Decomposition, GammaComponent, _decomposition, _separators
 from pathgraph.errors import GuardRefusal, InputError, InvariantError
+from pathgraph.generate import SplitMix64, _random_tree
 from pathgraph.graphs import (
     MAX_VERTICES,
     EdgeColoredGraph,
@@ -31,9 +32,11 @@ from pathgraph.graphs import (
     _graph,
     _int_vset,
     _norm_edge,
+    is_connected,
     vset,
 )
 from pathgraph.obstructions import ObstructionPattern, refutation_to_obstruction
+from pathgraph.realize import HostRealization
 from pathgraph.recognize import SeparatorReport, _two_part_report
 
 
@@ -143,6 +146,91 @@ def pruefer_decode_by_heap(seq, c):
     v = heapq.heappop(leaves)
     edges.append((u, v) if u < v else (v, u))
     return edges
+
+
+def tree_path_by_search(adj, a, b):
+    """The tree path from a to b, by a breadth-first search of the whole
+    tree from a."""
+    parent = {a: -1}
+    queue = [a]
+    while queue:
+        nxt = []
+        for u in queue:
+            for w in adj[u]:
+                if w not in parent:
+                    parent[w] = u
+                    nxt.append(w)
+        queue = nxt
+    path = [b]
+    while path[-1] != a:
+        path.append(parent[path[-1]])
+    path.reverse()
+    return path
+
+
+def intersection_graph_by_pairs(n, node_sets):
+    """The intersection graph of n node sets, every pair tested."""
+    edges = [
+        (u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if node_sets[u] & node_sets[v]
+    ]
+    return Graph.from_edges(n, edges)
+
+
+def path_graph_samples(n_tree_nodes, n_paths, seed):
+    """gen_path_graph's samples, one per try, on its random draws: each
+    path found by a search of the tree, the graph by pairs."""
+    rng = SplitMix64(seed)
+    while True:
+        edges = _random_tree(rng, n_tree_nodes)
+        adj = _tree_adj(n_tree_nodes, edges)
+        paths = []
+        for _ in range(n_paths):
+            a = rng.randrange(n_tree_nodes)
+            b = rng.randrange(n_tree_nodes)
+            paths.append(tree_path_by_search(adj, a, b))
+        g = intersection_graph_by_pairs(n_paths, [set(p) for p in paths])
+        host = HostRealization(
+            host_n=n_tree_nodes,
+            host_edges=frozenset(_norm_edge(a, b) for a, b in edges),
+            paths=tuple(tuple(p) for p in paths),
+        )
+        yield g, host
+
+
+def chordal_samples(n, seed):
+    """gen_chordal's samples, one per try, on its random draws, the graph
+    by pairs."""
+    rng = SplitMix64(seed)
+    while True:
+        adj = _tree_adj(n, _random_tree(rng, n))
+        subtrees = []
+        for _ in range(n):
+            size = 1 + rng.randrange(n)
+            start = rng.randrange(n)
+            nodes = {start}
+            frontier = list(adj[start])
+            while len(nodes) < size and frontier:
+                pick = frontier.pop(rng.randrange(len(frontier)))
+                if pick in nodes:
+                    continue
+                nodes.add(pick)
+                frontier += [w for w in adj[pick] if w not in nodes]
+            subtrees.append(nodes)
+        yield intersection_graph_by_pairs(n, subtrees)
+
+
+def gen_path_graph_by_search(n_tree_nodes, n_paths, seed):
+    """gen_path_graph's graph and host: its first connected sample."""
+    tries = itertools.islice(path_graph_samples(n_tree_nodes, n_paths, seed), 64)
+    return next(sample for sample in tries if is_connected(sample[0]))
+
+
+def gen_chordal_by_pairs(n, seed):
+    """gen_chordal's graph: its first connected sample."""
+    return next(g for g in itertools.islice(chordal_samples(n, seed), 64) if is_connected(g))
 
 
 def all_paths_by_walk(edges, masks):
@@ -718,6 +806,30 @@ def host_by_search(g, t):
     if not verify_realization(g, host):
         raise InvariantError("host realization does not reproduce the graph")
     return host
+
+
+def host_paths_by_steps(occurrences, t):
+    """realize._host_paths by stepping along each vertex's path from its
+    smaller end, one set intersection per node."""
+    c = len(t.cliques)
+    adj = _tree_adj(c, t.edges)
+    paths = []
+    for nodes in occurrences:
+        if len(nodes) == 1:
+            paths.append(tuple(nodes))
+            continue
+        inside = set(nodes)
+        # start from the smaller end, the first node with one neighbor on the
+        # path, and step to the one neighbor not yet walked
+        at = next(u for u in nodes if len(inside.intersection(adj[u])) == 1)
+        seq = [at]
+        inside.discard(at)
+        while inside:
+            (at,) = inside.intersection(adj[at])
+            inside.discard(at)
+            seq.append(at)
+        paths.append(tuple(seq))
+    return HostRealization(host_n=max(c, 1), host_edges=frozenset(t.edges), paths=tuple(paths))
 
 
 def skeleton_by_pairs(m):

@@ -259,6 +259,15 @@ def test_gen_size_zero_is_an_input_error(capsys, kind):
     assert "error" in err
 
 
+@pytest.mark.parametrize("kind", ["path", "chordal", "k4hub"])
+def test_gen_past_the_vertex_limit_is_refused_up_front(capsys, kind):
+    # k4hub --n t has 2t - 1 vertices, so this size is past the limit for all
+    code, out, err = run(capsys, "gen", "--kind", kind, "--n", str(MAX_VERTICES + 1))
+    assert code == 2
+    assert out == ""
+    assert "too large" in err
+
+
 def test_gen_path_includes_its_host(capsys):
     code, out, _ = run(
         capsys, "gen", "--kind", "path", "--n", "6", "--seed", "2", "--json"

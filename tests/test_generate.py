@@ -6,7 +6,7 @@ import _brute
 from pathgraph.chordal import is_chordal
 from pathgraph.errors import InputError
 from pathgraph.generate import SplitMix64, gen_chordal, gen_path_graph, k4_hub
-from pathgraph.graphs import is_connected
+from pathgraph.graphs import MAX_VERTICES, Graph, is_connected
 from pathgraph.obstructions import build_family
 from pathgraph.oracle import _decode_pruefer
 from pathgraph.realize import verify_realization
@@ -91,6 +91,54 @@ def test_generator_input_errors():
         gen_path_graph(0, 3, 1)
     with pytest.raises(InputError):
         gen_path_graph(3, 0, 1)
+
+
+# (tree nodes, paths): sizes 1 and 2, more nodes than paths and fewer
+PATH_GRID = [(1, 1), (1, 2), (2, 1), (2, 2), (5, 1), (1, 6), (7, 3), (3, 9), (12, 12),
+             (30, 10), (10, 30), (60, 60)]
+
+
+def test_gen_path_graph_equals_the_reference():
+    for (nodes, paths), seed in itertools.product(PATH_GRID, range(12)):
+        want = _brute.gen_path_graph_by_search(nodes, paths, seed)
+        assert gen_path_graph(nodes, paths, seed) == want, (nodes, paths, seed)
+
+
+def test_gen_path_graph_resamples_as_the_reference_does():
+    # this seed's first sample is disconnected, so the graph is a later one
+    first = next(_brute.path_graph_samples(20, 5, 1))
+    assert not is_connected(first[0])
+    assert gen_path_graph(20, 5, 1) == _brute.gen_path_graph_by_search(20, 5, 1) != first
+
+
+def test_gen_chordal_equals_the_reference():
+    for n, seed in itertools.product((1, 2, 3, 5, 8, 13, 21, 40), range(12)):
+        assert gen_chordal(n, seed) == _brute.gen_chordal_by_pairs(n, seed), (n, seed)
+
+
+def test_gen_path_graph_builds_no_edge_list(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("Graph.from_edges called")
+
+    monkeypatch.setattr(Graph, "from_edges", staticmethod(refuse))
+    for s in range(3):
+        assert gen_path_graph(300, 300, s)[0].n == 300
+    assert gen_chordal(60, 1).n == 60
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: gen_path_graph(MAX_VERTICES + 1, 3, 1),
+        lambda: gen_path_graph(3, MAX_VERTICES + 1, 1),
+        lambda: gen_chordal(MAX_VERTICES + 1, 1),
+        lambda: k4_hub(MAX_VERTICES // 2 + 1),  # 2t - 1 vertices
+    ],
+    ids=["path_tree_nodes", "path_paths", "chordal", "k4_hub"],
+)
+def test_oversized_generators_refuse_before_any_work(make):
+    with pytest.raises(InputError, match="too large"):
+        make()
 
 
 def test_k4_hub_shape():

@@ -25,7 +25,9 @@ TEST_ONLY = {
     "attached", "dominates", "antipodal", "induced_subgraph",
     "INDUCED_SEARCH_MAX_HOST", "STRONG_COLORING_MAX_CLASSES", "full_antipodal_triple",
     "reports_by_eager_scan", "index_by_edge_moves", "mcs_by_buckets",
-    "parts_by_intersection", "tree_by_reports",
+    "parts_by_intersection", "tree_by_reports", "tree_path_by_search",
+    "intersection_graph_by_pairs", "path_graph_samples", "chordal_samples",
+    "gen_path_graph_by_search", "gen_chordal_by_pairs", "host_paths_by_steps",
 }
 
 

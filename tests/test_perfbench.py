@@ -4,7 +4,8 @@ Each workload in perfbench/workloads.py runs and checks its smallest member
 and, where it has one, its smallest non-member, so an API change that breaks
 the harness (a renamed report field, a changed positional signature) fails
 here instead of in a benchmark run. The harness files are only imported,
-except for one short traced run of run.py in a subprocess.
+except for one short traced run of run.py in a subprocess. Each workload's
+inputs must also match the digest recorded in corpus.json.
 """
 
 import importlib
@@ -44,6 +45,15 @@ def test_workload_runs_and_checks_its_smallest_cases(harness, tmp_path, name):
         res = w.check(pg, inst, w.run(pg, inst))
         assert res.correct and not res.failed, (inst.name, res.notes)
         assert res.valid == res.emitted, inst.name
+
+
+@pytest.mark.parametrize("name", WORKLOAD_NAMES)
+def test_workload_inputs_match_the_recorded_digests(harness, name):
+    # the generators' output is pinned by corpus.json, which run.py checks
+    # before it measures anything
+    workloads, pg = harness
+    want = workloads.load_corpus()["digests"][name]
+    assert workloads.digest(workloads.WORKLOADS[name].base(pg)) == want
 
 
 def test_traced_run_wraps_the_api_and_checks_out():

@@ -10,6 +10,7 @@ from pathgraph import decompose, oracle, recognize
 from pathgraph.chordal import (
     CliqueTree,
     HoleCertificate,
+    _decided,
     _index_or_hole,
     _tree_adj,
     is_clique_path_tree,
@@ -92,6 +93,24 @@ def test_realization_on_corpus(chordal_corpus):
         assert verify_realization(g, host)
         realized += 1
     assert realized > 250
+
+
+def test_host_paths_match_the_stepping_walk(mixed_graphs):
+    cases = [(name, g) for name, g, _ in corpus()]
+    cases += [(f"gen_path_graph({n},{n},1)", gen_path_graph(n, n, 1)[0]) for n in (200, 400, 800, 1600)]
+    cases += [(f"P_{n}", _path(n)) for n in range(2, 61)]
+    cases += [(name, g) for name, g in mixed_graphs if name.startswith("union-")]
+    members = unions = 0
+    for name, g in cases:
+        if not recognize_path_graph(g).is_path_graph:
+            continue
+        tree = realize(g)
+        occurrences = _decided(g, tree, "test", path=True, canonical=True)
+        want = _brute.host_paths_by_steps(occurrences, tree)
+        assert clique_path_tree_to_host(g, tree) == want, name
+        members += 1
+        unions += name.startswith("union-")
+    assert members > 300 and unions > 10
 
 
 def test_host_requires_a_path_tree(k4hub):
