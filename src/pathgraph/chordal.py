@@ -451,25 +451,27 @@ def _separator_links(
     separator size. In a tree, a vertex's links are the edges of the forest
     its cliques induce, so they number one less than its cliques exactly when
     that forest is a subtree, and the subtree is a path exactly when no node
-    has the vertex in three incident separators. Work: the cliques' sizes
-    plus the separators' sizes.
+    has the vertex in three incident separators. Only a node of three or
+    more tree edges keeps its clique's set, and counts how many of its
+    separators hold each vertex; another node's set is made again for each
+    of its one or two edges. Work: the cliques' sizes plus the separators'
+    sizes.
     """
-    sets = [set(c) for c in cliques]
+    degree = Counter(chain.from_iterable(edges))
+    hubs = {x: set(cliques[x]) for x, d in degree.items() if d > 2}
+    held: dict[int, Counter[int]] = {x: Counter() for x in hubs}
     links: Counter[int] = Counter()
-    incident: list[list[set[int]]] = [[] for _ in cliques]
     sizes: dict[tuple[int, int], int] = {}
     for e in edges:
         i, j = e
-        s = sets[i] & sets[j]
+        s = (hubs.get(i) or set(cliques[i])).intersection(hubs.get(j) or cliques[j])
         links.update(s)
-        incident[i].append(s)
-        incident[j].append(s)
         sizes[e] = len(s)
-    branching: set[int] = set()
-    for seps in incident:
-        if len(seps) > 2:
-            seen = Counter(chain.from_iterable(seps))
-            branching.update(v for v, k in seen.items() if k > 2)
+        if i in held:
+            held[i].update(s)
+        if j in held:
+            held[j].update(s)
+    branching = {v for seen in held.values() for v, k in seen.items() if k > 2}
     return links, branching, sizes
 
 

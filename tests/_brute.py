@@ -724,6 +724,82 @@ def parse_edgelist_reference(text: str) -> Graph:
     return Graph.from_edges(n, sorted(set(edges)))
 
 
+def parse_graph6_reference(text: str) -> Graph:
+    """One graph6 string decoded one bit and one vertex pair at a time."""
+    s = text.strip()
+    if s.startswith(">>graph6<<"):
+        s = s[len(">>graph6<<"):].strip()
+    if not s:
+        raise InputError("empty graph6 input")
+    lines = [line for line in map(str.strip, s.splitlines()) if line]
+    if len(lines) > 1:
+        raise InputError("graph6: more than one graph")
+    s = lines[0]
+    vals = []
+    for ch in s:
+        v = ord(ch) - 63
+        if not 0 <= v < 64:
+            raise InputError(f"graph6: invalid character {ch!r}")
+        vals.append(v)
+    pos = 0
+    if vals[0] < 63:
+        n = vals[0]
+        pos = 1
+    elif len(vals) >= 4 and vals[1] < 63:
+        n = (vals[1] << 12) | (vals[2] << 6) | vals[3]
+        pos = 4
+    elif len(vals) >= 8:
+        n = 0
+        for v in vals[2:8]:
+            n = (n << 6) | v
+        pos = 8
+    else:
+        raise InputError("graph6: truncated size field")
+    if pos > 1 and n <= (62 if pos == 4 else 258047):  # the shorter form holds n
+        raise InputError(f"graph6: size {n} does not need the long form")
+    need = (n * (n - 1) // 2 + 5) // 6
+    if len(vals) - pos < need:
+        raise InputError("graph6: truncated edge bits")
+    if len(vals) - pos > need:
+        raise InputError("graph6: characters after the edge bits")
+    if need and vals[-1] & ((1 << (6 * need - n * (n - 1) // 2)) - 1):
+        raise InputError("graph6: nonzero padding bits")
+    bits = []
+    for v in vals[pos:pos + need]:
+        for k in range(5, -1, -1):
+            bits.append((v >> k) & 1)
+    edges = []
+    idx = 0
+    for j in range(1, n):
+        for i in range(j):
+            if bits[idx]:
+                edges.append((i, j))
+            idx += 1
+    return Graph.from_edges(n, edges)
+
+
+def separator_links_by_incidence(cliques, edges):
+    """chordal._separator_links keeping a set per clique and every node's
+    incident separators."""
+    sets = [set(c) for c in cliques]
+    links = Counter()
+    incident = [[] for _ in cliques]
+    sizes = {}
+    for e in edges:
+        i, j = e
+        s = sets[i] & sets[j]
+        links.update(s)
+        incident[i].append(s)
+        incident[j].append(s)
+        sizes[e] = len(s)
+    branching = set()
+    for seps in incident:
+        if len(seps) > 2:
+            seen = Counter(itertools.chain.from_iterable(seps))
+            branching.update(v for v, k in seen.items() if k > 2)
+    return links, branching, sizes
+
+
 def clique_degrees_reference(index, edges):
     """Per vertex, the degree of each of its cliques within the part of the tree
     its cliques induce: each (vertex, clique) pair walks the clique's tree

@@ -425,6 +425,27 @@ def _tree_mutations(g, t, rng):
             break
 
 
+def test_separator_links_match_the_incidence_reference(mixed_graphs):
+    # the search's tree, a random tree and a star over each graph's cliques
+    rng = random.Random(20261020)
+    hubs = 0
+    for name, g in mixed_graphs:
+        t = _realized_or_searched_tree(g)
+        if t is None:
+            continue
+        c = len(t.cliques)
+        trees = [
+            t.edges,
+            frozenset((rng.randrange(x), x) for x in range(1, c)),
+            frozenset((0, x) for x in range(1, c)),
+        ]
+        for edges in trees:
+            got = chordal._separator_links(t.cliques, edges)
+            assert got == _brute.separator_links_by_incidence(t.cliques, edges), name
+            hubs += bool(got[1])
+    assert hubs > 0
+
+
 def _outcome(check, g, tree):
     try:
         return check(g, tree)

@@ -13,7 +13,7 @@ from pathgraph.attach import quotient
 from pathgraph.cli import main
 from pathgraph.decompose import gamma_components
 from pathgraph.errors import InputError
-from pathgraph.generate import gen_chordal, k4_hub
+from pathgraph.generate import gen_chordal, gen_path_graph, k4_hub
 from pathgraph.graphs import EdgeColoredGraph, Graph
 from pathgraph.io import (
     emit_dot,
@@ -32,7 +32,7 @@ from pathgraph.obstructions import W0, build_family
 from pathgraph.realize import clique_path_tree_to_host, realize
 from pathgraph.recognize import recognize_directed_path_graph, recognize_path_graph
 
-from _brute import emit_verdict_reference, parse_edgelist_reference
+from _brute import emit_verdict_reference, parse_edgelist_reference, parse_graph6_reference
 from conftest import WORKED8_EDGES
 from make_certify_golden import corpus
 
@@ -113,14 +113,14 @@ def test_graph6_frozen_strings():
 
 
 def test_graph6_round_trips():
-    for seed in range(40):
-        g = gen_chordal(4 + seed % 9, seed)
-        back = parse_graph6(emit_graph6(g))
-        assert (back.n, back.edges()) == (g.n, g.edges())
-    for n in (62, 63, 70):  # the last size of the one-byte form and past it
-        big = Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-        back = parse_graph6(emit_graph6(big))
-        assert (back.n, back.edges()) == (big.n, big.edges())
+    graphs = [gen_chordal(4 + seed % 9, seed) for seed in range(40)]
+    # the last size of the one-byte form and past it
+    graphs += [Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)]) for n in (62, 63, 70)]
+    graphs += [gen_path_graph(n, n, 1)[0] for n in (1, 2, 5, 40, 200)]
+    graphs += [Graph.from_edges(n, []) for n in (0, 1, 7)] + [K3]
+    for g in graphs:
+        text = emit_graph6(g)
+        assert parse_graph6(text) == parse_graph6_reference(text) == g
 
 
 def test_graph6_errors():
@@ -141,6 +141,7 @@ def test_graph6_errors():
     ):
         with pytest.raises(InputError, match=f"graph6: {message}"):
             parse_graph6(text)
+        assert _parsed(parse_graph6, text) == _parsed(parse_graph6_reference, text)
 
 
 def _long_size(n):
@@ -439,12 +440,41 @@ def _parsed(parse, text):
         "p 4000001",
         "0 1\n3999999 4000000",
         "p 4000000\n0 4000000",
+        # plain texts, read in bulk ("p 0\n" is above)
+        "p 3\n",
+        "p 3\n0 1\n1 0\n0 1\n",
+        "p 3\n2 2\n",
+        "p 3\n0 3\n",
+        "0 1\n3999999 4000000\n",
+        "p 4000001\n",
+        "007 006\n",
+        "p 3\n0 1\n1 2",
+        "0 1\n2 1",
+        "p 3\n0 1\n\n1 2\n",
+        "p 3\n0 1\n1 2\n\n",
+        "p 3\np 3\n",
+        "0 1\n1 2 \n",
+        "00000001 2\n",
+        "p 4000000\n0 3999999\n",
         pytest.param(_LONG + " 2", marks=_INT_LIMIT, id="long id"),
         pytest.param("p " + _LONG, marks=_INT_LIMIT, id="long count"),
     ],
 )
 def test_parse_edgelist_matches_reference(text):
     assert _parsed(parse_edgelist, text) == _parsed(parse_edgelist_reference, text)
+
+
+def test_plain_text_is_read_in_bulk(monkeypatch):
+    # what emit_edgelist writes never reaches the line reader or the edge pass
+    def refuse(*args, **kwargs):
+        raise AssertionError("read one edge at a time")
+
+    graphs = [g for _, g, _ in corpus()] + [gen_path_graph(200, 200, 1)[0]]
+    texts = [emit_edgelist(g) for g in graphs]
+    want = [parse_edgelist_reference(text) for text in texts]
+    monkeypatch.setattr(gio, "_parse_lines", refuse)
+    monkeypatch.setattr(Graph, "from_edges", staticmethod(refuse))
+    assert [parse_edgelist(text) for text in texts] == want
 
 
 @_INT_LIMIT
@@ -472,7 +502,19 @@ def _capped(text: str) -> str:
     return re.sub(r"[0-9]{6,}", lambda m: m.group()[:5], text)
 
 
+# Texts of the plain form, some with a header too small for their ids, a
+# self-loop, or no newline after the last line.
+_PLAIN_TEXT = st.tuples(
+    st.one_of(st.none(), st.integers(0, 12)),
+    st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=8),
+    st.booleans(),
+).map(
+    lambda t: ("" if t[0] is None else f"p {t[0]}\n")
+    + "".join(f"{u} {v}\n" for u, v in t[1])[: None if t[2] else -1]
+)
+
 _EDGELIST_TEXT = st.one_of(
+    _PLAIN_TEXT,
     st.text(alphabet="0123456789p#-\t\r\n ", max_size=40),
     # non-ASCII text that int() rejects too: a letter, two spaces, a superscript
     st.text(alphabet="0123456789p#-\n \u00e9\u3000\u00a0\u00b2", max_size=40),
@@ -513,4 +555,6 @@ def test_parse_edgelist_agrees_with_reference_on_drawn_text(text):
     )
 )
 def test_parse_graph6_returns_a_graph_or_input_error(text):
-    assert isinstance(_parsed(parse_graph6, text), (Graph, str))
+    got = _parsed(parse_graph6, text)
+    assert isinstance(got, (Graph, str))
+    assert got == _parsed(parse_graph6_reference, text)
