@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
 from itertools import chain, repeat
-from typing import AbstractSet, Iterable, Iterator, Sequence
+from typing import AbstractSet, Collection, Iterable, Iterator, Sequence
 
 from .errors import InputError, InvariantError, PreconditionError
 from .graphs import Graph, VertexSet, _graph, _norm_edge
@@ -416,12 +416,12 @@ def _preorder(c: int, edges: Iterable[tuple[int, int]]) -> tuple[list[int], list
 
 
 def _is_tree(c: int, edges: frozenset[tuple[int, int]]) -> bool:
-    """Whether edges form a tree on nodes 0..c-1.
+    """Whether edges form a tree on nodes 0..c-1; never for a negative c.
 
-    Raises InputError on an edge that is not a pair of ints, or on an
-    endpoint outside 0..c-1.
+    Raises InputError on edges that are not a collection of pairs of ints,
+    or on an endpoint outside 0..c-1.
     """
-    if not all(
+    if not isinstance(edges, Collection) or not all(
         isinstance(e, tuple) and len(e) == 2 and type(e[0]) is int and type(e[1]) is int
         for e in edges
     ):
@@ -431,7 +431,7 @@ def _is_tree(c: int, edges: frozenset[tuple[int, int]]) -> bool:
     if len(edges) != max(c - 1, 0):
         return False
     adj = _tree_adj(c, edges)
-    stack = [0] if c else []
+    stack = [0] if c > 0 else []
     reached = set(stack)
     while stack:
         for w in adj[stack.pop()]:
@@ -523,8 +523,11 @@ def _meet_exactly(
 
 def _tree_occurrences(n: int, cliques: Sequence[VertexSet]) -> list[list[int]] | None:
     """Each vertex's cliques, increasing, read off a clique list in canonical
-    form over vertices 0..n-1: nonempty, strictly increasing int tuples, in
-    strictly increasing order, that hold every vertex. None otherwise."""
+    form over vertices 0..n-1: a sequence of nonempty, strictly increasing
+    int tuples, in strictly increasing order, that hold every vertex. None
+    otherwise."""
+    if not isinstance(cliques, Sequence):
+        return None
     occurrences: list[list[int]] = [[] for _ in range(n)]
     prev: tuple[int, ...] = ()
     for i, c in enumerate(cliques):
@@ -584,7 +587,7 @@ def _decided(
     occurrences = _proven_occurrences(g, tree, path)
     if occurrences is None:
         index, cliques = _checked_index(g, caller), tree.cliques
-        if tuple(cliques) == index.cliques and _tree_occurrences(g.n, cliques) is not None:
+        if _tree_occurrences(g.n, cliques) is not None and tuple(cliques) == index.cliques:
             _is_tree(len(cliques), tree.edges)
         elif canonical:
             raise InputError("tree is not over the canonical maximal clique list")

@@ -248,13 +248,6 @@ def _weak_coloring(m: AttachednessGraph, s: Skeleton) -> WeakColoring | Refutati
                 endpoint_colors=res[2],
             )
         f.update(res)
-    return _checked(m, s, f, adj)
-
-
-def _checked(
-    m: AttachednessGraph, s: Skeleton, f: dict[int, int], adj: list[list[int]]
-) -> WeakColoring:
-    """f as m's weak coloring if proper and canonical, else InvariantError."""
     for a, b in m.antipodal:
         if f[a] == f[b]:
             raise InvariantError(f"weak coloring is not proper at {a},{b}")

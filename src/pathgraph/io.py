@@ -417,11 +417,16 @@ def format_traces(traces: tuple[tuple[int, ...], ...], graph: Graph | None = Non
     return " ".join("{" + ",".join(map(name, tr)) + "}" for tr in traces)
 
 
+def _dot_label(text: str) -> str:
+    """text as a DOT quoted string, each backslash and quote escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def _dot_colored(name: str, ecg: EdgeColoredGraph, node_labels=None) -> str:
     lines = [f"graph {name} {{"]
     for v in range(ecg.n):
         label = str(v) if node_labels is None else node_labels[v]
-        lines.append(f'  k{v} [label="{label}"];')
+        lines.append(f"  k{v} [label={_dot_label(label)}];")
     for u, v, color in ecg.edges():
         style = "" if color == ANTIPODAL else " [style=dotted]"
         lines.append(f"  k{u} -- k{v}{style};")
@@ -436,7 +441,7 @@ def emit_dot(obj, graph: Graph | None = None) -> str:
         lines = ["graph cliquetree {", "  node [shape=box];"]
         for i, c in enumerate(obj.cliques):
             names = [graph.label(v) if graph is not None else str(v) for v in c]
-            lines.append(f'  c{i} [label="{" ".join(names)}"];')
+            lines.append(f"  c{i} [label={_dot_label(' '.join(names))}];")
         for a, b in sorted(obj.edges):
             lines.append(f"  c{a} -- c{b};")
         lines.append("}")

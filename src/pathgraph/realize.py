@@ -153,9 +153,10 @@ def _assemble(
         its region's masks, and their union is its trace on its edge, held
         by the edge's far end, so its head is its first clique with the
         union. Part 0 holds the first vertex of H's component outside H.
-        The rank is _two_part_report's rule: one class if both parts have
-        one and the same trace; else one color if their traces nest one
-        way, the dominating part first; else two colors.
+        The rank (_PAIR_RANK) is what the general report's weak coloring
+        gives two parts: one class if both have one and the same trace;
+        else one color if their traces nest one way, the dominating part
+        first; else two colors.
         """
         bits: dict[int, int] = {}  # clique -> its trace mask on H
         bit = 1

@@ -3,20 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
-from operator import or_
+from functools import cached_property
 from typing import Iterable
 
-from .attach import AttachednessGraph, _nests, quotient
+from .attach import AttachednessGraph, quotient
 from .chordal import CliqueIndex, HoleCertificate, _index_or_hole, _tree_adj
 from .coloring import (
-    Refutation,
-    Skeleton,
-    WeakColoring,
-    _checked,
-    _two_color_member,
-    _weak_coloring,
-    skeleton,
+    Refutation, Skeleton, WeakColoring, _two_color_member, _weak_coloring, skeleton
 )
 from .decompose import Decomposition, _decomposition, _separators
 from .errors import InvariantError
@@ -55,8 +48,8 @@ class Verdict:
     """A path verdict, its status read off the separators of three or more
     parts alone, as two always color. reports is built once, on first read:
     _found holds the kept reports and each two-part separator's clique
-    index, whose report, or InvariantError, comes on that read, decomposed
-    on _index, the one chordal structure the verdict keeps."""
+    index, whose report comes on that read by the same path (_report),
+    decomposed on _index, the one chordal structure the verdict keeps."""
 
     status: str
     hole: HoleCertificate | None
@@ -70,8 +63,7 @@ class Verdict:
     @cached_property
     def reports(self) -> tuple[SeparatorReport, ...]:
         return tuple(
-            r if isinstance(r, SeparatorReport)
-            else _two_part_report(_decomposition(self._index, r))
+            r if isinstance(r, SeparatorReport) else _report(_decomposition(self._index, r))
             for r in self._found
         )
 
@@ -88,26 +80,16 @@ class DirectedVerdict:
         return self.status == DIRECTED_PATH_GRAPH
 
 
-def _two_part_report(dec: Decomposition) -> SeparatorReport:
-    """The general path's report at a separator of two parts, read off their
-    traces (a refutation names three classes or more): one class if both have
-    the same single trace, else a class each, colored 1 if nested, else 1, 2."""
-    a, b = dec.gammas
-    if len(a.masks) == 1 and a.masks == b.masks:
-        m = AttachednessGraph(dec.q, (a,), ((0, 1),), frozenset(), (0,), a.masks)
-    else:
-        ua, ub = reduce(or_, a.masks), reduce(or_, b.masks)
-        ab, ba = ua & ub and _nests(ua, b.masks), ua & ub and _nests(ub, a.masks)
-        if ab and ba:
-            raise InvariantError("classes 0 and 1 dominate each other")
-        anti = frozenset({(0, 1)} if ua & ub and not (ab or ba) else ())
-        up = (2, 0) if ab else (0, 1) if ba else (0, 0)
-        m = AttachednessGraph(dec.q, (a, b), ((0,), (1,)), anti, up, (ua, ub))
-    upper = tuple(c for c, x in enumerate(m.up) if not x)
-    f = {c: min(c + 1, len(upper)) for c in range(m.size)}  # D_i in color i
-    d_single = (tuple(f),) if len(upper) == 1 else ((0,), (1,))
-    s = Skeleton(upper, d_single, {}, (), {c: ("D", i) for c, i in f.items()})
-    return SeparatorReport(dec, m, s, _checked(m, s, f, _tree_adj(m.size, m.antipodal)))
+def _report(dec: Decomposition) -> SeparatorReport:
+    """The report of one separator: its parts quotiented into the
+    attachedness graph, that graph's skeleton, and its weak coloring, or the
+    refutation and its obstruction."""
+    m = quotient(dec)
+    s = skeleton(m)
+    res = _weak_coloring(m, s)
+    if isinstance(res, Refutation):
+        return SeparatorReport(dec, m, s, None, res, refutation_to_obstruction(m, s, res))
+    return SeparatorReport(dec, m, s, res)
 
 
 def recognize_path_graph(g: Graph) -> Verdict:
@@ -127,14 +109,9 @@ def recognize_path_graph(g: Graph) -> Verdict:
         if index.tour.parts[qi] == 2:
             found.append(qi)
             continue
-        dec = _decomposition(index, qi)
-        m = quotient(dec)
-        s = skeleton(m)
-        res = _weak_coloring(m, s)
-        if isinstance(res, Refutation):
-            found.append(SeparatorReport(dec, m, s, None, res, refutation_to_obstruction(m, s, res)))
+        found.append(_report(_decomposition(index, qi)))
+        if found[-1].refutation is not None:
             return Verdict(NOT_PATH_GRAPH, None, tuple(found), index)
-        found.append(SeparatorReport(dec, m, s, res))
     return Verdict(PATH_GRAPH, None, tuple(found), index)
 
 

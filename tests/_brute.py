@@ -12,7 +12,7 @@ from collections import Counter
 from heapq import heapify, heappop, heappush
 from typing import Iterable, Iterator
 
-from pathgraph.attach import AttachednessGraph, _nests, quotient
+from pathgraph.attach import AttachednessGraph, _nests
 from pathgraph.chordal import (
     CliqueIndex,
     HoleCertificate,
@@ -20,7 +20,7 @@ from pathgraph.chordal import (
     _find_hole,
     _tree_adj,
 )
-from pathgraph.coloring import Refutation, _full_triple, _weak_coloring, skeleton
+from pathgraph.coloring import _full_triple
 from pathgraph.decompose import Decomposition, GammaComponent, _decomposition, _separators
 from pathgraph.errors import GuardRefusal, InputError, InvariantError
 from pathgraph.generate import SplitMix64, _random_tree
@@ -35,9 +35,9 @@ from pathgraph.graphs import (
     is_connected,
     vset,
 )
-from pathgraph.obstructions import ObstructionPattern, refutation_to_obstruction
+from pathgraph.obstructions import ObstructionPattern
 from pathgraph.realize import HostRealization
-from pathgraph.recognize import SeparatorReport, _two_part_report
+from pathgraph.recognize import SeparatorReport, _report
 
 
 def chordal_by_elimination(g) -> bool:
@@ -516,16 +516,24 @@ def reports_by_eager_scan(index: CliqueIndex) -> Iterator[SeparatorReport]:
     """Per-separator reports of a chordal graph, up to and including the first
     refuted separator."""
     for dec in decompositions(index):
-        if dec.size == 2:
-            yield _two_part_report(dec)
-            continue
-        m = quotient(dec)
-        s = skeleton(m)
-        res = _weak_coloring(m, s)
-        if isinstance(res, Refutation):
-            yield SeparatorReport(dec, m, s, None, res, refutation_to_obstruction(m, s, res))
+        report = _report(dec)
+        yield report
+        if report.refutation is not None:
             return
-        yield SeparatorReport(dec, m, s, res)
+
+
+TWO_PART_SHAPES = ("one class", "nested", "nested the other way", "disjoint", "antipodal")
+
+
+def two_part_shape(report: SeparatorReport) -> str:
+    """Which of TWO_PART_SHAPES a two-part separator's report has: its
+    parts in one class; else class 0 under class 1 (nested), class 1 under
+    class 0, or neither, the two antipodal or not."""
+    m = report.attachedness
+    if m.size == 1:
+        return TWO_PART_SHAPES[0]
+    nested = {(2, 0): TWO_PART_SHAPES[1], (0, 1): TWO_PART_SHAPES[2]}
+    return nested.get(m.up) or TWO_PART_SHAPES[4 if m.antipodal else 3]
 
 
 def decompositions_by_traversal(g, index):

@@ -188,12 +188,19 @@ def test_tree_checks_reject_out_of_range_edges():
 
     p3 = Graph.from_edges(3, [(0, 1), (1, 2)])
     cliques = tuple(maximal_cliques(p3))
-    # out of range, then not a pair of ints
-    for edges in ({(0, 5)}, {(0, -1)}, {(0, "1")}, {(0, 1.0)}, {(0,)}, {(0, 1, 1)}):
-        t = CliqueTree(cliques, frozenset(edges))
+    # out of range, then not a pair of ints, then no edge set
+    bad = ({(0, 5)}, {(0, -1)}, {(0, "1")}, {(0, 1.0)}, {(0,)}, {(0, 1, 1)})
+    for edges in [*map(frozenset, bad), None]:
+        t = CliqueTree(cliques, edges)
         for check in (is_clique_path_tree, is_valid_clique_tree, clique_path_tree_to_host):
             with pytest.raises(InputError):
                 check(p3, t)
+    # no clique list: not a clique tree, nor over the canonical cliques
+    t = CliqueTree(None, frozenset({(0, 1)}))
+    assert not is_valid_clique_tree(p3, t)
+    for check in (is_clique_path_tree, clique_path_tree_to_host):
+        with pytest.raises(InputError, match="canonical maximal clique list"):
+            check(p3, t)
     # a malformed host is rejected, not raised on
     good = clique_path_tree_to_host(p3, CliqueTree(cliques, frozenset({(0, 1)})))
     assert verify_realization(p3, good)

@@ -278,6 +278,21 @@ def test_dot_pattern_and_tree(worked8):
         emit_dot(worked8)
 
 
+def test_dot_labels_escape_backslashes_and_quotes():
+    # each label is one DOT quoted string, read back to the label's text
+    g = Graph.from_edges(3, [(0, 1), (1, 2)], labels=('a"b', "c\\", "d"))
+    quoted = re.compile(r'\[label="((?:[^"\\]|\\.)*)"\];$')
+
+    def labels(dot):
+        found = [quoted.search(l) for l in dot.splitlines() if "label" in l]
+        return [re.sub(r"\\(.)", r"\1", f.group(1)) for f in found]
+
+    assert labels(emit_dot(realize(g), g)) == ['a"b c\\', "c\\ d"]
+    star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)], labels=('x"\\', "1", "2", "3"))
+    m = quotient(gamma_components(star, (0, 1)))
+    assert labels(emit_dot(m, star)) == ['0: {x"\\}']
+
+
 def test_realization_doc_without_host(worked8):
     doc = realization_doc(realize(worked8))
     assert "host" not in doc

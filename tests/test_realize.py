@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from functools import reduce
 from operator import or_
 
@@ -172,6 +173,10 @@ def test_verify_realization_rejects_bad_hosts():
     # empty path
     e1 = Graph.from_edges(1, [])
     assert not verify_realization(e1, HostRealization(1, frozenset(), ((),)))
+    # a negative node count, and no edge set
+    e0 = Graph.from_edges(0, [])
+    assert not verify_realization(e0, HostRealization(-1, frozenset(), ()))
+    assert not verify_realization(k2, HostRealization(1, None, ((0,), (0,))))
 
 
 @pytest.fixture
@@ -312,7 +317,10 @@ def test_realize_assembles_the_tree_of_every_separator_report(mixed_graphs):
     cases += [(f"gen_chordal({4 + s % 40},{s})", gen_chordal(4 + s % 40, s)) for s in range(200)]
     cases += [(name, g) for name, g in mixed_graphs if name.startswith("union-")]
     cases += [(f"P_{n}", _path(n)) for n in range(2, 61)]
-    members = two_part = 0
+    # realize reads a two-part separator off the clique forest by _PAIR_RANK,
+    # tree_by_reports off the general report: every shape of two parts is
+    # compared
+    members, shapes = 0, Counter()
     for name, g in cases:
         verdict = recognize_path_graph(g)
         if not verdict.is_path_graph:
@@ -321,9 +329,12 @@ def test_realize_assembles_the_tree_of_every_separator_report(mixed_graphs):
         for qi in verdict._found:
             if isinstance(qi, int):
                 _assert_boundary_edge_facts(verdict._index, qi)
-                two_part += 1
+        shapes.update(
+            _brute.two_part_shape(r) for r in verdict.reports if r.decomposition.size == 2
+        )
         members += 1
-    assert members > 500 and two_part > 2500
+    assert members > 500 and shapes.total() > 2500
+    assert shapes.keys() == set(_brute.TWO_PART_SHAPES), shapes
 
 
 @pytest.fixture

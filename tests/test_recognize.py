@@ -38,7 +38,13 @@ from pathgraph.recognize import (
     recognize_path_graph,
 )
 
-from _brute import decompositions, induced_subgraph, reports_by_eager_scan
+from _brute import (
+    TWO_PART_SHAPES,
+    decompositions,
+    induced_subgraph,
+    reports_by_eager_scan,
+    two_part_shape,
+)
 from conftest import WORKED8_EDGES, make_worked8, star
 from make_certify_golden import interleaved
 
@@ -319,8 +325,9 @@ def _two_parts(*traces):
     ids=["one-trace", "disjoint", "nested", "nested-other-way", "antipodal"],
 )
 def test_two_part_report_cases(monkeypatch, traces, classes, up, antipodal, upper, f):
+    # the one path's report at each shape of two parts
     dec = _two_parts(*traces)
-    rep = recognize._two_part_report(dec)
+    rep = recognize._report(dec)
     m, s = rep.attachedness, rep.skeleton
     assert (m.class_members, m.up, m.antipodal, s.upper) == (classes, up, antipodal, upper)
     assert s.d_single == ((tuple(range(len(classes))),) if len(upper) == 1 else ((0,), (1,)))
@@ -330,7 +337,7 @@ def test_two_part_report_cases(monkeypatch, traces, classes, up, antipodal, uppe
     # the coloring goes through the general path's self-check
     monkeypatch.setattr(coloring, "_canonical_conditions", lambda *args: {"f": False})
     with pytest.raises(InvariantError, match=r"violates conditions \['f'\]"):
-        recognize._two_part_report(dec)
+        recognize._report(dec)
 
 
 def _trace_sets():
@@ -340,12 +347,12 @@ def _trace_sets():
 
 
 def test_two_part_report_raises_where_the_general_path_does():
-    # every pair of trace sets over a three-vertex Q: the direct report
-    # equals the general one, or both raise the same InvariantError; a part
-    # that lists one trace twice, which a decomposition never builds, makes
-    # two classes that dominate each other, paired with itself or, either
-    # way round, with that one trace
-    raised = 0
+    # every pair of trace sets over a three-vertex Q: the report equals the
+    # general one and has one of the five two-part shapes, or both raise
+    # the same InvariantError; a part that lists one trace twice, which a
+    # decomposition never builds, makes two classes that dominate each
+    # other, paired with itself or, either way round, with that one trace
+    raised, shapes = 0, Counter()
     listed = _trace_sets() + [(a, a) for a in range(1, 8)]
     for traces in itertools.product(listed, repeat=2):
         dec = _two_parts(*traces)
@@ -353,11 +360,13 @@ def test_two_part_report_raises_where_the_general_path_does():
             _general_report(dec)
         except InvariantError as exc:
             with pytest.raises(InvariantError, match=str(exc)):
-                recognize._two_part_report(dec)
+                recognize._report(dec)
             raised += 1
         else:
-            _same_report(recognize._two_part_report(dec), dec)
-    assert raised == 7 * 3
+            rep = recognize._report(dec)
+            _same_report(rep, dec)
+            shapes[two_part_shape(rep)] += 1
+    assert raised == 7 * 3 and shapes.keys() == set(TWO_PART_SHAPES)
 
 
 def test_weak_coloring_refutes_no_quotient_of_two_classes(chordal_corpus, wider_graphs):
@@ -756,15 +765,14 @@ _STAR40 = Graph.from_edges(41, [(0, i) for i in range(1, 41)])
     ids=["gen_path_graph_80_80_0", "gen_path_graph_80_80_1", "k4_hub_5", "star_1_40"],
 )
 def test_one_skeleton_and_one_dominance_test_per_separator(monkeypatch, g, nested):
-    # a separator of three or more parts gets one quotient, and its report,
-    # coloring and obstruction share one skeleton (two parts' reports build
-    # neither); quotient tests trace nesting at most once per ordered pair
-    # of distinct class representatives, and only on pairs that share a Q
-    # vertex; gen_path_graph(80, 80, 0) has two parts at every separator,
-    # and the star's parts all share one trace, so they form one class: in
-    # neither is nesting tested
+    # each separator gets one quotient, and its report, coloring and
+    # obstruction share one skeleton; quotient tests trace nesting at most
+    # once per ordered pair of distinct class representatives, and only on
+    # pairs that share a Q vertex; gen_path_graph(80, 80, 0) has two parts
+    # at every separator, and the star's parts all share one trace, so they
+    # form one class: in neither is nesting tested at three parts or more
     skeletons = []
-    per_quotient: list[Counter] = []
+    per_quotient: list[tuple[int, Counter]] = []  # (id of the decomposition, tests)
     skeleton, quotient, nests = coloring.skeleton, recognize.quotient, attach._nests
 
     def counted_skeleton(m):
@@ -772,11 +780,11 @@ def test_one_skeleton_and_one_dominance_test_per_separator(monkeypatch, g, neste
         return skeleton(m)
 
     def counted_quotient(dec):
-        per_quotient.append(Counter())
+        per_quotient.append((id(dec), Counter()))
         return quotient(dec)
 
     def counted_nests(u, masks):
-        per_quotient[-1][u, tuple(masks)] += 1
+        per_quotient[-1][1][u, tuple(masks)] += 1
         return nests(u, masks)
 
     for mod in (coloring, recognize):
@@ -784,10 +792,11 @@ def test_one_skeleton_and_one_dominance_test_per_separator(monkeypatch, g, neste
     monkeypatch.setattr(recognize, "quotient", counted_quotient)
     monkeypatch.setattr(attach, "_nests", counted_nests)
     reports = recognize_path_graph(g).reports
-    wide = [r for r in reports if r.decomposition.size > 2]
     assert reports
-    assert len(per_quotient) == len(wide)
-    for r, nest in zip(wide, per_quotient):
+    assert sorted(i for i, _ in per_quotient) == sorted(id(r.decomposition) for r in reports)
+    tests_of = dict(per_quotient)
+    for r in reports:
+        nest = tests_of[id(r.decomposition)]
         # a test is keyed by one class's trace union and another's trace
         # masks; count the ordered pairs of distinct representatives that
         # share a Q vertex under each key
@@ -798,8 +807,9 @@ def test_one_skeleton_and_one_dominance_test_per_separator(monkeypatch, g, neste
             if m.masks[a] & m.masks[b]
         )
         assert all(count <= pairs[key] for key, count in nest.items())
-    assert any(per_quotient) == nested
-    assert skeletons == [id(r.attachedness) for r in wide]
+    wide = [tests_of[id(r.decomposition)] for r in reports if r.decomposition.size > 2]
+    assert any(wide) == nested
+    assert sorted(skeletons) == sorted(id(r.attachedness) for r in reports)
 
 
 def _report_fields(rep):
@@ -851,26 +861,29 @@ def test_two_part_reports_are_built_once_on_first_read(monkeypatch, tmp_path, g)
     # of reports builds each once, on the verdict's own index and its one
     # tour, and a second read returns the same tuple
     built, tours = [], []
-    report, tour = recognize._two_part_report, chordal._Tour
+    report, tour = recognize._report, chordal._Tour
 
     def counted(dec):
-        built.append(dec.q)
+        built.append(dec)
         return report(dec)
 
     def counted_tour(index):
         tours.append(index)
         return tour(index)
 
-    monkeypatch.setattr(recognize, "_two_part_report", counted)
+    monkeypatch.setattr(recognize, "_report", counted)
     monkeypatch.setattr(chordal, "_Tour", counted_tour)
     status = 0 if g is not _NEAR_MISS else 1
     for flags in ((), ("--json",)):
         assert _cli("recognize", *flags)(g, tmp_path)() == status
     assert recognize_directed_path_graph(g).status in (DIRECTED_PATH_GRAPH, NOT_DIRECTED_PATH_GRAPH)
+    assert all(dec.size > 2 for dec in built)
+    built.clear()
     tours.clear()
     verdict = recognize_path_graph(g)
-    assert built == [] and len(tours) == 1
+    wide = [r.decomposition for r in verdict._found if not isinstance(r, int)]
+    assert built == wide and len(tours) == 1
     reports = verdict.reports
-    two = [r.q for r in reports if r.decomposition.size == 2]
-    assert built == two and two
-    assert verdict.reports is reports and built == two and len(tours) == 1
+    two = [r.decomposition for r in reports if r.decomposition.size == 2]
+    assert built == wide + two and two
+    assert verdict.reports is reports and built == wide + two and len(tours) == 1
