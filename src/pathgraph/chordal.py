@@ -583,7 +583,10 @@ def _decided(
     (_proven_occurrences); else None, after the one search of g for the
     error the caller owes: a PreconditionError for a hole; an InputError,
     when canonical is set, for cliques that are not g's canonical int
-    tuples; else an InputError for a malformed edge over g's cliques."""
+    tuples; else an InputError for a malformed edge over g's cliques. A tree
+    that is not a CliqueTree is an InputError."""
+    if not isinstance(tree, CliqueTree):
+        raise InputError(f"expected a CliqueTree, got {type(tree).__name__}")
     occurrences = _proven_occurrences(g, tree, path)
     if occurrences is None:
         index, cliques = _checked_index(g, caller), tree.cliques

@@ -12,7 +12,7 @@ import sys
 
 from . import io as gio
 from .attach import quotient
-from .chordal import HoleCertificate, _index_or_hole, _relabelled_components
+from .chordal import HoleCertificate, _connected_index, _index_or_hole, _relabelled_components
 from .decompose import _decomposition, _separators
 from .errors import GenerationError, GuardRefusal, InputError, PreconditionError
 from .generate import gen_chordal, gen_path_graph, k4_hub
@@ -160,14 +160,11 @@ def _cmd_oracle(args) -> int:
 def _cmd_gen(args) -> int:
     host = None
     if args.kind == "path":
-        tree_nodes = args.tree_nodes if args.tree_nodes else max(2, args.n)
-        g, host = gen_path_graph(tree_nodes, args.n, args.seed)
+        g, host = gen_path_graph(max(2, args.n), args.n, args.seed)
     elif args.kind == "chordal":
         g = gen_chordal(args.n, args.seed)
-    elif args.kind == "k4hub":
-        g = k4_hub(args.n)
     else:
-        raise InputError(f"unknown kind {args.kind!r}")
+        g = k4_hub(args.n)
     if args.json:
         doc = {"n": g.n, "edges": [list(e) for e in g.edges()]}
         if host is not None:
@@ -182,11 +179,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_attachedness(args) -> int:
     g = _read_graph(args)
-    index = _index_or_hole(g)
-    if isinstance(index, HoleCertificate):
-        raise InputError("attachedness needs a chordal graph")
-    if len(index.components) > 1:
-        raise InputError("attachedness needs a connected graph")
+    index = _connected_index(g, "attachedness")
     seps = list(_separators(index))
     if not seps:
         raise InputError("graph has no clique separator (it is an atom)")
@@ -212,10 +205,7 @@ def _cmd_attachedness(args) -> int:
 
 
 def _cmd_obstruction(args) -> int:
-    fam = _FAMILIES.get(args.family)
-    if fam is None:
-        raise InputError(f"unknown family {args.family!r}")
-    pattern = build_family(fam, args.size)
+    pattern = build_family(_FAMILIES[args.family], args.size)
     if args.dot:
         _say(args, gio.emit_dot(pattern))
     elif args.json:
@@ -282,10 +272,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("path", "chordal", "k4hub"), required=True)
     p.add_argument("--n", type=int, default=8, help="size parameter")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--tree-nodes", type=int, default=0,
-        help="host tree size for --kind path (default max(2, n))",
-    )
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser(

@@ -4,7 +4,7 @@ the clique forest of its search."""
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import compress, filterfalse, repeat
 from operator import or_
@@ -15,6 +15,7 @@ from .errors import PreconditionError
 from .graphs import Graph, VertexSet, _int_vset, is_clique
 
 
+@dataclass(eq=False, repr=False, slots=True)
 class GammaComponent:
     """One separated part: a component C of G - Q.
 
@@ -23,35 +24,21 @@ class GammaComponent:
     intersections with the separator q, deduplicated, with bit i set for
     q[i]. smallest is C's smallest vertex. C's other cliques, those that
     miss Q, fill its ranges of positions in the preorder of the clique
-    forest of its clique index (index.tour): ranges holds the bounds a, b of
-    each range a to b - 1 one after the other, in one flat int tuple. The
-    sorted vertex tuples traces and C itself, component, are derived on
+    forest of clique_index (clique_index.tour): ranges holds the bounds a,
+    b of each range a to b - 1 one after the other, in one flat int tuple.
+    The sorted vertex tuples traces and C itself, component, are derived on
     read, C from its relevant cliques and ranges: io's full documents read
     both, recognition and realization neither.
     """
 
-    __slots__ = (
-        "index", "relevant_cliques", "smallest", "q", "masks", "_traces", "_ranges", "_index"
-    )
-
-    def __init__(
-        self,
-        index: int,
-        relevant_cliques: tuple[VertexSet, ...] = (),
-        smallest: int | None = None,
-        q: VertexSet = (),
-        masks: tuple[int, ...] = (),
-        ranges: tuple[int, ...] = (),
-        clique_index: CliqueIndex | None = None,
-    ) -> None:
-        self.index = index
-        self.relevant_cliques = relevant_cliques
-        self.smallest = smallest
-        self.q = q
-        self.masks = masks
-        self._traces = None
-        self._ranges = ranges
-        self._index = clique_index
+    index: int
+    relevant_cliques: tuple[VertexSet, ...] = ()
+    smallest: int | None = None
+    q: VertexSet = ()
+    masks: tuple[int, ...] = ()
+    ranges: tuple[int, ...] = ()
+    clique_index: CliqueIndex | None = None
+    _traces: tuple[VertexSet, ...] | None = field(default=None, init=False)
 
     @property
     def traces(self) -> tuple[VertexSet, ...]:
@@ -62,8 +49,9 @@ class GammaComponent:
     @property
     def component(self) -> VertexSet:
         found = set().union(*self.relevant_cliques)
-        for a, b in zip(self._ranges[::2], self._ranges[1::2]):
-            found.update(*map(self._index.cliques.__getitem__, self._index.tour.nodes[a:b]))
+        index = self.clique_index
+        for a, b in zip(self.ranges[::2], self.ranges[1::2]):
+            found.update(*map(index.cliques.__getitem__, index.tour.nodes[a:b]))
         return tuple(sorted(found.difference(self.q)))
 
 

@@ -38,8 +38,6 @@ class SplitMix64:
 def _random_tree(rng: SplitMix64, m: int) -> list[tuple[int, int]]:
     if m <= 1:
         return []
-    if m == 2:
-        return [(0, 1)]
     seq = [rng.randrange(m) for _ in range(m - 2)]
     return _decode_pruefer(seq, m)
 
@@ -140,8 +138,6 @@ def gen_chordal(n: int, seed: int) -> Graph:
             frontier = list(adj[start])
             while len(nodes) < size and frontier:
                 pick = frontier.pop(rng.randrange(len(frontier)))
-                if pick in nodes:
-                    continue
                 nodes.add(pick)
                 for w in adj[pick]:
                     if w not in nodes:

@@ -34,6 +34,8 @@ def _int(x: int, what: str) -> int:
 
 def _int_vset(vertices: Iterable[int], what: str) -> VertexSet:
     """vset of vertex ids that must each be an int."""
+    if not isinstance(vertices, Iterable):
+        raise InputError(f"expected {what} ids, got {type(vertices).__name__}")
     return vset(_int(v, what) for v in vertices)
 
 
@@ -68,23 +70,27 @@ class Graph:
             raise InputError(f"vertex count must be a nonnegative int, got {n!r}")
         if n > MAX_VERTICES:
             raise InputError(f"vertex count {n} is too large: at most {MAX_VERTICES} vertices")
-        nbrs: defaultdict[int, set[int]] = defaultdict(set)
-        for u, v in edges:
-            if type(u) is not int or type(v) is not int:
-                raise InputError(f"edge ({u!r}, {v!r}) has an endpoint that is not an int")
-            if not (0 <= u < n and 0 <= v < n):
-                raise InputError(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                raise InputError(f"self-loop at vertex {u}")
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        lab = tuple(labels) if labels is not None else None
-        if lab is not None and len(lab) != n:
-            raise InputError(f"{len(lab)} labels for {n} vertices")
-        adj: list[frozenset[int]] = [frozenset()] * n
-        for v, s in nbrs.items():
-            adj[v] = frozenset(s)
-        return Graph(n, tuple(adj), lab)
+        nbrs: defaultdict[int, list[int]] = defaultdict(list)
+        try:
+            for u, v in edges:
+                if type(u) is not int or type(v) is not int:
+                    raise InputError(f"edge ({u!r}, {v!r}) has an endpoint that is not an int")
+                if not (0 <= u < n and 0 <= v < n):
+                    raise InputError(f"edge ({u}, {v}) out of range for n={n}")
+                if u == v:
+                    raise InputError(f"self-loop at vertex {u}")
+                nbrs[u].append(v)
+                nbrs[v].append(u)
+        except (TypeError, ValueError):
+            raise InputError("edges must be an iterable of (u, v) pairs") from None
+        lab = None
+        if labels is not None:
+            lab = tuple(labels) if isinstance(labels, Iterable) else (labels,)
+            if not all(isinstance(s, str) for s in lab):
+                raise InputError(f"labels must be strings, got {labels!r}")
+            if len(lab) != n:
+                raise InputError(f"{len(lab)} labels for {n} vertices")
+        return _from_lists(n, nbrs, lab)
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
@@ -108,6 +114,17 @@ class Graph:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Graph(n={self.n}, m={self.num_edges})"
+
+
+def _from_lists(
+    n: int, nbrs: dict[int, list[int]], labels: tuple[str, ...] | None = None
+) -> Graph:
+    """The graph on 0..n-1 in which v's neighbours are nbrs[v]; a vertex
+    missing from nbrs shares one empty set with the others."""
+    adj: list[frozenset[int]] = [frozenset()] * n
+    for v, ws in nbrs.items():
+        adj[v] = frozenset(ws)
+    return Graph(n, tuple(adj), labels)
 
 
 def components_without(g: Graph, removed: Iterable[int]) -> list[VertexSet]:

@@ -11,7 +11,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from .attach import AttachednessGraph
 from .chordal import CliqueTree
 from .errors import InputError
-from .graphs import ANTIPODAL, MAX_VERTICES, EdgeColoredGraph, Graph
+from .graphs import ANTIPODAL, MAX_VERTICES, EdgeColoredGraph, Graph, _from_lists
 from .obstructions import FAMILY_ALL, FULL_TRIANGLE, Obstruction, ObstructionPattern
 from .realize import HostRealization
 from .recognize import (
@@ -99,15 +99,6 @@ def _is_plain(lines: str) -> bool:
             return False
         pos = end
     return True
-
-
-def _from_lists(n: int, nbrs: dict[int, list[int]]) -> Graph:
-    """The graph on 0..n-1 in which v's neighbours are nbrs[v]; a vertex
-    missing from nbrs shares one empty set with the others."""
-    adj: list[frozenset[int]] = [frozenset()] * n
-    for v, ws in nbrs.items():
-        adj[v] = frozenset(ws)
-    return Graph(n, tuple(adj))
 
 
 def _parse_lines(text: str) -> Graph:

@@ -59,8 +59,6 @@ def _first_path_tree(c: int, masks: Iterable[int]) -> list[tuple[int, int]] | No
     """
     if c <= 1:
         return []
-    if c == 2:
-        return [(0, 1)]
     sets = [mask for mask in masks if mask.bit_count() > 1]
     inside = [[0] * c for _ in range(c)]
     for k, mask in enumerate(sets):

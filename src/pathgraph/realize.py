@@ -22,7 +22,7 @@ from .chordal import (
     _tree_adj,
 )
 from .errors import InputError, InvariantError, PreconditionError
-from .graphs import Graph, _norm_edge
+from .graphs import Graph, _graph, _norm_edge
 from .recognize import SeparatorReport, Verdict, recognize_path_graph
 
 
@@ -314,9 +314,10 @@ def verify_realization(g: Graph, host: HostRealization) -> bool:
     counting the paths through each host node and edge): linear in the path
     lengths plus m times a path length. A malformed host is rejected too.
     """
-    if type(host.host_n) is not int or not isinstance(host.paths, (tuple, list)):
+    n = _graph(g).n
+    if not isinstance(host, HostRealization) or type(host.host_n) is not int:
         return False
-    if len(host.paths) != g.n:
+    if not isinstance(host.paths, (tuple, list)) or len(host.paths) != n:
         return False
     try:
         if not _is_tree(host.host_n, host.host_edges):

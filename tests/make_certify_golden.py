@@ -60,6 +60,8 @@ def corpus() -> list[tuple[str, Graph, bool]]:
     for n in range(4, 33):
         for seed in range(10):
             cases.append((f"chordal-{n}-{seed}", gen_chordal(n, seed), n <= 20))
+    # refuted at its last separator by an odd antipodal cycle inside a class
+    cases.append(("chordal-21-63", gen_chordal(21, 63), False))
     for t in range(4, 9):
         cases.append((f"k4hub-{t}", k4_hub(t), False))
     for n in range(4, 9):

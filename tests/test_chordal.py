@@ -201,6 +201,10 @@ def test_tree_checks_reject_out_of_range_edges():
     for check in (is_clique_path_tree, clique_path_tree_to_host):
         with pytest.raises(InputError, match="canonical maximal clique list"):
             check(p3, t)
+    # no tree at all
+    for check in (is_clique_path_tree, is_valid_clique_tree, clique_path_tree_to_host):
+        with pytest.raises(InputError, match="expected a CliqueTree, got NoneType"):
+            check(p3, None)
     # a malformed host is rejected, not raised on
     good = clique_path_tree_to_host(p3, CliqueTree(cliques, frozenset({(0, 1)})))
     assert verify_realization(p3, good)

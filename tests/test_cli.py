@@ -268,6 +268,16 @@ def test_gen_past_the_vertex_limit_is_refused_up_front(capsys, kind):
     assert "too large" in err
 
 
+def test_gen_path_samples_as_many_host_nodes_as_paths(capsys):
+    code, out, _ = run(capsys, "gen", "--kind", "path", "--n", "6", "--seed", "2")
+    assert code == 0
+    assert parse_edgelist(out).edges() == gen_path_graph(6, 6, 2)[0].edges()
+    # the host size is not a setting of its own
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--kind", "path", "--n", "5", "--tree-nodes", "9"])
+    assert exc.value.code == 2
+
+
 def test_gen_path_includes_its_host(capsys):
     code, out, _ = run(
         capsys, "gen", "--kind", "path", "--n", "6", "--seed", "2", "--json"
@@ -308,7 +318,14 @@ def test_attachedness_command(capsys, worked8_file):
 def test_attachedness_preconditions(capsys, tmp_path):
     c4 = tmp_path / "c4.txt"
     c4.write_text(C4_TEXT)
-    assert run(capsys, "attachedness", str(c4))[0] == 2
+    code, _, err = run(capsys, "attachedness", str(c4))
+    assert code == 2
+    assert "attachedness requires a chordal graph" in err
+    two = tmp_path / "two.txt"
+    two.write_text("p 4\n0 1\n2 3\n")
+    code, _, err = run(capsys, "attachedness", str(two))
+    assert code == 2
+    assert "attachedness requires a connected graph" in err
     k3 = tmp_path / "k3.txt"
     k3.write_text("p 3\n0 1\n1 2\n0 2\n")
     code, _, err = run(capsys, "attachedness", str(k3))

@@ -95,6 +95,12 @@ def test_gamma_components_rejects_bool_and_float_ids(bad):
         gamma_components(p4, (bad, 2))
 
 
+def test_gamma_components_rejects_a_separator_that_is_no_vertex_list():
+    p4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(InputError, match="expected separator vertex ids, got NoneType"):
+        gamma_components(p4, None)
+
+
 def test_traces_are_deduplicated():
     # the part {3,4,5} carries cliques {0,3,4} and {0,4,5}, both tracing {0}
     g = Graph.from_edges(

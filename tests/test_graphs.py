@@ -38,6 +38,14 @@ def test_from_edges_rejects_bad_input():
         Graph.from_edges(-1, [])
     with pytest.raises(InputError):
         Graph.from_edges(2, [], labels=("a",))
+    # no edge list, and an edge that is not a pair
+    for edges in (None, [(0, 1, 2)]):
+        with pytest.raises(InputError, match="pairs"):
+            Graph.from_edges(2, edges)
+    # labels that are not strings: no sequence, and ints DOT could not join
+    for labels in (5, [1, 2, 3]):
+        with pytest.raises(InputError, match="labels must be strings"):
+            Graph.from_edges(3, [(0, 1)], labels)
 
 
 @pytest.mark.parametrize("bad", [True, 1.0], ids=["bool", "float"])

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import pathgraph.io as gio
 from pathgraph.attach import quotient
 from pathgraph.cli import main
+from pathgraph.coloring import weak_coloring
 from pathgraph.decompose import gamma_components
 from pathgraph.errors import InputError
 from pathgraph.generate import gen_chordal, gen_path_graph, k4_hub
@@ -32,6 +33,7 @@ from pathgraph.obstructions import W0, build_family
 from pathgraph.realize import clique_path_tree_to_host, realize
 from pathgraph.recognize import recognize_directed_path_graph, recognize_path_graph
 
+import _hosts
 from _brute import emit_verdict_reference, parse_edgelist_reference, parse_graph6_reference
 from conftest import WORKED8_EDGES
 from make_certify_golden import corpus
@@ -291,6 +293,13 @@ def test_dot_labels_escape_backslashes_and_quotes():
     star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)], labels=('x"\\', "1", "2", "3"))
     m = quotient(gamma_components(star, (0, 1)))
     assert labels(emit_dot(m, star)) == ['0: {x"\\}']
+
+
+def test_refutation_doc_names_the_pair_of_a_bad_triple():
+    # no seeded graph of the tests is refuted by a bad triple, so the
+    # hand-built attachedness graph of one stands in
+    doc = gio._refutation_doc(weak_coloring(_hosts.df2_host()))
+    assert doc == {"kind": "BAD_TRIPLE", "classes": [1, 0, 2], "pair": [1, 2]}
 
 
 def test_realization_doc_without_host(worked8):

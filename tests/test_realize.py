@@ -177,6 +177,10 @@ def test_verify_realization_rejects_bad_hosts():
     e0 = Graph.from_edges(0, [])
     assert not verify_realization(e0, HostRealization(-1, frozenset(), ()))
     assert not verify_realization(k2, HostRealization(1, None, ((0,), (0,))))
+    # no host, a host that is a str, and a graph argument that is no Graph
+    assert not verify_realization(k2, None) and not verify_realization(k2, "x")
+    with pytest.raises(InputError, match="expected a Graph, got NoneType"):
+        verify_realization(None, good)
 
 
 @pytest.fixture
