@@ -441,40 +441,6 @@ def _is_tree(c: int, edges: frozenset[tuple[int, int]]) -> bool:
     return len(reached) == c
 
 
-def _separator_links(
-    cliques: Sequence[VertexSet], edges: Iterable[tuple[int, int]]
-) -> tuple[Counter[int], set[int], dict[tuple[int, int], int]]:
-    """One pass over the separators S = C_i & C_j of the tree edges (i, j).
-
-    Returns each vertex's links (the separators that hold it), the vertices
-    that some node has in three of its incident separators, and each edge's
-    separator size. In a tree, a vertex's links are the edges of the forest
-    its cliques induce, so they number one less than its cliques exactly when
-    that forest is a subtree, and the subtree is a path exactly when no node
-    has the vertex in three incident separators. Only a node of three or
-    more tree edges keeps its clique's set, and counts how many of its
-    separators hold each vertex; another node's set is made again for each
-    of its one or two edges. Work: the cliques' sizes plus the separators'
-    sizes.
-    """
-    degree = Counter(chain.from_iterable(edges))
-    hubs = {x: set(cliques[x]) for x, d in degree.items() if d > 2}
-    held: dict[int, Counter[int]] = {x: Counter() for x in hubs}
-    links: Counter[int] = Counter()
-    sizes: dict[tuple[int, int], int] = {}
-    for e in edges:
-        i, j = e
-        s = (hubs.get(i) or set(cliques[i])).intersection(hubs.get(j) or cliques[j])
-        links.update(s)
-        sizes[e] = len(s)
-        if i in held:
-            held[i].update(s)
-        if j in held:
-            held[j].update(s)
-    branching = {v for seen in held.values() for v, k in seen.items() if k > 2}
-    return links, branching, sizes
-
-
 def _separator_sizes(
     cliques: Sequence[VertexSet],
     occurrences: Sequence[Sequence[int]],
@@ -482,17 +448,35 @@ def _separator_sizes(
     path: bool,
 ) -> dict[tuple[int, int], int] | None:
     """Each tree edge's separator size when edges form a tree on the cliques
-    in which every vertex's cliques (its occurrences) induce a subtree, and a
-    path when path is set; else None.
+    in which every vertex's cliques (its occurrences, none empty) induce a
+    subtree, and a path when path is set; else None.
+
+    The separators S = C_i & C_j that hold a vertex are the edges of the
+    forest its cliques induce: one fewer than its cliques for a subtree,
+    else fewer. So all are subtrees exactly when the separator sizes sum to
+    the occurrences' sizes less n (Blair & Peyton). A subtree is a path
+    unless a node, then one of three or more tree edges, has the vertex in
+    three incident separators. Only such a node keeps its clique's set (and
+    counts, when path is set); another's set is made again for each edge.
 
     Raises InputError on an edge that is not a pair of ints in range.
     """
     if not _is_tree(len(cliques), edges):
         return None
-    links, branching, sizes = _separator_links(cliques, edges)
-    if path and branching:
+    degree = Counter(chain.from_iterable(edges))
+    hubs = {x: set(cliques[x]) for x, d in degree.items() if d > 2}
+    held: dict[int, Counter[int]] = {x: Counter() for x in hubs} if path else {}
+    sizes: dict[tuple[int, int], int] = {}
+    for i, j in edges:
+        s = (hubs.get(i) or set(cliques[i])).intersection(hubs.get(j) or cliques[j])
+        sizes[i, j] = len(s)
+        if i in held:
+            held[i].update(s)
+        if j in held:
+            held[j].update(s)
+    if any(k > 2 for seen in held.values() for k in seen.values()):
         return None
-    if any(links[v] != len(occ) - 1 for v, occ in enumerate(occurrences)):
+    if sum(sizes.values()) != sum(map(len, occurrences)) - len(occurrences):
         return None
     return sizes
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import compress, filterfalse, repeat
+from itertools import compress, filterfalse
 from operator import or_
 from typing import Iterable, Iterator, Sequence
 
@@ -103,6 +103,28 @@ def _separators(index: CliqueIndex) -> Iterator[int]:
             yield from (qi for qi in nodes if parts[qi] > 1)
 
 
+def _trace_masks(index: CliqueIndex, qi: int) -> tuple[list[int], dict[int, int]]:
+    """The cliques that meet Q = cliques[qi], in the clique forest's preorder,
+    and each one's trace mask (bit i for q[i]); work: Q's vertices' cliques."""
+    mask: dict[int, int] = {}
+    bit = 1
+    for v in index.cliques[qi]:
+        for z in index.occurrences[v]:
+            mask[z] = mask.get(z, 0) | bit
+        bit <<= 1
+    return sorted(mask, key=index.tour.pos.__getitem__), mask
+
+
+def _cuts(index: CliqueIndex, mask: dict[int, int]) -> set[int]:
+    """The cliques of mask (see _trace_masks) below a tree edge whose
+    separator lies inside Q, told by the masks of the edge's two ends."""
+    parent, seps = index.parent, index.seps
+    return {
+        z for z, m in mask.items()
+        if parent[z] >= 0 and len(seps[z]) == (m & mask.get(parent[z], 0)).bit_count()
+    }
+
+
 def _decomposition(index: CliqueIndex, qi: int) -> Decomposition:
     """The decomposition at the maximal clique separator Q = cliques[qi].
 
@@ -125,7 +147,8 @@ def _decomposition(index: CliqueIndex, qi: int) -> Decomposition:
     pos, end = tour.pos, tour.end
     q = cliques[qi]
     qs = set(q)
-    near = sorted(set().union(*map(index.occurrences.__getitem__, q)), key=pos.__getitem__)
+    near, mask = _trace_masks(index, qi)
+    cut = _cuts(index, mask)
     region = {qi: -1}
     held: list[list[int]] = []  # each region's cliques that meet Q
     inner: defaultdict[int, list[int]] = defaultdict(list)  # children that meet Q, in preorder
@@ -133,7 +156,7 @@ def _decomposition(index: CliqueIndex, qi: int) -> Decomposition:
         inner[parent[z]].append(z)
         if z != qi:
             r = region.get(parent[z], -1)
-            if r < 0 or qs.issuperset(index.seps[z]):
+            if r < 0 or z in cut:
                 r = len(held)
                 held.append([])
             region[z] = r
@@ -167,13 +190,11 @@ def _decomposition(index: CliqueIndex, qi: int) -> Decomposition:
             low[r] = min(low[r], tour.least(a, b))
     order = sorted(range(len(held)), key=low.__getitem__)  # part k is region order[k]
 
-    # a trace's mask is the sum of its vertices' bits, by position in q
-    bit = {v: 1 << i for i, v in enumerate(q)}.get
-    zeros = repeat(0)
     gammas = []
     for k, r in enumerate(order):
-        rel = tuple(map(cliques.__getitem__, sorted(held[r])))
-        masks = tuple(dict.fromkeys([sum(map(bit, c, zeros)) for c in rel]))
+        zs = sorted(held[r])
+        rel = tuple(map(cliques.__getitem__, zs))
+        masks = tuple(dict.fromkeys(map(mask.__getitem__, zs)))
         gammas.append(GammaComponent(k, rel, low[r], q, masks, tuple(ranges.get(r, ())), index))
     return Decomposition(q, tuple(gammas))
 

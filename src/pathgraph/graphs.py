@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable
+from typing import AbstractSet, Iterable
 
 from .errors import InputError
 
@@ -85,6 +85,8 @@ class Graph:
             raise InputError("edges must be an iterable of (u, v) pairs") from None
         lab = None
         if labels is not None:
+            if isinstance(labels, AbstractSet):  # its order follows the string hash
+                raise InputError("labels must be an ordered sequence, not a set")
             lab = tuple(labels) if isinstance(labels, Iterable) else (labels,)
             if not all(isinstance(s, str) for s in lab):
                 raise InputError(f"labels must be strings, got {labels!r}")

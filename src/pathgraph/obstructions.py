@@ -125,9 +125,9 @@ def verify_obstruction(
     """
     p = o.pattern.pattern
     emb = o.embedding
-    if len(emb) != p.n or any(type(c) is not int or not 0 <= c < m.size for c in emb):
+    if not isinstance(emb, (tuple, list)) or len(emb) != p.n:
         return False
-    if len(set(emb)) != p.n:
+    if any(type(c) is not int or not 0 <= c < m.size for c in emb) or len(set(emb)) != p.n:
         return False
     for u in range(p.n):
         for v in range(u + 1, p.n):

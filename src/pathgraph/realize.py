@@ -21,6 +21,7 @@ from .chordal import (
     _separator_sizes,
     _tree_adj,
 )
+from .decompose import _cuts, _trace_masks
 from .errors import InputError, InvariantError, PreconditionError
 from .graphs import Graph, _graph, _norm_edge
 from .recognize import SeparatorReport, Verdict, recognize_path_graph
@@ -110,9 +111,7 @@ def _assemble(
     edges: set[tuple[int, int]] = set()
     if not found:
         return edges
-    cliques, occ, parent, seps, tour = (
-        index.cliques, index.occurrences, index.parent, index.seps, index.tour
-    )
+    cliques, occ, tour = index.cliques, index.occurrences, index.tour
     pos, end, parts = tour.pos, tour.end, tour.parts
     report_at = {bisect_left(cliques, r.q): r for r in found if isinstance(r, SeparatorReport)}
     comp_of = {tour.root[nodes[0]]: comp for comp, nodes in index.components if len(nodes) > 2}
@@ -148,8 +147,8 @@ def _assemble(
         forest alone. The parts are the regions beyond the two tree edges
         whose separator lies in H (the edges tour.parts counts), cut at each
         other; a region is told by which of the two cut edges' lower
-        subtrees hold its preorder positions. The cliques meeting H, each
-        with its trace mask, are those of H's vertices. A part's traces are
+        subtrees hold its preorder positions, the cut edges by _cuts over
+        the trace masks of the cliques meeting H. A part's traces are
         its region's masks, and their union is its trace on its edge, held
         by the edge's far end, so its head is its first clique with the
         union. Part 0 holds the first vertex of H's component outside H.
@@ -158,16 +157,8 @@ def _assemble(
         else one color if their traces nest one way, the dominating part
         first; else two colors.
         """
-        bits: dict[int, int] = {}  # clique -> its trace mask on H
-        bit = 1
-        for v in cliques[h]:
-            for z in occ[v]:
-                bits[z] = bits.get(z, 0) | bit
-            bit <<= 1
-        (a1, b1), (a2, b2) = [
-            (pos[z], end[z]) for z, s in bits.items()
-            if parent[z] >= 0 and len(seps[z]) == (s & bits.get(parent[z], 0)).bit_count()
-        ]
+        _, bits = _trace_masks(index, h)
+        (a1, b1), (a2, b2) = [(pos[z], end[z]) for z in _cuts(index, bits)]
 
         def region(z: int) -> int:
             return (a1 <= pos[z] < b1) + 2 * (a2 <= pos[z] < b2)

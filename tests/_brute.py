@@ -787,8 +787,9 @@ def parse_graph6_reference(text: str) -> Graph:
 
 
 def separator_links_by_incidence(cliques, edges):
-    """chordal._separator_links keeping a set per clique and every node's
-    incident separators."""
+    """Each vertex's links (the tree separators that hold it), the vertices
+    some node has in three incident separators, and each edge's separator
+    size, keeping a set per clique and every node's incident separators."""
     sets = [set(c) for c in cliques]
     links = Counter()
     incident = [[] for _ in cliques]

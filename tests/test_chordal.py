@@ -437,13 +437,17 @@ def _tree_mutations(g, t, rng):
 
 
 def test_separator_links_match_the_incidence_reference(mixed_graphs):
-    # the search's tree, a random tree and a star over each graph's cliques
+    # the search's tree, a random tree and a star over each graph's cliques:
+    # _separator_sizes gives the reference's sizes exactly when every
+    # vertex has one link less than its cliques and, for a path, none
+    # branches
     rng = random.Random(20261020)
-    hubs = 0
+    seen = set()
     for name, g in mixed_graphs:
         t = _realized_or_searched_tree(g)
         if t is None:
             continue
+        occurrences = _index_or_hole(g).occurrences
         c = len(t.cliques)
         trees = [
             t.edges,
@@ -451,10 +455,15 @@ def test_separator_links_match_the_incidence_reference(mixed_graphs):
             frozenset((0, x) for x in range(1, c)),
         ]
         for edges in trees:
-            got = chordal._separator_links(t.cliques, edges)
-            assert got == _brute.separator_links_by_incidence(t.cliques, edges), name
-            hubs += bool(got[1])
-    assert hubs > 0
+            links, branching, sizes = _brute.separator_links_by_incidence(t.cliques, edges)
+            subtrees = all(links[v] == len(occ) - 1 for v, occ in enumerate(occurrences))
+            for path in (False, True):
+                want = sizes if subtrees and not (path and branching) else None
+                got = chordal._separator_sizes(t.cliques, occurrences, edges, path)
+                assert got == want, (name, path)
+            seen.add((subtrees, bool(branching)))
+    # trees that pass and fail, with and without a branching vertex
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def _outcome(check, g, tree):
@@ -537,20 +546,20 @@ def test_each_tree_check_is_one_proof(monkeypatch):
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 299), st.data())
 def test_separator_links_match_clique_degrees(seed, data):
-    # on any tree over the cliques: a vertex's links are half its cliques'
-    # degree sum inside its part of the tree, and it branches exactly when
-    # one of those degrees exceeds 2
+    # on any tree over the cliques, _separator_sizes passes exactly the
+    # clique (path) trees by the per-vertex degrees, and then its sizes sum
+    # to half the degrees' sum: each link is a separator's vertex
     index = _index_or_hole(gen_chordal(4 + seed % 9, seed))
     c = len(index.cliques)
     if c < 2:
         return
     seq = data.draw(st.lists(st.integers(0, c - 1), min_size=c - 2, max_size=c - 2))
     edges = frozenset(_brute.pruefer_decode_reference(seq, c))
-    links, branching, sizes = chordal._separator_links(index.cliques, edges)
     degrees = _brute.clique_degrees_reference(index, edges)
-    assert [2 * links[v] for v in range(len(degrees))] == [sum(d) for d in degrees]
-    assert branching == {v for v, d in enumerate(degrees) if max(d) > 2}
-    assert sum(sizes.values()) == sum(links.values())
     for path in (False, True):
         sizes = chordal._separator_sizes(index.cliques, index.occurrences, edges, path)
         assert (sizes is not None) == _brute.tree_by_degrees(index, edges, path)
+        if sizes is not None:
+            assert 2 * sum(sizes.values()) == sum(map(sum, degrees))
+            assert all(k == len(set(index.cliques[i]) & set(index.cliques[j]))
+                       for (i, j), k in sizes.items())

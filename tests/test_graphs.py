@@ -46,6 +46,10 @@ def test_from_edges_rejects_bad_input():
     for labels in (5, [1, 2, 3]):
         with pytest.raises(InputError, match="labels must be strings"):
             Graph.from_edges(3, [(0, 1)], labels)
+    # labels as a set, whose order would follow the string hash
+    for labels in ({"a", "b", "c"}, frozenset("abc")):
+        with pytest.raises(InputError, match="ordered sequence"):
+            Graph.from_edges(3, [(0, 1)], labels)
 
 
 @pytest.mark.parametrize("bad", [True, 1.0], ids=["bool", "float"])

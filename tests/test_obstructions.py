@@ -102,6 +102,8 @@ def test_verify_obstruction_accept_and_reject():
     assert not verify_obstruction(m, None, Obstruction(pat, (0, 1, 2, 3, 5), m.q))
     # an entry that is not a class index is rejected like one out of range
     assert not verify_obstruction(m, None, Obstruction(pat, (0, 1, 2, 3, "4"), m.q))
+    # so is an embedding that is no tuple or list of them
+    assert not verify_obstruction(m, None, Obstruction(pat, None, m.q))
 
 
 def test_verify_obstruction_induced_is_stricter():
