@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter, defaultdict, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heappop, heappush
 from itertools import chain, repeat
@@ -29,10 +29,22 @@ class HoleCertificate:
 
 @dataclass(frozen=True)
 class CliqueTree:
-    """Clique tree: canonically sorted maximal cliques plus tree edges on their indices."""
+    """Clique tree: canonically sorted maximal cliques plus tree edges on their indices.
+
+    _proof, set only by realize on the tree it checked, is that check: the
+    graph, by identity, and its occurrences. Equality, hash and repr ignore
+    it; the constructor, dataclasses.replace, copy and pickle leave it None,
+    as a copied graph could never match it.
+    """
 
     cliques: tuple[VertexSet, ...]
     edges: frozenset[tuple[int, int]]
+    _proof: tuple[Graph, Sequence[Sequence[int]]] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
+
+    def __reduce__(self):
+        return CliqueTree, (self.cliques, self.edges)
 
 
 @dataclass(frozen=True)

@@ -103,7 +103,7 @@ def _cmd_certify(args) -> int:
     directed = _directed_verdict(verdict)
     realization = None
     if args.realize and verdict.is_path_graph:
-        t = _tree_from(verdict)
+        t = _tree_from(g, verdict)
         realization = gio.realization_doc(t, clique_path_tree_to_host(g, t))
     doc = gio.verdict_document(
         g, verdict, gplus=args.gplus, directed=directed, realization=realization
@@ -117,7 +117,7 @@ def _cmd_realize(args) -> int:
     verdict = recognize_path_graph(g)
     if not verdict.is_path_graph:
         return _reject(args, "not a path graph; nothing to realize")
-    t = _tree_from(verdict)
+    t = _tree_from(g, verdict)
     host = clique_path_tree_to_host(g, t)
     if args.dot:
         _say(args, gio.emit_dot(t, g))

@@ -103,16 +103,16 @@ def _separators(index: CliqueIndex) -> Iterator[int]:
             yield from (qi for qi in nodes if parts[qi] > 1)
 
 
-def _trace_masks(index: CliqueIndex, qi: int) -> tuple[list[int], dict[int, int]]:
-    """The cliques that meet Q = cliques[qi], in the clique forest's preorder,
-    and each one's trace mask (bit i for q[i]); work: Q's vertices' cliques."""
+def _trace_masks(index: CliqueIndex, qi: int) -> dict[int, int]:
+    """The cliques that meet Q = cliques[qi], each with its trace mask (bit i
+    for q[i]); work: Q's vertices' cliques."""
     mask: dict[int, int] = {}
     bit = 1
     for v in index.cliques[qi]:
         for z in index.occurrences[v]:
             mask[z] = mask.get(z, 0) | bit
         bit <<= 1
-    return sorted(mask, key=index.tour.pos.__getitem__), mask
+    return mask
 
 
 def _cuts(index: CliqueIndex, mask: dict[int, int]) -> set[int]:
@@ -147,7 +147,8 @@ def _decomposition(index: CliqueIndex, qi: int) -> Decomposition:
     pos, end = tour.pos, tour.end
     q = cliques[qi]
     qs = set(q)
-    near, mask = _trace_masks(index, qi)
+    mask = _trace_masks(index, qi)
+    near = sorted(mask, key=pos.__getitem__)
     cut = _cuts(index, mask)
     region = {qi: -1}
     held: list[list[int]] = []  # each region's cliques that meet Q

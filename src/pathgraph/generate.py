@@ -7,7 +7,7 @@ from typing import Iterable
 
 from .chordal import _preorder, _tree_adj
 from .errors import GenerationError, InputError
-from .graphs import MAX_VERTICES, Graph, _int, _norm_edge, is_connected
+from .graphs import Graph, _int, _norm_edge, _within_limit, is_connected
 from .oracle import _decode_pruefer
 from .realize import HostRealization
 
@@ -71,13 +71,6 @@ def _meets(m: int, node_sets: list[Iterable[int]]) -> Graph:
         nbrs.discard(v)
         adj.append(frozenset(nbrs))
     return Graph(len(node_sets), tuple(adj))
-
-
-def _within_limit(count: int, what: str) -> None:
-    """Refuse, before any work, a sample of more than graphs.MAX_VERTICES
-    vertices or host nodes."""
-    if count > MAX_VERTICES:
-        raise InputError(f"{what} {count} is too large: at most {MAX_VERTICES}")
 
 
 def gen_path_graph(

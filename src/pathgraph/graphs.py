@@ -32,6 +32,14 @@ def _int(x: int, what: str) -> int:
     return x
 
 
+def _within_limit(count: int, what: str) -> int:
+    """count, refused before any work when more than MAX_VERTICES vertices
+    or host nodes would be built."""
+    if count > MAX_VERTICES:
+        raise InputError(f"{what} {count} is too large: at most {MAX_VERTICES}")
+    return count
+
+
 def _int_vset(vertices: Iterable[int], what: str) -> VertexSet:
     """vset of vertex ids that must each be an int."""
     if not isinstance(vertices, Iterable):

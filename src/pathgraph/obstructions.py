@@ -14,7 +14,7 @@ from .coloring import (
     Skeleton,
 )
 from .errors import InputError, InvariantError
-from .graphs import EdgeColoredGraph, VertexSet, _int
+from .graphs import EdgeColoredGraph, VertexSet, _int, _within_limit
 
 W0 = "W0"
 W1 = "W1"
@@ -53,8 +53,12 @@ def build_family(family: str, size: int) -> ObstructionPattern:
     the antipodal chord between the path ends. DF: rim path 0..2n-2 plus two
     adjacent hubs 2n-1, 2n closing the antipodal cycle, dominance chords from
     both hubs to their non-neighbors.
+
+    A size whose pattern has more than graphs.MAX_VERTICES vertices is
+    refused before any edge is built.
     """
     _int(size, f"{family} size")
+    what = f"{family} size {size}: vertex count"
     anti: set[tuple[int, int]] = set()
     dom: set[tuple[int, int]] = set()
 
@@ -66,17 +70,18 @@ def build_family(family: str, size: int) -> ObstructionPattern:
             raise InputError(f"{family} requires k >= 1")
         rim = 2 * size + 1
         hub = rim
+        n = _within_limit(rim + 1, what)
         for r in range(rim):
             edge(anti, r, (r + 1) % rim)
             edge(dom, r, hub)
         if family == W1:
             dom.discard((0, hub))
             edge(anti, 0, hub)
-        n = rim + 1
     elif family in (F, FTILDE):
         if size < 2:
             raise InputError(f"{family} requires n >= 2")
         top = 2 * size  # hub
+        n = _within_limit(top + 1, what)
         for r in range(top - 1):
             edge(anti, r, r + 1)
         edge(anti, 0, top)
@@ -85,11 +90,11 @@ def build_family(family: str, size: int) -> ObstructionPattern:
             edge(dom, r, top)
         if family == FTILDE:
             edge(anti, 0, top - 1)
-        n = top + 1
     elif family == DF:
         if size < 2:
             raise InputError("DF requires n >= 2")
         a, b = 2 * size - 1, 2 * size
+        n = _within_limit(b + 1, what)
         for r in range(a - 1):
             edge(anti, r, r + 1)
         edge(anti, a - 1, a)
@@ -99,7 +104,6 @@ def build_family(family: str, size: int) -> ObstructionPattern:
             edge(dom, r, a)
         for r in range(1, a):
             edge(dom, r, b)
-        n = b + 1
     elif family == FULL_TRIANGLE:
         if size != 1:
             raise InputError("FULL_TRIANGLE has fixed size 1")

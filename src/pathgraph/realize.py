@@ -43,16 +43,18 @@ def realize(g: Graph) -> CliqueTree:
     recursion and no search: a separator of three or more parts is hung by
     its report, and one of two parts straight from the clique forest, with
     no decomposition and no report. The component trees are bridged, and
-    the result is checked as a clique path tree.
+    the result is checked as a clique path tree; the tree carries that
+    proof to clique_path_tree_to_host(g, tree).
     """
     verdict = recognize_path_graph(g)
     if not verdict.is_path_graph:
         raise PreconditionError("realize requires a path graph")
-    return _tree_from(verdict)
+    return _tree_from(g, verdict)
 
 
-def _tree_from(verdict: Verdict) -> CliqueTree:
-    """realize from a path verdict, on the clique index it was built on."""
+def _tree_from(g: Graph, verdict: Verdict) -> CliqueTree:
+    """realize from g's path verdict, on the clique index it was built on.
+    The checked tree keeps g and the index's occurrences as its proof."""
     index = verdict._index
     edges = _assemble(index, verdict._found)
     anchors: list[int] = []
@@ -67,6 +69,7 @@ def _tree_from(verdict: Verdict) -> CliqueTree:
     tree = CliqueTree(index.cliques, frozenset(edges))
     if _separator_sizes(index.cliques, index.occurrences, tree.edges, path=True) is None:
         raise InvariantError("assembled tree is not a clique path tree")
+    object.__setattr__(tree, "_proof", (g, index.occurrences))
     return tree
 
 
@@ -157,7 +160,7 @@ def _assemble(
         else one color if their traces nest one way, the dominating part
         first; else two colors.
         """
-        _, bits = _trace_masks(index, h)
+        bits = _trace_masks(index, h)
         (a1, b1), (a2, b2) = [(pos[z], end[z]) for z in _cuts(index, bits)]
 
         def region(z: int) -> int:
@@ -260,10 +263,15 @@ def clique_path_tree_to_host(g: Graph, t: CliqueTree) -> HostRealization:
     """Read the host tree off a clique path tree: one node per clique, and the
     path of a vertex is the path of cliques containing it.
 
-    Decided by the tree's own proof (see _proven_occurrences), which covers
-    the host read off it, with no search; g is searched only to raise the
-    error a rejected tree owes.
+    A tree realize built for this very g brings the proof its assembly
+    checked, and its host is read off that proof's occurrences. Any other
+    tree, an equal copy included, is decided by its own proof (see
+    _proven_occurrences), which covers the host read off it, with no search;
+    g is searched only to raise the error a rejected tree owes.
     """
+    proof = t._proof if isinstance(t, CliqueTree) else None
+    if proof is not None and proof[0] is g:
+        return _host_paths(proof[1], t)
     occurrences = _decided(g, t, "clique_path_tree_to_host", path=True, canonical=True)
     if occurrences is None:
         raise PreconditionError("clique_path_tree_to_host requires a clique path tree")

@@ -518,10 +518,13 @@ def test_search_free_tree_checks_match_the_search(mixed_graphs):
 
 def test_each_tree_check_is_one_proof(monkeypatch):
     # one tree walk and one meeting-pair count per check, and no host check
-    # after the proof
+    # after the proof; realize's tree brings its proof to its own graph's
+    # host, which then walks and counts nothing, while every check that
+    # never reads that proof runs in full on realize's tree
     realize_mod = importlib.import_module("pathgraph.realize")  # the package binds realize()
     g, _ = gen_path_graph(40, 40, 1)
     t = realize_mod.realize(g)
+    rebuilt = CliqueTree(t.cliques, t.edges)
     calls = {}
 
     def counted(name, f):
@@ -530,17 +533,28 @@ def test_each_tree_check_is_one_proof(monkeypatch):
             return f(*args)
         return wrapper
 
-    for mod in (chordal, realize_mod):
-        for name in ("_is_tree", "_meet_exactly"):
-            monkeypatch.setattr(mod, name, counted(name, getattr(chordal, name)))
+    for name in ("_is_tree", "_meet_exactly"):
+        wrapped = counted(name, getattr(chordal, name))
+        for mod in (chordal, realize_mod):
+            monkeypatch.setattr(mod, name, wrapped)
     monkeypatch.setattr(
         realize_mod, "verify_realization",
         counted("verify_realization", realize_mod.verify_realization),
     )
-    for check in (is_valid_clique_tree, is_clique_path_tree, realize_mod.clique_path_tree_to_host):
+    cases = [
+        (is_valid_clique_tree, t),
+        (is_clique_path_tree, t),
+        (realize_mod.clique_path_tree_to_host, rebuilt),
+    ]
+    for check, tree in cases:
         calls.clear()
-        assert check(g, t)
+        assert check(g, tree)
         assert calls == {"_is_tree": 1, "_meet_exactly": 1}, check.__name__
+    calls.clear()
+    host = realize_mod.clique_path_tree_to_host(g, t)
+    assert calls == {}
+    assert realize_mod.verify_realization(g, host)
+    assert calls == {"verify_realization": 1, "_is_tree": 1, "_meet_exactly": 1}
 
 
 @settings(max_examples=300, deadline=None)

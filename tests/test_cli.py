@@ -350,6 +350,12 @@ def test_obstruction_command(capsys):
     assert "error" in err
 
 
+def test_obstruction_command_refuses_a_size_past_the_vertex_limit(capsys):
+    code, out, err = run(capsys, "obstruction", "--family", "df", "--size", "1000000000")
+    assert code == 2 and out == ""
+    assert f"vertex count 2000000001 is too large: at most {MAX_VERTICES}" in err
+
+
 def test_obstruction_command_prints_the_full_antipodal_triangle(capsys):
     # the kind certify --json names, e.g. on k4_hub(4)
     family = ("obstruction", "--family", "full_antipodal_triangle")

@@ -2,6 +2,7 @@ import pytest
 
 import _hosts
 from _brute import find_induced_colored
+from pathgraph import graphs
 from pathgraph.attach import quotient
 from pathgraph.coloring import Refutation, skeleton, weak_coloring
 from pathgraph.decompose import clique_separators, gamma_components
@@ -88,6 +89,20 @@ def test_family_input_errors():
         build_family(FULL_TRIANGLE, 2)
     with pytest.raises(InputError):
         build_family("W2", 1)
+
+
+def test_family_past_the_vertex_limit_is_refused_up_front(monkeypatch):
+    # a size is refused by its pattern's vertex count before any edge is
+    # built: DF size 10**9 would take terabytes
+    for family in (W0, W1, F, FTILDE, DF):
+        with pytest.raises(InputError, match="too large"):
+            build_family(family, 10**9)
+    monkeypatch.setattr(graphs, "MAX_VERTICES", 9)
+    for family, largest in ((W0, 3), (W1, 3), (F, 4), (FTILDE, 4), (DF, 4)):
+        assert build_family(family, largest).pattern.n in (8, 9)
+        too_large = f"{family} size {largest + 1}: vertex count .* too large"
+        with pytest.raises(InputError, match=too_large):
+            build_family(family, largest + 1)
 
 
 def test_verify_obstruction_accept_and_reject():

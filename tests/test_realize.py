@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 from collections import Counter
 from functools import reduce
@@ -7,11 +10,12 @@ import pytest
 
 import _brute
 from make_certify_golden import _path, corpus
-from pathgraph import decompose, oracle, recognize
+from pathgraph import chordal, decompose, oracle, recognize
 from pathgraph.chordal import (
     CliqueTree,
     HoleCertificate,
     _decided,
+    _proven_occurrences,
     _index_or_hole,
     _tree_adj,
     is_clique_path_tree,
@@ -112,6 +116,60 @@ def test_host_paths_match_the_stepping_walk(mixed_graphs):
         members += 1
         unions += name.startswith("union-")
     assert members > 300 and unions > 10
+
+
+def test_realized_trees_carry_the_occurrences_their_proof_reads(mixed_graphs):
+    # realize's tree keeps its graph, by identity, and occurrences equal to
+    # those the tree's own proof reads off it, on the suite's corpora
+    graphs = [g for _, g in mixed_graphs]
+    graphs += [gen_path_graph(n, n, 1)[0] for n in (200, 400, 800, 1600)]
+    graphs += [g for _, g, _ in corpus()]
+    members = 0
+    for g in graphs:
+        try:
+            t = realize(g)
+        except PreconditionError:
+            continue
+        proven, occurrences = t._proof
+        assert proven is g
+        assert list(map(list, occurrences)) == _proven_occurrences(g, t, path=True)
+        members += 1
+    assert members > 500
+
+
+def test_any_other_tree_gets_the_full_proof(monkeypatch):
+    # the carried proof holds only for realize's tree with the very graph it
+    # was built from; an equal copy, a replaced, copied or unpickled tree or
+    # an equal graph is proven again, and a bad replaced edge set gets the
+    # proof's error
+    g = gen_path_graph(40, 40, 1)[0]
+    t = realize(g)
+    proofs = []
+    real = chordal._proven_occurrences
+
+    def counted(*args):
+        proofs.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(chordal, "_proven_occurrences", counted)
+    host = clique_path_tree_to_host(g, t)
+    assert proofs == []
+    rebuilt = CliqueTree(t.cliques, t.edges)
+    assert rebuilt == t and hash(rebuilt) == hash(t) and repr(rebuilt) == repr(t)
+    same = Graph(g.n, g.adj, g.labels)
+    assert same == g and same is not g
+    copies = [dataclasses.replace(t), copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))]
+    assert all(u == t and u._proof is None for u in copies)
+    for h, u in [(same, t), (g, rebuilt), *((g, u) for u in copies)]:
+        proofs.clear()
+        assert clique_path_tree_to_host(h, u) == host
+        assert len(proofs) == 1
+    bad = dataclasses.replace(t, edges=t.edges - {min(t.edges)})
+    assert bad._proof is None
+    with pytest.raises(PreconditionError, match="requires a clique path tree"):
+        clique_path_tree_to_host(g, bad)
+    with pytest.raises(InputError, match="canonical"):
+        clique_path_tree_to_host(Graph.from_edges(g.n + 1, g.edges()), t)
 
 
 def test_host_requires_a_path_tree(k4hub):
@@ -363,7 +421,7 @@ def decomposed(monkeypatch):
 def test_two_part_separators_are_realized_without_a_decomposition(decomposed, g):
     verdict = recognize_path_graph(g)
     assert verdict._found and all(isinstance(r, int) for r in verdict._found)
-    tree = _tree_from(verdict)
+    tree = _tree_from(g, verdict)
     assert decomposed == [] and "reports" not in verdict.__dict__
     assert is_clique_path_tree(g, tree)
 
@@ -375,5 +433,5 @@ def test_realize_decomposes_only_the_separators_of_three_or_more_parts(decompose
     wide = [qi for qi, k in enumerate(parts) if k > 2]
     assert wide and any(k == 2 for k in parts)
     assert sorted(decomposed) == wide
-    _tree_from(verdict)
+    _tree_from(g, verdict)
     assert sorted(decomposed) == wide and "reports" not in verdict.__dict__
