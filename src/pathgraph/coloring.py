@@ -261,7 +261,8 @@ def _weak_coloring(m: AttachednessGraph, s: Skeleton) -> WeakColoring | Refutati
 def check_canonical_conditions(
     m: AttachednessGraph, s: Skeleton, f: dict[int, int]
 ) -> dict[str, bool]:
-    """The six structural conditions of the canonical coloring, individually."""
+    """The six structural conditions of the canonical coloring, individually;
+    a condition that reads a class f does not color is False."""
     return _canonical_conditions(m, s, f, _tree_adj(m.size, m.antipodal))
 
 
@@ -274,13 +275,13 @@ def _canonical_conditions(
     l = len(s.upper)
     upper = set(s.upper)
     out: dict[str, bool] = {}
-    out["a"] = all(f[u] == i for i, u in enumerate(s.upper, start=1))
+    out["a"] = all(f.get(u) == i for i, u in enumerate(s.upper, start=1))
     out["b"] = all(
-        f[c] in (i, l + 1) for i, d in enumerate(s.d_single, start=1) for c in d
+        f.get(c) in (i, l + 1) for i, d in enumerate(s.d_single, start=1) for c in d
     )
-    out["c"] = all(f[c] in key for key, d in s.d_pair.items() for c in d)
+    out["c"] = all(f.get(c) in key for key, d in s.d_pair.items() for c in d)
     out["d"] = all(
-        f[c] == i
+        f.get(c) == i
         for i, d in enumerate(s.d_single, start=1)
         for c in d
         if not upper.isdisjoint(adj[c])
@@ -289,11 +290,11 @@ def _canonical_conditions(
     for (i, j), d in s.d_pair.items():
         for c in d:
             sides = {s.member_of.get(x) for x in adj[c]}
-            if (("D", i) in sides and f[c] != j) or (("D", j) in sides and f[c] != i):
+            if (("D", i) in sides and f.get(c) != j) or (("D", j) in sides and f.get(c) != i):
                 ok_e = False
     out["e"] = ok_e
     out["f"] = all(
-        f[a] != f[b]
+        a in f and b in f and f[a] != f[b]
         for a, b in m.antipodal
         if s.member_of.get(a) == s.member_of.get(b)
     )

@@ -125,9 +125,14 @@ def verify_obstruction(
     """Check the embedding maps pattern edges onto same-colored host edges.
 
     With induced=True, pattern non-edges must land on host non-edges. The
-    FULL_TRIANGLE witness must neighbor all three classes.
+    FULL_TRIANGLE witness must neighbor all three classes. A certificate
+    with no pattern graph fails too; an m of another type is an InputError.
     """
-    p = o.pattern.pattern
+    if not isinstance(m, AttachednessGraph):
+        raise InputError(f"expected an AttachednessGraph, got {type(m).__name__}")
+    p = getattr(getattr(o, "pattern", None), "pattern", None)
+    if not isinstance(o, Obstruction) or not isinstance(p, EdgeColoredGraph):
+        return False
     emb = o.embedding
     if not isinstance(emb, (tuple, list)) or len(emb) != p.n:
         return False

@@ -7,7 +7,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 from .chordal import CliqueTree, _connected_index, _separator_sizes
-from .errors import GuardRefusal, InvariantError
+from .errors import GuardRefusal
 from .graphs import Graph, VertexSet
 
 TREE_SWEEP_MAX_CLIQUES = 9
@@ -46,29 +46,27 @@ def _first_path_tree(c: int, masks: Iterable[int]) -> list[tuple[int, int]] | No
     """First labeled tree on c nodes (Pruefer lexicographic order) where every
     mask induces a path, or None when no labeled tree works.
 
-    inside[a][b] has one bit for each mask of two or more nodes that holds
-    both a and b, so a tree edge's weight, the popcount of that entry, counts
-    the masks it lies in. A mask M induces a forest on its |M| nodes, with at
-    most |M| - 1 edges and exactly that many when connected; so every mask is
-    connected exactly when the tree's weight is the sum of |M| - 1 over the
-    masks. A connected mask is a path unless
-    some node has it on three incident edges, which is looked for only at
-    nodes of degree 3 or more on the trees that pass the count. Per tree that
-    is one pass of the smallest-leaf pointer (as in _decode_pruefer), whatever
-    the number of masks; the degrees follow the sequence as it steps.
+    weight[a][b] counts the masks of two or more nodes that hold both a and
+    b. A mask M induces a forest with at most |M| - 1 edges, exactly that
+    many when connected; so all are connected exactly when the tree's weight
+    is the sum of |M| - 1, counted per tree in one pass of the smallest-leaf
+    pointer (as in _decode_pruefer) as the degrees follow the sequence. A
+    tree that passes is accepted by the clique tree proof (_separator_sizes)
+    over the masks, at[x] standing for node x's clique: its sum is that
+    count, and its hub test finds a mask on three edges at one node.
     """
     if c <= 1:
         return []
-    sets = [mask for mask in masks if mask.bit_count() > 1]
-    inside = [[0] * c for _ in range(c)]
-    for k, mask in enumerate(sets):
-        nodes = [a for a in range(c) if mask >> a & 1]
+    sets = [[a for a in range(c) if mask >> a & 1] for mask in masks if mask.bit_count() > 1]
+    at: list[set[int]] = [set() for _ in range(c)]
+    weight = [[0] * c for _ in range(c)]
+    for k, nodes in enumerate(sets):
         for a in nodes:
-            row = inside[a]
+            at[a].add(k)
+            row = weight[a]
             for b in nodes:
-                row[b] |= 1 << k
-    weight = [[ab.bit_count() for ab in row] for row in inside]
-    need = sum(mask.bit_count() - 1 for mask in sets)
+                row[b] += 1
+    need = sum(len(nodes) - 1 for nodes in sets)
     last = c - 1
     seq = [0] * (c - 2)
     degree = [1] * c
@@ -86,7 +84,7 @@ def _first_path_tree(c: int, masks: Iterable[int]) -> list[tuple[int, int]] | No
                 leaf = ptr = deg.index(1, ptr + 1)
         if total + weight[leaf][last] == need:
             edges = _decode_pruefer(seq, c)
-            if _no_branch(edges, inside, degree):
+            if _separator_sizes(at, sets, frozenset(edges), path=True) is not None:
                 return edges
         i = c - 3
         while i >= 0 and seq[i] == last:
@@ -101,24 +99,6 @@ def _first_path_tree(c: int, masks: Iterable[int]) -> list[tuple[int, int]] | No
         seq[i] = x + 1
         degree[x] -= 1
         degree[x + 1] += 1
-
-
-def _no_branch(
-    edges: list[tuple[int, int]], inside: list[list[int]], degree: list[int]
-) -> bool:
-    """Whether no node of the tree has one mask on three of its edges; once
-    and twice collect, per node, the masks seen on one and on two edges."""
-    once = [0] * len(degree)
-    twice = once[:]
-    for a, b in edges:
-        shared = inside[a][b]
-        for v in (a, b):
-            if degree[v] > 2:
-                if twice[v] & shared:
-                    return False
-                twice[v] |= once[v] & shared
-                once[v] |= shared
-    return True
 
 
 def oracle_clique_path_tree(g: Graph) -> CliqueTree | None:
@@ -144,9 +124,4 @@ def _oracle_tree(
         )
     masks = {sum(1 << i for i in occ) for occ in occurrences}
     edges = _first_path_tree(c, masks)
-    if edges is None:
-        return None
-    tree = CliqueTree(cliques, frozenset(edges))
-    if _separator_sizes(cliques, occurrences, tree.edges, path=True) is None:
-        raise InvariantError("swept tree fails the clique path tree check")
-    return tree
+    return None if edges is None else CliqueTree(cliques, frozenset(edges))

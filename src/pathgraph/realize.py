@@ -56,7 +56,7 @@ def _tree_from(g: Graph, verdict: Verdict) -> CliqueTree:
     """realize from g's path verdict, on the clique index it was built on.
     The checked tree keeps g and the index's occurrences as its proof."""
     index = verdict._index
-    edges = _assemble(index, verdict._found)
+    edges = _assemble(index, verdict._found, verdict._wide)
     anchors: list[int] = []
     for _, nodes in index.components:
         if len(nodes) == 2:
@@ -86,13 +86,14 @@ _PAIR_RANK: dict[tuple[bool, bool], Rank] = {
 
 
 def _assemble(
-    index: CliqueIndex, found: Sequence[SeparatorReport | int]
+    index: CliqueIndex, found: Sequence[int], report_at: dict[int, SeparatorReport]
 ) -> set[tuple[int, int]]:
-    """Tree edges of a clique path forest of a path graph, from the separators
-    its verdict found: one tree for each component that has a separator,
-    over the component's cliques, and no edge elsewhere. A separator of
-    three or more parts is read off its report; one of two parts, found by
-    its clique index, is read off the clique forest (see two_parts).
+    """Tree edges of a clique path forest of a path graph, from the clique
+    indices of the separators its verdict found: one tree for each component
+    that has a separator, over the component's cliques, and no edge
+    elsewhere. A separator of three or more parts is read off its report in
+    report_at; one of two parts is read off the clique forest (see
+    two_parts).
 
     Each tree is rooted at its component's first separator. A part D of
     G - K, for K a clique already placed, is realized at its head H: its
@@ -116,7 +117,6 @@ def _assemble(
         return edges
     cliques, occ, tour = index.cliques, index.occurrences, index.tour
     pos, end, parts = tour.pos, tour.end, tour.parts
-    report_at = {bisect_left(cliques, r.q): r for r in found if isinstance(r, SeparatorReport)}
     comp_of = {tour.root[nodes[0]]: comp for comp, nodes in index.components if len(nodes) > 2}
 
     def wide(h: int, hs: set[int], k: int | None) -> tuple[Rank, list, int | None]:
@@ -189,8 +189,7 @@ def _assemble(
         return _PAIR_RANK[one, ab], inside, kpart
 
     roots: dict[int, int] = {}  # the first separator of each component
-    for r in found:
-        h = r if isinstance(r, int) else bisect_left(cliques, r.q)
+    for h in found:
         roots.setdefault(tour.root[h], h)
     # (h, K's node, D's largest trace, the frame above's results, D's part there)
     todo = deque((h, None, (), None, None) for h in roots.values())

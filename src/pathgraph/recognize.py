@@ -46,14 +46,16 @@ class SeparatorReport:
 @dataclass(frozen=True)
 class Verdict:
     """A path verdict, its status read off the separators of three or more
-    parts alone, as two always color. reports is built once, on first read:
-    _found holds the kept reports and each two-part separator's clique
-    index, whose report comes on that read by the same path (_report),
-    decomposed on _index, the one chordal structure the verdict keeps."""
+    parts alone, as two always color. _found holds each separator's clique
+    index in scan order, _wide the report of each of three or more parts by
+    that index; reports is built once, on first read, a two-part separator's
+    by the same path (_report), decomposed on _index, the one chordal
+    structure the verdict keeps."""
 
     status: str
     hole: HoleCertificate | None
-    _found: tuple[SeparatorReport | int, ...] = ()
+    _found: tuple[int, ...] = ()
+    _wide: dict[int, SeparatorReport] = field(default_factory=dict, hash=False)
     _index: CliqueIndex | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -63,8 +65,7 @@ class Verdict:
     @cached_property
     def reports(self) -> tuple[SeparatorReport, ...]:
         return tuple(
-            r if isinstance(r, SeparatorReport) else _report(_decomposition(self._index, r))
-            for r in self._found
+            self._wide.get(qi) or _report(_decomposition(self._index, qi)) for qi in self._found
         )
 
 
@@ -104,15 +105,15 @@ def recognize_path_graph(g: Graph) -> Verdict:
     index = _index_or_hole(g)
     if isinstance(index, HoleCertificate):
         return Verdict(NOT_CHORDAL, index)
-    found: list[SeparatorReport | int] = []
+    found: list[int] = []
+    wide: dict[int, SeparatorReport] = {}
     for qi in _separators(index):
-        if index.tour.parts[qi] == 2:
-            found.append(qi)
-            continue
-        found.append(_report(_decomposition(index, qi)))
-        if found[-1].refutation is not None:
-            return Verdict(NOT_PATH_GRAPH, None, tuple(found), index)
-    return Verdict(PATH_GRAPH, None, tuple(found), index)
+        found.append(qi)
+        if index.tour.parts[qi] > 2:
+            wide[qi] = r = _report(_decomposition(index, qi))
+            if r.refutation is not None:
+                return Verdict(NOT_PATH_GRAPH, None, tuple(found), wide, index)
+    return Verdict(PATH_GRAPH, None, tuple(found), wide, index)
 
 
 def _first_odd_cycle(
@@ -155,8 +156,7 @@ def _directed_verdict(verdict: Verdict) -> DirectedVerdict:
     """
     if verdict.status == NOT_CHORDAL:
         return DirectedVerdict(status=NOT_CHORDAL, hole=verdict.hole)
-    wide = (r for r in verdict._found if isinstance(r, SeparatorReport))
-    directed = _first_odd_cycle((r.q, r.attachedness) for r in wide)
+    directed = _first_odd_cycle((r.q, r.attachedness) for r in verdict._wide.values())
     if verdict.status == NOT_PATH_GRAPH and directed.q is None:
         raise InvariantError("refuted separator has a bipartite antipodal graph")
     return directed

@@ -2,10 +2,13 @@
 
 Each test prints one PASS/FAIL line (visible with pytest -s) and asserts the
 same condition. The shared corpus is 1000 seeded chordal graphs on 4..12
-vertices; oracle comparisons stay inside the documented guard limits.
+vertices; oracle comparisons stay inside the documented guard limits. The
+last check runs on every connected chordal graph on up to 7 vertices
+(tests/_small.py).
 """
 
 import time
+from collections import Counter
 
 import pytest
 
@@ -40,6 +43,7 @@ from _brute import (
     is_strong_coloring,
     oracle_strong_coloring,
 )
+from _small import connected_chordal_graphs
 
 
 def line(num: int, ok: bool, text: str) -> bool:
@@ -311,4 +315,36 @@ def test_10_directed_subclass(corpus_verdicts, worked8):
         ok,
         f"directed acceptance implies acceptance ({directed} cases); the worked "
         f"instance is a path graph with an antipodal triangle at {{b,c,e}}",
+    )
+
+
+def test_11_every_small_chordal_graph():
+    # connected chordal graphs on 1..7 vertices up to isomorphism: OEIS A048192
+    graphs = connected_chordal_graphs()
+    counts = [len(graphs[n]) for n in sorted(graphs)]
+    not_path, not_directed = Counter(), Counter()
+    disagree = unsound = 0
+    for n, gs in graphs.items():
+        for g in gs:
+            v = recognize_path_graph(g)
+            directed = recognize_directed_path_graph(g).is_directed_path_graph
+            not_path[n] += not v.is_path_graph
+            not_directed[n] += not directed
+            disagree += (oracle_clique_path_tree(g) is not None) != v.is_path_graph
+            unsound += directed and not v.is_path_graph
+            if v.is_path_graph:
+                t = realize(g)
+                host = clique_path_tree_to_host(g, t)
+                unsound += not (is_clique_path_tree(g, t) and verify_realization(g, host))
+    ok = (
+        counts == [1, 1, 2, 5, 15, 58, 272]
+        and +not_path == {7: 2}
+        and +not_directed == {6: 1, 7: 10}
+        and disagree == unsound == 0
+    )
+    assert line(
+        11,
+        ok,
+        f"all {sum(counts)} connected chordal graphs on up to 7 vertices: recognition "
+        f"agrees with the tree oracle, directed implies path, every member realizes",
     )

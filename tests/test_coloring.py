@@ -278,6 +278,20 @@ def test_each_condition_fails_in_isolation():
     )
 
 
+def test_conditions_that_read_an_uncolored_class_are_false(k4hub):
+    # the refuted separator of k4_hub(4): three upper bounds, each alone in
+    # its D_i, so (c), (e) and (f) read no class
+    m = quotient(gamma_components(k4hub, (0, 1, 2, 3)))
+    assert check_canonical_conditions(m, skeleton(m), {}) == dict(
+        a=False, b=False, c=True, d=False, e=True, f=True
+    )
+    # an antipodal pair inside one member, one end uncolored: (b) and (f)
+    ff = _hosts.fake_m(3, anti={(0, 1)}, order={(0, 2), (1, 2)})
+    assert check_canonical_conditions(ff, skeleton(ff), {0: 1, 2: 1}) == dict(
+        a=True, b=False, c=True, d=True, e=True, f=False
+    )
+
+
 def _pendants_on_clique(q, traces):
     """The clique {0..q-1} with one vertex per trace, adjacent to exactly it:
     one separator whose parts have the given traces."""

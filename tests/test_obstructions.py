@@ -19,6 +19,7 @@ from pathgraph.obstructions import (
     W0,
     W1,
     Obstruction,
+    ObstructionPattern,
     build_family,
     refutation_to_obstruction,
     verify_obstruction,
@@ -119,6 +120,14 @@ def test_verify_obstruction_accept_and_reject():
     assert not verify_obstruction(m, None, Obstruction(pat, (0, 1, 2, 3, "4"), m.q))
     # so is an embedding that is no tuple or list of them
     assert not verify_obstruction(m, None, Obstruction(pat, None, m.q))
+    # and a certificate that is none, or has no pattern graph
+    assert not verify_obstruction(m, None, None)
+    assert not verify_obstruction(m, None, Obstruction(None, (0, 1, 2, 3, 4), m.q))
+    hollow = ObstructionPattern(DF, 2, None)
+    assert not verify_obstruction(m, None, Obstruction(hollow, (0, 1, 2, 3, 4), m.q))
+    # a host that is no attachedness graph is refused as input
+    with pytest.raises(InputError):
+        verify_obstruction(None, None, good)
 
 
 def test_verify_obstruction_induced_is_stricter():

@@ -881,9 +881,11 @@ def test_two_part_reports_are_built_once_on_first_read(monkeypatch, tmp_path, g)
     built.clear()
     tours.clear()
     verdict = recognize_path_graph(g)
-    wide = [r.decomposition for r in verdict._found if not isinstance(r, int)]
+    wide = [r.decomposition for r in verdict._wide.values()]
     assert built == wide and len(tours) == 1
     reports = verdict.reports
     two = [r.decomposition for r in reports if r.decomposition.size == 2]
     assert built == wide + two and two
     assert verdict.reports is reports and built == wide + two and len(tours) == 1
+    # the reports stay out of the hash, so a verdict with reports hashes too
+    assert hash(verdict) == hash(recognize_path_graph(g))
